@@ -16,7 +16,6 @@ import (
 	"feasim/internal/core"
 	"feasim/internal/des"
 	"feasim/internal/experiment"
-	"feasim/internal/pvm"
 	"feasim/internal/rng"
 	"feasim/internal/sim"
 	"feasim/internal/stats"
@@ -188,55 +187,6 @@ func BenchmarkDESPreemptiveServer(b *testing.B) {
 	b.StopTimer()
 	stop = true
 	e.RunUntil(e.Now() + 20)
-}
-
-func BenchmarkPVMPingPongInProc(b *testing.B) { benchPingPong(b, pvm.InProc) }
-func BenchmarkPVMPingPongTCP(b *testing.B)    { benchPingPong(b, pvm.TCP) }
-
-func benchPingPong(b *testing.B, kind pvm.TransportKind) {
-	vm, err := pvm.NewVM(pvm.Config{Hosts: 2, Transport: kind})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer vm.Halt()
-	echo, err := vm.Spawn("echo", 1, 0, func(t *pvm.Task) error {
-		for {
-			m, err := t.Recv(pvm.AnyTID, 1)
-			if err != nil {
-				return nil // halt
-			}
-			if err := t.Send(m.Src, 2, m.Body); err != nil {
-				return err
-			}
-		}
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	done := make(chan error, 1)
-	b.ResetTimer()
-	_, err = vm.Spawn("driver", 0, 0, func(t *pvm.Task) error {
-		buf := pvm.NewBuffer().PackInt64(42)
-		for i := 0; i < b.N; i++ {
-			if err := t.Send(echo, 1, buf); err != nil {
-				return err
-			}
-			if _, err := t.Recv(echo, 2); err != nil {
-				return err
-			}
-		}
-		done <- nil
-		return nil
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := <-done; err != nil {
-		b.Fatal(err)
-	}
-	b.StopTimer()
-	// bytes per op: one frame each way.
-	b.SetBytes(2 * (4 + 12 + 9))
 }
 
 func BenchmarkStationRunTask(b *testing.B) {
@@ -506,50 +456,6 @@ func BenchmarkAblationNoGuarantee(b *testing.B) {
 	}
 	b.ReportMetric(exactMean, "jobtime-guaranteed")
 	b.ReportMetric(generalMean, "jobtime-wallclock")
-}
-
-// BenchmarkAblationMigration quantifies the Section 5 extension: task
-// migration under a heavy-tailed (long-running) owner job on one station.
-func BenchmarkAblationMigration(b *testing.B) {
-	mk := func(seed uint64) *feasim.Cluster {
-		hog := feasim.StationParams{
-			OwnerThink:  feasim.Exponential{M: 100},
-			OwnerDemand: feasim.Pareto{Xm: 20, A: 1.5}, // long-running owner jobs
-		}
-		quiet, err := feasim.SunELCParams(10, 0.02)
-		if err != nil {
-			b.Fatal(err)
-		}
-		c, err := feasim.NewHeterogeneousCluster(
-			[]feasim.StationParams{hog, quiet, quiet}, seed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return c
-	}
-	m := feasim.Migrator{InterferenceBudget: 0.3, TransferCost: 10, MaxMigrations: 2}
-	var with, without stats.Summary
-	for i := 0; i < b.N; i++ {
-		for r := 0; r < 50; r++ {
-			cm := mk(uint64(1000 + r))
-			rec, err := m.RunTask(cm, 0, 500)
-			if err != nil {
-				b.Fatal(err)
-			}
-			with.Add(rec.Elapsed)
-			cs := mk(uint64(1000 + r))
-			st, err := cs.Station(0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			without.Add(st.RunTask(500).Elapsed)
-		}
-	}
-	b.ReportMetric(with.Mean(), "tasktime-migrate")
-	b.ReportMetric(without.Mean(), "tasktime-stay")
-	if with.Mean() >= without.Mean() {
-		b.Errorf("migration should beat staying under a hog: %.1f vs %.1f", with.Mean(), without.Mean())
-	}
 }
 
 // BenchmarkAblationTrialsConvention compares the rounded-trials convention

@@ -27,6 +27,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -129,8 +130,11 @@ func runWorkday(w int, taskSpec, ownerSpec, workdaySpec string, samples int, see
 			return err
 		}
 		a, err := solver.Answer(ctx, q)
-		if err != nil {
+		if errors.Is(err, feasim.ErrUnsupported) {
 			continue // backend without timeline support
+		}
+		if err != nil {
+			return fmt.Errorf("%s: %w", name, err)
 		}
 		t := a.(feasim.TimelineAnswer)
 		fmt.Printf("timeline [%s]: W=%d J=%g O=%g cycle=%g mean util %.4f\n",
@@ -147,6 +151,9 @@ func runWorkday(w int, taskSpec, ownerSpec, workdaySpec string, samples int, see
 	return nil
 }
 
+// run answers the stationary experiment as an explicit-station scenario
+// through the DES backend of the Query API: every station runs the given
+// owner think/burst distributions, and every task the given demand.
 func run(w int, taskSpec, thinkSpec, ownerSpec string, samples, warmup int, seed uint64) error {
 	task, err := feasim.ParseDist(taskSpec)
 	if err != nil {
@@ -160,23 +167,13 @@ func run(w int, taskSpec, thinkSpec, ownerSpec string, samples, warmup int, seed
 	if err != nil {
 		return err
 	}
-
-	cfg := feasim.GeneralConfig{
-		TaskDemand: task,
+	s := feasim.Scenario{
+		Name:       "clustersim",
+		W:          w,
+		Stations:   []feasim.StationSpec{{OwnerThink: thinkSpec, OwnerDemand: ownerSpec, Count: w}},
+		TaskDemand: taskSpec,
 		Seed:       seed,
-		WarmupJobs: warmup,
 	}
-	for i := 0; i < w; i++ {
-		cfg.Stations = append(cfg.Stations, feasim.StationWorkload{
-			OwnerThink:  think,
-			OwnerDemand: owner,
-		})
-	}
-	g, err := feasim.NewGeneralSimulator(cfg)
-	if err != nil {
-		return err
-	}
-
 	pr := feasim.Protocol{
 		Batches:    20,
 		BatchSize:  samples / 20,
@@ -186,29 +183,32 @@ func run(w int, taskSpec, thinkSpec, ownerSpec string, samples, warmup int, seed
 	if pr.BatchSize < 1 {
 		pr.BatchSize = 1
 	}
-	res, err := feasim.RunGeneral(g, pr)
+	if warmup <= 0 {
+		warmup = -1 // the DES backend reads 0 as its default warmup
+	}
+	ctx := context.Background()
+	res, err := feasim.NewDESSolver(pr, warmup).Solve(ctx, s)
 	if err != nil {
 		return err
 	}
+	ci := func(mean float64, iv feasim.Interval) string {
+		return fmt.Sprintf("%.6g ± %.3g (%.0f%%)", mean, iv.Width()/2, pr.Level*100)
+	}
 
 	fmt.Printf("general simulator: W=%d task=%s think=%s owner=%s\n", w, task, think, owner)
-	fmt.Printf("  configured owner utilization %.4f, observed %.4f\n",
-		cfg.MeanUtilization(), res.ObservedUtil)
+	fmt.Printf("  configured owner utilization %.4f\n", res.U)
 	fmt.Printf("  samples %d\n", res.Samples)
-	fmt.Printf("  E[job time]  %v\n", res.JobTime)
-	fmt.Printf("  E[task time] %v\n", res.MeanTask)
+	fmt.Printf("  E[job time]  %s\n", ci(res.EJob, res.EJobCI))
+	fmt.Printf("  E[task time] %s\n", ci(res.ETask, res.ETaskCI))
 
 	// When the workload is the paper's shape, show the analytic bound.
 	taskDet, dok := task.(feasim.Deterministic)
 	ownerDet, ook := owner.(feasim.Deterministic)
 	if dok && ook && ownerDet.V > 0 {
-		util := cfg.MeanUtilization()
-		p, err := feasim.ParamsFromUtilization(taskDet.V*float64(w), w, ownerDet.V, util)
-		if err == nil {
-			if ana, err := feasim.Analyze(p); err == nil {
-				fmt.Printf("  analytic (optimistic) E_j = %.3f, E_t = %.3f\n", ana.EJob, ana.ETask)
-				fmt.Printf("  simulated/analytic job-time ratio: %.4f\n", res.JobTime.Mean/ana.EJob)
-			}
+		paper := feasim.Scenario{J: taskDet.V * float64(w), W: w, O: ownerDet.V, Util: res.U}
+		if ana, err := feasim.NewAnalyticSolver().Solve(ctx, paper); err == nil {
+			fmt.Printf("  analytic (optimistic) E_j = %.3f, E_t = %.3f\n", ana.EJob, ana.ETask)
+			fmt.Printf("  simulated/analytic job-time ratio: %.4f\n", res.EJob/ana.EJob)
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package main
 
 import (
 	"os"
+	"strings"
 	"testing"
 )
 
@@ -58,6 +59,22 @@ func TestRunWorkday(t *testing.T) {
 		if err := runWorkday(2, "det:100", "det:10", spec, 20, 4); err == nil {
 			t.Errorf("workday spec %q should error", spec)
 		}
+	}
+}
+
+// TestRunWorkdayReportsBackendFailures pins that only unsupported-kind
+// refusals are skipped: a backend that supports timelines but fails on the
+// envelope (the DES replay needs at least two replications) must fail the
+// run instead of leaving only the analytic table behind.
+func TestRunWorkdayReportsBackendFailures(t *testing.T) {
+	old := os.Stdout
+	null, _ := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	os.Stdout = null
+	defer func() { os.Stdout = old; null.Close() }()
+
+	err := runWorkday(4, "det:100", "det:10", "a:100:0.1,b:100:0.3", 1, 1)
+	if err == nil || !strings.Contains(err.Error(), "des") {
+		t.Fatalf("DES failure with one replication should surface, got %v", err)
 	}
 }
 

@@ -24,11 +24,8 @@
 //	           probing only where the boundary lives
 //	analyze    evaluate the model at one parameter point
 //	assess     feasibility verdict against a weighted-efficiency target
-//	threshold  minimum task ratio table (superseded by `query` with
-//	           {"kind": "threshold"})
-//	scaled     memory-bounded scaleup sweep (superseded by `query` with
-//	           {"kind": "scaled"})
-//	simulate   validate the analysis by simulation (Section 2.2)
+//	simulate   validate the analysis by simulation (Section 2.2): one
+//	           scenario answered by the analytic and exact backends
 //	bench      run the core benchmarks and emit a JSON report
 //	benchdiff  compare two bench reports and flag ns/op regressions
 //
@@ -48,8 +45,6 @@
 //	    'http://127.0.0.1:8080/v1/sweep?mode=frontier'
 //	feasim analyze -j 1000 -w 100 -o 10 -util 0.05
 //	feasim assess -j 600 -w 60 -o 10 -util 0.2 -target 0.8
-//	feasim threshold -w 60 -o 10 -target 0.8 -utils 0.05,0.1,0.2
-//	feasim scaled -t 100 -o 10 -util 0.1 -maxw 100
 //	feasim simulate -j 1000 -w 50 -o 10 -util 0.2
 package main
 
@@ -87,10 +82,6 @@ func main() {
 		err = cmdAnalyze(os.Args[2:])
 	case "assess":
 		err = cmdAssess(os.Args[2:])
-	case "threshold":
-		err = cmdThreshold(os.Args[2:])
-	case "scaled":
-		err = cmdScaled(os.Args[2:])
 	case "simulate":
 		err = cmdSimulate(os.Args[2:])
 	case "bench":
@@ -111,22 +102,24 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: feasim <query|serve|cluster|run|sweep|analyze|assess|threshold|scaled|simulate|bench|benchdiff> [flags]
+	fmt.Fprintln(os.Stderr, `usage: feasim <query|serve|cluster|run|sweep|analyze|assess|simulate|bench|benchdiff> [flags]
 
 query answers a typed query envelope file — {"kind": "report"|"threshold"|
 "partition"|"distribution"|"scaled"|"timeline", ...} — with any capable
-backend (-batch
-answers a JSON array of envelopes concurrently); serve answers the same
-envelopes over HTTP (POST /v1/query, /v1/batch, /v1/sweep) with answer
-caching and request coalescing, and with -self/-peers joins a multi-node
-answer tier (circuit breakers, retries, hedged forwards; -chaos injects
-seeded faults for drills); cluster inspects a running node's ring
-membership, breaker states and routing/overload counters (GET /v1/cluster);
-run and sweep answer scenario files
-(the "report" kind; sweep -frontier runs an adaptive 2-D feasibility-boundary
-refinement, mirrored over HTTP as POST /v1/sweep?mode=frontier NDJSON);
-benchdiff compares two bench reports and flags
-regressions. Run "feasim <subcommand> -h" for flags.`)
+backend (-batch answers a JSON array of envelopes concurrently; threshold
+tables and scaled curves are threshold and scaled envelopes); serve
+answers the same envelopes over HTTP (POST /v1/query, /v1/batch,
+/v1/sweep) with answer caching and request coalescing, and with
+-self/-peers joins a multi-node answer tier (circuit breakers, retries,
+hedged forwards; -chaos injects seeded faults for drills); cluster
+inspects a running node's ring membership, breaker states and
+routing/overload counters (GET /v1/cluster); run and sweep answer
+scenario files (the "report" kind; sweep -frontier runs an adaptive 2-D
+feasibility-boundary refinement, mirrored over HTTP as POST
+/v1/sweep?mode=frontier NDJSON); analyze and assess evaluate one model
+point; simulate checks the analysis against the exact simulator's
+confidence intervals; bench runs the core benchmarks; benchdiff compares
+two bench reports and flags regressions. Run "feasim <subcommand> -h" for flags.`)
 }
 
 // solveContext builds the run/sweep context, honoring an optional timeout.
@@ -447,61 +440,9 @@ func cmdAssess(args []string) error {
 	return nil
 }
 
-func cmdThreshold(args []string) error {
-	fs := flag.NewFlagSet("threshold", flag.ExitOnError)
-	w := fs.Int("w", 60, "number of workstations")
-	o := fs.Float64("o", 10, "owner burst demand")
-	target := fs.Float64("target", 0.8, "target weighted efficiency")
-	utilsArg := fs.String("utils", "0.05,0.1,0.2", "comma-separated owner utilizations")
-	fs.Parse(args)
-	var utils []float64
-	for _, s := range strings.Split(*utilsArg, ",") {
-		u, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-		if err != nil {
-			return fmt.Errorf("bad utilization %q: %v", s, err)
-		}
-		utils = append(utils, u)
-	}
-	rows, err := feasim.ThresholdTable(*w, *o, *target, utils)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("minimum task ratio for weighted efficiency >= %.2f (W=%d, O=%g)\n", *target, *w, *o)
-	fmt.Printf("%-12s %-10s %s\n", "utilization", "ratio", "achieved weff")
-	for _, r := range rows {
-		fmt.Printf("%-12.4g %-10d %.4f\n", r.Util, r.MinRatio, r.WeightedEff)
-	}
-	return nil
-}
-
-func cmdScaled(args []string) error {
-	fs := flag.NewFlagSet("scaled", flag.ExitOnError)
-	t := fs.Float64("t", 100, "fixed per-task demand T (J = T*W)")
-	o := fs.Float64("o", 10, "owner burst demand")
-	util := fs.Float64("util", 0.1, "owner utilization")
-	maxw := fs.Int("maxw", 100, "largest system size")
-	fs.Parse(args)
-	var ws []int
-	for w := 1; w <= *maxw; w *= 2 {
-		ws = append(ws, w)
-	}
-	if ws[len(ws)-1] != *maxw {
-		ws = append(ws, *maxw)
-	}
-	pts, err := feasim.ScaledSweep(*t, *o, *util, ws)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("memory-bounded scaleup: T=%g, O=%g, util=%g\n", *t, *o, *util)
-	fmt.Printf("%-6s %-12s %-22s %s\n", "W", "E[job time]", "increase vs dedicated", "increase vs W=1")
-	for _, pt := range pts {
-		fmt.Printf("%-6d %-12.3f %-22s %s\n", pt.W, pt.Result.EJob,
-			fmt.Sprintf("%+.1f%%", pt.IncreaseVsDedicated*100),
-			fmt.Sprintf("%+.1f%%", pt.IncreaseVsSingle*100))
-	}
-	return nil
-}
-
+// cmdSimulate is the paper's validation (Section 2.2): one scenario
+// answered by the analytic and exact backends, with the analysis checked
+// against the simulated confidence intervals widened by half.
 func cmdSimulate(args []string) error {
 	fs := flag.NewFlagSet("simulate", flag.ExitOnError)
 	j, w, o, util := modelFlags(fs)
@@ -509,19 +450,24 @@ func cmdSimulate(args []string) error {
 	batches := fs.Int("batches", 20, "batch count (paper: 20)")
 	batchSize := fs.Int("batchsize", 1000, "batch size (paper: 1000)")
 	fs.Parse(args)
-	p, err := buildParams(*j, *w, *o, *util)
+	s := feasim.Scenario{J: *j, W: *w, O: *o, Util: *util, Seed: *seed}
+	ctx := context.Background()
+	ana, err := feasim.NewAnalyticSolver().Solve(ctx, s)
 	if err != nil {
 		return err
 	}
 	pr := feasim.Protocol{Batches: *batches, BatchSize: *batchSize, Level: 0.90, MaxRel: 0.01, MaxSamples: 2_000_000}
-	run, ana, ok, err := feasim.ValidateAgainstAnalysis(p, pr, *seed, 0.5)
+	run, err := feasim.NewExactSimSolver(pr).Solve(ctx, s)
 	if err != nil {
 		return err
 	}
+	ci := func(mean float64, iv feasim.Interval) string {
+		return fmt.Sprintf("%.6g ± %.3g (%.0f%%)", mean, iv.Width()/2, pr.Level*100)
+	}
 	fmt.Printf("simulation (%d samples, 90%% CIs):\n", run.Samples)
-	fmt.Printf("  E[job time]  analysis %10.4f   simulated %v\n", ana.EJob, run.JobTime)
-	fmt.Printf("  E[task time] analysis %10.4f   simulated %v\n", ana.ETask, run.MeanTask)
-	if ok {
+	fmt.Printf("  E[job time]  analysis %10.4f   simulated %s\n", ana.EJob, ci(run.EJob, run.EJobCI))
+	fmt.Printf("  E[task time] analysis %10.4f   simulated %s\n", ana.ETask, ci(run.ETask, run.ETaskCI))
+	if run.EJobCI.Widen(0.5).Contains(ana.EJob) && run.ETaskCI.Widen(0.5).Contains(ana.ETask) {
 		fmt.Println("  analysis within simulation confidence intervals ✓")
 	} else {
 		fmt.Println("  analysis OUTSIDE simulation confidence intervals ✗")

@@ -319,29 +319,6 @@ func TestCmdAssess(t *testing.T) {
 	}
 }
 
-func TestCmdThreshold(t *testing.T) {
-	discardStdout(t)
-	if err := cmdThreshold([]string{"-w", "60", "-utils", "0.05,0.1"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := cmdThreshold([]string{"-utils", "abc"}); err == nil {
-		t.Error("malformed utils should error")
-	}
-	if err := cmdThreshold([]string{"-utils", "1.5"}); err == nil {
-		t.Error("out-of-range utilization should error")
-	}
-}
-
-func TestCmdScaled(t *testing.T) {
-	discardStdout(t)
-	if err := cmdScaled([]string{"-t", "100", "-util", "0.1", "-maxw", "64"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := cmdScaled([]string{"-util", "1.0"}); err == nil {
-		t.Error("bad utilization should error")
-	}
-}
-
 func TestCmdSimulate(t *testing.T) {
 	discardStdout(t)
 	// Small protocol keeps the test fast; W=50 gives integral T.

@@ -1,6 +1,7 @@
 package feasim_test
 
 import (
+	"context"
 	"fmt"
 
 	"feasim"
@@ -16,12 +17,14 @@ func ExampleAnalyze() {
 	// Output: speedup 61.0 of 100, weighted efficiency 0.616
 }
 
-// ExampleThresholdTable recomputes the paper's conclusions: the minimum
+// ExampleThresholdQuery recomputes the paper's conclusions: the minimum
 // task ratio for 80% of the possible speedup at each owner utilization.
-func ExampleThresholdTable() {
-	rows, _ := feasim.ThresholdTable(60, 10, 0.8, []float64{0.05, 0.1, 0.2})
-	for _, row := range rows {
-		fmt.Printf("util %.0f%% -> task ratio %d\n", row.Util*100, row.MinRatio)
+func ExampleThresholdQuery() {
+	solver := feasim.NewAnalyticSolver()
+	for _, util := range []float64{0.05, 0.1, 0.2} {
+		q := feasim.ThresholdQuery{W: 60, O: 10, Util: util, TargetEff: 0.8}
+		a, _ := solver.Answer(context.Background(), q)
+		fmt.Printf("util %.0f%% -> task ratio %d\n", util*100, a.(feasim.ThresholdAnswer).MinRatio)
 	}
 	// Output:
 	// util 5% -> task ratio 8
@@ -38,10 +41,12 @@ func ExampleAssess() {
 	// Output: feasible: false; grow J to at least 10800
 }
 
-// ExampleScaledSweep shows the paper's scaled-problem result: 100x the work
+// ExampleScaledQuery shows the paper's scaled-problem result: 100x the work
 // on 100 workstations costs only 30% extra time at 5% owner utilization.
-func ExampleScaledSweep() {
-	pts, _ := feasim.ScaledSweep(100, 10, 0.05, []int{1, 100})
+func ExampleScaledQuery() {
+	q := feasim.ScaledQuery{T: 100, O: 10, Util: 0.05, Ws: []int{1, 100}}
+	a, _ := feasim.NewAnalyticSolver().Answer(context.Background(), q)
+	pts := a.(feasim.ScaledAnswer).Points
 	fmt.Printf("response-time increase at W=100: +%.0f%%\n", pts[1].IncreaseVsDedicated*100)
 	// Output: response-time increase at W=100: +30%
 }

@@ -60,10 +60,13 @@ func main() {
 
 	// The efficiency-aware choice: the largest W still meeting 85% weighted
 	// efficiency (don't waste the pool just to shave minutes).
-	plan, err := feasim.PlanPartition(jobDemand, ownerBurst, ownerUtil, 0.85, maxW)
+	a, err := solver.Answer(ctx, feasim.PartitionQuery{
+		J: jobDemand, O: ownerBurst, Util: ownerUtil, TargetEff: 0.85, MaxW: maxW,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	plan := a.(feasim.PartitionAnswer)
 	chosen := feasim.Scenario{
 		Name: "overnight", J: jobDemand, W: plan.W, O: ownerBurst, Util: ownerUtil,
 		Deadline: window,
@@ -74,21 +77,19 @@ func main() {
 	}
 	prob := *rep.DeadlineProb
 	fmt.Printf("\nrecommended allocation: W=%d (weighted efficiency %.3f, task ratio %.0f)\n",
-		plan.W, plan.Result.WeightedEfficiency, plan.Result.Metrics.TaskRatio)
+		plan.W, plan.Report.WeightedEfficiency, plan.Report.TaskRatio)
 	fmt.Printf("deadline confidence at W=%d: %.6f\n", plan.W, prob)
 
-	// Cross-check the distribution against simulation at the chosen W.
-	x, err := feasim.NewExactSimulator(feasim.NewParams(jobDemand, plan.W, ownerBurst, plan.Result.P), 7)
+	// Cross-check the distribution against simulation at the chosen W: the
+	// exact simulator's empirical deadline coverage over 20000 nights.
+	const runs = 20000
+	chosen.Seed = 7
+	sim := feasim.NewExactSimSolver(feasim.Protocol{Batches: 20, BatchSize: runs / 20, Level: 0.90})
+	a, err = sim.Answer(ctx, feasim.DistributionQuery{Scenario: chosen, Deadlines: []float64{window}})
 	if err != nil {
 		log.Fatal(err)
 	}
-	misses := 0
-	const runs = 20000
-	for i := 0; i < runs; i++ {
-		if x.Sample().JobTime > window {
-			misses++
-		}
-	}
+	dist := a.(feasim.DistributionAnswer)
 	fmt.Printf("simulated miss rate over %d nights: %.6f (model: %.6f)\n",
-		runs, float64(misses)/runs, 1-prob)
+		dist.Samples, 1-dist.Deadlines[0].Prob, 1-prob)
 }

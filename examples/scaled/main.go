@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -32,24 +33,27 @@ func main() {
 	}
 	fmt.Println()
 
-	curves := make(map[float64][]feasim.ScaledPoint)
+	solver := feasim.NewAnalyticSolver()
+	curves := make(map[float64][]feasim.ScaledResultPoint)
 	for _, u := range utils {
-		pts, err := feasim.ScaledSweep(taskDemand, ownerBurst, u, ws)
+		q := feasim.ScaledQuery{T: taskDemand, O: ownerBurst, Util: u, Ws: ws}
+		a, err := solver.Answer(context.Background(), q)
 		if err != nil {
 			log.Fatal(err)
 		}
+		pts := a.(feasim.ScaledAnswer).Points
 		curves[u] = pts
 		s := feasim.Series{Name: fmt.Sprintf("util=%g", u)}
 		for _, pt := range pts {
 			s.X = append(s.X, float64(pt.W))
-			s.Y = append(s.Y, pt.Result.EJob)
+			s.Y = append(s.Y, pt.EJob)
 		}
 		fig.Series = append(fig.Series, s)
 	}
 	for i, w := range ws {
 		fmt.Printf("%-8d", w)
 		for _, u := range utils {
-			fmt.Printf("  %-11.2f", curves[u][i].Result.EJob)
+			fmt.Printf("  %-11.2f", curves[u][i].EJob)
 		}
 		fmt.Println()
 	}
@@ -67,6 +71,6 @@ func main() {
 		last := curves[u][len(ws)-1]
 		fmt.Printf("  util %4.0f%%: +%.0f%% response time, scaleup %.1f of %d\n",
 			u*100, last.IncreaseVsDedicated*100,
-			float64(last.W)*curves[u][0].Result.EJob/last.Result.EJob, last.W)
+			float64(last.W)*curves[u][0].EJob/last.EJob, last.W)
 	}
 }

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -34,15 +35,19 @@ func main() {
 		workstations, ownerBurst, target*100)
 
 	// Environment-specific threshold table (the paper's conclusions table,
-	// recomputed for this cluster size).
-	rows, err := feasim.ThresholdTable(workstations, ownerBurst, target, utils)
-	if err != nil {
-		log.Fatal(err)
-	}
+	// recomputed for this cluster size): one threshold query per
+	// utilization.
+	solver := feasim.NewAnalyticSolver()
 	fmt.Printf("%-14s %-16s %-18s\n", "owner util", "min task ratio", "min job demand J")
-	for _, r := range rows {
-		fmt.Printf("%-14s %-16d %-18.0f\n", fmt.Sprintf("%.0f%%", r.Util*100), r.MinRatio,
-			float64(r.MinRatio)*ownerBurst*workstations)
+	for _, u := range utils {
+		q := feasim.ThresholdQuery{W: workstations, O: ownerBurst, Util: u, TargetEff: target}
+		a, err := solver.Answer(context.Background(), q)
+		if err != nil {
+			log.Fatal(err)
+		}
+		ratio := a.(feasim.ThresholdAnswer).MinRatio
+		fmt.Printf("%-14s %-16d %-18.0f\n", fmt.Sprintf("%.0f%%", u*100), ratio,
+			float64(ratio)*ownerBurst*workstations)
 	}
 
 	// Now judge three real candidates at the measured utilization.

@@ -37,17 +37,21 @@
 // # Layers
 //
 //   - Query/Answer/Solver/Sweep (Query, Scenario, Solver, Report, RunSweep,
-//     RunQuerySweep): the declarative facade over every layer below.
-//   - The analytical model (Analyze, Assess, ThresholdTable, ScaledSweep):
-//     exact discrete-time results from the paper's equations (1)-(8).
-//   - Simulation (NewExactSimulator, NewGeneralSimulator, RunExact,
-//     RunGeneral): the paper's CSIM study, plus generalizations with
-//     arbitrary owner/task distributions on a process-oriented
-//     discrete-event engine.
-//   - Virtual cluster + PVM (NewCluster, LocalComputation, NewVM): the
-//     paper's Section 4 experiment — a PVM-style message-passing program on
-//     virtual non-dedicated Sun ELC workstations.
-//   - Experiments (Experiments, RunExperiment): regenerate every figure and
+//     RunQuerySweep): the declarative facade over every layer below, and
+//     the way to ask every question the paper poses — thresholds, scaled
+//     curves, partitions and simulation cross-checks included.
+//   - The analytical model (Analyze, Assess, JobTimeDistribution,
+//     DeadlineProb): exact discrete-time results from the paper's
+//     equations (1)-(8), and their heterogeneous-fleet generalization
+//     (AnalyzeFleet, AssessFleet).
+//   - Simulation (RunMultiJob, MultiJobSweep): closed multi-job contention
+//     on the discrete-event engine, the one simulation study beyond the
+//     exact and DES Solver backends.
+//   - Virtual cluster (NewCluster, LocalComputation, ClusterExperiment):
+//     the paper's Section 4 experiment — a perfectly parallel program run
+//     as a direct loop over virtual non-dedicated Sun ELC workstations,
+//     reporting the maximum per-task computation interval.
+//   - Experiments (Experiments, RunAllExperiments): regenerate every figure and
 //     table in the paper.
 //
 // All types are aliases of the implementation packages under internal/, so
@@ -59,7 +63,6 @@ import (
 	"feasim/internal/core"
 	"feasim/internal/experiment"
 	"feasim/internal/plot"
-	"feasim/internal/pvm"
 	"feasim/internal/rng"
 	"feasim/internal/sim"
 	"feasim/internal/stats"
@@ -81,20 +84,8 @@ type Metrics = core.Metrics
 // Binomial is the owner-interruption count distribution Bin(T, P).
 type Binomial = core.Binomial
 
-// AnalyticThresholdQuery is the flat analytic threshold solver.
-//
-// Superseded by ThresholdQuery answered through Solver.Answer, which adds
-// empirical (simulation-backed) thresholds and the JSON envelope.
-type AnalyticThresholdQuery = core.ThresholdQuery
-
-// ThresholdRow is one line of the conclusions table.
-type ThresholdRow = core.ThresholdRow
-
 // FeasibilityVerdict is the output of Assess.
 type FeasibilityVerdict = core.FeasibilityVerdict
-
-// ScaledPoint is one system size of a memory-bounded scaleup sweep.
-type ScaledPoint = core.ScaledPoint
 
 // NewParams builds Params from the raw inputs.
 func NewParams(j float64, w int, o, p float64) Params { return core.NewParams(j, w, o, p) }
@@ -112,29 +103,9 @@ func Assess(p Params, targetWeightedEff float64) (FeasibilityVerdict, error) {
 	return core.Assess(p, targetWeightedEff)
 }
 
-// ThresholdTable reproduces the conclusions table: minimum task ratio for a
-// target weighted efficiency at each utilization.
-//
-// Superseded by ThresholdQuery via Solver.Answer (one query per
-// utilization, any capable backend); kept for the flat analytic table.
-func ThresholdTable(w int, o, target float64, utils []float64) ([]ThresholdRow, error) {
-	return core.ThresholdTable(w, o, target, utils)
-}
-
-// ScaledSweep analyzes memory-bounded scaleup (J = T·W) across system sizes.
-//
-// Superseded by ScaledQuery via Solver.Answer, which returns the curve in
-// the JSON envelope form.
-func ScaledSweep(t, o, util float64, ws []int) ([]ScaledPoint, error) {
-	return core.ScaledSweep(t, o, util, ws)
-}
-
 // TimeDistribution is a discrete completion-time distribution with
 // quantiles and tail probabilities.
 type TimeDistribution = core.TimeDistribution
-
-// PartitionPlan is a right-sized cluster allocation for a fixed job.
-type PartitionPlan = core.PartitionPlan
 
 // JobTimeDistribution returns the exact distribution of the job completion
 // time (mean = E_j), enabling quantiles and deadline probabilities.
@@ -150,24 +121,6 @@ func DeadlineProb(p Params, deadline float64) (float64, error) { return core.Dea
 // AnalyzeGumbel is the O(1) extreme-value approximation of Analyze for very
 // large task demands.
 func AnalyzeGumbel(p Params) (Result, error) { return core.AnalyzeGumbel(p) }
-
-// MaxWorkstations returns the largest system size at which a fixed job
-// still meets the weighted-efficiency target.
-//
-// Superseded by PartitionQuery via Solver.Answer, which adds empirical
-// (DES-backed) right-sizing and the JSON envelope.
-func MaxWorkstations(j, o, util, target float64, maxW int) (int, error) {
-	return core.MaxWorkstations(j, o, util, target, maxW)
-}
-
-// PlanPartition right-sizes a fixed job: the largest W meeting the target,
-// with the model output at that size.
-//
-// Superseded by PartitionQuery via Solver.Answer; kept for the flat
-// analytic plan.
-func PlanPartition(j, o, util, target float64, maxW int) (PartitionPlan, error) {
-	return core.PlanPartition(j, o, util, target, maxW)
-}
 
 // ---- Heterogeneous fleets (per-station availability/speed) ----
 
@@ -255,39 +208,20 @@ func ScaledFleetSweep(t, o float64, template []FleetStation, ws []int) ([]FleetS
 
 // ---- Simulation (Section 2.2 and its future-work extensions) ----
 
-// ExactSimulator is the discrete-time simulator matching the analysis.
-type ExactSimulator = sim.Exact
-
-// GeneralSimulator is the DES-based simulator with arbitrary distributions.
-type GeneralSimulator = sim.General
-
-// GeneralConfig configures the general simulator.
+// GeneralConfig is a discrete-event workload: per-station owner processes
+// and a task demand distribution. Its stations seed a MultiJobConfig.
 type GeneralConfig = sim.GeneralConfig
 
-// StationWorkload describes one workstation's owner workload in the
-// general simulator.
+// StationWorkload describes one workstation's owner workload in a
+// discrete-event simulation.
 type StationWorkload = sim.StationConfig
 
-// Protocol is the batch-means output-analysis protocol.
+// Protocol is the batch-means output-analysis protocol the simulation
+// Solver backends run under.
 type Protocol = sim.Protocol
 
-// SimResult is a measured simulation run with confidence intervals.
-type SimResult = sim.RunResult
-
-// NewExactSimulator builds the exact simulator.
-//
-// Deprecated: use NewExactSimSolver with a Scenario; it wraps the simulator
-// and the batch-means protocol in one context-aware call.
-func NewExactSimulator(p Params, seed uint64) (*ExactSimulator, error) { return sim.NewExact(p, seed) }
-
-// NewGeneralSimulator builds the general simulator.
-//
-// Deprecated: use NewDESSolver with a Scenario; it wraps the simulator and
-// the batch-means protocol in one context-aware call.
-func NewGeneralSimulator(cfg GeneralConfig) (*GeneralSimulator, error) { return sim.NewGeneral(cfg) }
-
-// HomogeneousGeometric builds the paper's workload for the general
-// simulator.
+// HomogeneousGeometric builds the paper's workload as a discrete-event
+// configuration.
 func HomogeneousGeometric(w int, t, o, p float64) GeneralConfig {
 	return sim.HomogeneousGeometric(w, t, o, p)
 }
@@ -295,25 +229,6 @@ func HomogeneousGeometric(w int, t, o, p float64) GeneralConfig {
 // DefaultProtocol is the paper's protocol: 20 batches of 1000 samples, 90%
 // confidence, 1% target half-width.
 func DefaultProtocol() Protocol { return sim.DefaultProtocol() }
-
-// RunExact applies the protocol to the exact simulator.
-//
-// Deprecated: use NewExactSimSolver(pr).Solve with a Scenario.
-func RunExact(x *ExactSimulator, pr Protocol) (SimResult, error) { return sim.RunExact(x, pr) }
-
-// RunGeneral applies the protocol to the general simulator.
-//
-// Deprecated: use NewDESSolver(pr, warmup).Solve with a Scenario.
-func RunGeneral(g *GeneralSimulator, pr Protocol) (SimResult, error) { return sim.RunGeneral(g, pr) }
-
-// ValidateAgainstAnalysis runs the paper's validation: simulation CIs must
-// cover the analytic values.
-//
-// Deprecated: solve one Scenario with NewAnalyticSolver and NewExactSimSolver
-// and compare the analytic point estimate against the simulated intervals.
-func ValidateAgainstAnalysis(p Params, pr Protocol, seed uint64, slack float64) (SimResult, Result, bool, error) {
-	return sim.ValidateAgainstAnalysis(p, pr, seed, slack)
-}
 
 // MultiJobConfig configures the closed multi-job contention simulator (the
 // paper assumes one job at a time; this relaxes that).
@@ -373,7 +288,7 @@ func ParseDist(spec string) (Dist, error) { return rng.Parse(spec) }
 // coefficient of variation.
 func BalancedHyperExp(mean, cv2 float64) HyperExp { return rng.BalancedHyperExp(mean, cv2) }
 
-// ---- Virtual non-dedicated cluster + PVM experiment (Section 4) ----
+// ---- Virtual non-dedicated cluster experiment (Section 4) ----
 
 // Cluster is a set of virtual non-dedicated workstations.
 type Cluster = cluster.Cluster
@@ -392,9 +307,6 @@ type LocalComputation = cluster.LocalComputation
 
 // ClusterExperiment repeats the local computation the paper's 10 times.
 type ClusterExperiment = cluster.Experiment
-
-// Migrator is the task-migration extension for long-running owner jobs.
-type Migrator = cluster.Migrator
 
 // NewCluster builds a homogeneous virtual cluster.
 func NewCluster(n int, params StationParams, seed uint64) (*Cluster, error) {
@@ -436,41 +348,6 @@ func Workday(dayUtil, nightUtil, o, dayLen, nightLen float64) (OwnerSchedule, er
 func NewPhasedStation(name string, schedule OwnerSchedule, stream *Stream) (*PhasedStation, error) {
 	return cluster.NewPhasedStation(name, schedule, stream)
 }
-
-// ---- PVM-style message passing ----
-
-// VM is the PVM-style virtual machine.
-type VM = pvm.VM
-
-// PVMConfig configures a virtual machine.
-type PVMConfig = pvm.Config
-
-// PVMTask is a running task's handle (send/recv/groups/barrier).
-type PVMTask = pvm.Task
-
-// TID is a task identifier.
-type TID = pvm.TID
-
-// MsgBuffer is a typed pack/unpack message buffer.
-type MsgBuffer = pvm.Buffer
-
-// Transport kinds for the virtual machine.
-const (
-	TransportInProc = pvm.InProc
-	TransportTCP    = pvm.TCP
-)
-
-// Receive wildcards.
-const (
-	AnyTID = pvm.AnyTID
-	AnyTag = pvm.AnyTag
-)
-
-// NewVM assembles a PVM-style virtual machine.
-func NewVM(cfg PVMConfig) (*VM, error) { return pvm.NewVM(cfg) }
-
-// NewMsgBuffer returns an empty send buffer (pvm_initsend).
-func NewMsgBuffer() *MsgBuffer { return pvm.NewBuffer() }
 
 // ---- Statistics ----
 

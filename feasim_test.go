@@ -1,6 +1,7 @@
 package feasim_test
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -40,51 +41,37 @@ func TestFacadeAssessRoundTrip(t *testing.T) {
 }
 
 func TestFacadeSimulationPipeline(t *testing.T) {
-	p, err := feasim.ParamsFromUtilization(1000, 10, 10, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, err := feasim.NewExactSimulator(p, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := feasim.Scenario{J: 1000, W: 10, O: 10, Util: 0.1, Seed: 7}
 	pr := feasim.Protocol{Batches: 10, BatchSize: 100, Level: 0.9, MaxSamples: 1 << 20}
-	res, err := feasim.RunExact(x, pr)
+	sim, err := feasim.NewExactSimSolver(pr).Solve(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Samples < 1000 {
-		t.Errorf("samples = %d", res.Samples)
+	if sim.Samples < 1000 {
+		t.Errorf("samples = %d", sim.Samples)
 	}
-	ana, err := feasim.Analyze(p)
+	ana, err := feasim.NewAnalyticSolver().Solve(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide := res.JobTime
-	wide.HalfWidth *= 4
-	if !wide.Contains(ana.EJob) {
-		t.Errorf("simulation %v far from analysis %.3f", res.JobTime, ana.EJob)
+	if wide := sim.EJobCI.Widen(3); !wide.Contains(ana.EJob) {
+		t.Errorf("simulation %v far from analysis %.3f", sim.EJobCI, ana.EJob)
 	}
 }
 
 func TestFacadeGeneralSimulator(t *testing.T) {
-	cfg := feasim.HomogeneousGeometric(4, 50, 10, 0.01)
-	cfg.Seed = 9
-	g, err := feasim.NewGeneralSimulator(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := feasim.Scenario{J: 200, W: 4, O: 10, P: 0.01, Seed: 9}
 	pr := feasim.Protocol{Batches: 4, BatchSize: 50, Level: 0.9, MaxSamples: 1 << 20}
-	res, err := feasim.RunGeneral(g, pr)
+	r, err := feasim.NewDESSolver(pr, 0).Solve(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.JobTime.Mean < 50 {
-		t.Errorf("job time %v below task demand", res.JobTime.Mean)
+	if r.EJob < 50 {
+		t.Errorf("job time %v below task demand", r.EJob)
 	}
 }
 
-func TestFacadeClusterAndPVM(t *testing.T) {
+func TestFacadeClusterExperiment(t *testing.T) {
 	params, err := feasim.SunELCParams(10, 0.03)
 	if err != nil {
 		t.Fatal(err)
@@ -99,49 +86,6 @@ func TestFacadeClusterAndPVM(t *testing.T) {
 	}
 	if res.MaxTaskTime < 100 {
 		t.Errorf("max task time %v below per-task demand", res.MaxTaskTime)
-	}
-}
-
-func TestFacadeMessagePassing(t *testing.T) {
-	vm, err := feasim.NewVM(feasim.PVMConfig{Hosts: 2, Transport: feasim.TransportInProc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer vm.Halt()
-	echo, err := vm.Spawn("echo", 1, 0, func(task *feasim.PVMTask) error {
-		m, err := task.Recv(feasim.AnyTID, feasim.AnyTag)
-		if err != nil {
-			return err
-		}
-		return task.Send(m.Src, 2, m.Body)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make(chan float64, 1)
-	ping, err := vm.Spawn("ping", 0, 0, func(task *feasim.PVMTask) error {
-		if err := task.Send(echo, 1, feasim.NewMsgBuffer().PackFloat64(2.5)); err != nil {
-			return err
-		}
-		m, err := task.Recv(echo, 2)
-		if err != nil {
-			return err
-		}
-		v, err := m.Body.UnpackFloat64()
-		if err != nil {
-			return err
-		}
-		got <- v
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := vm.WaitAll([]feasim.TID{echo, ping}); err != nil {
-		t.Fatal(err)
-	}
-	if v := <-got; v != 2.5 {
-		t.Errorf("echoed %v", v)
 	}
 }
 
@@ -190,17 +134,20 @@ func TestFacadeExperimentsRegistry(t *testing.T) {
 }
 
 func TestFacadeThresholdAndScaled(t *testing.T) {
-	rows, err := feasim.ThresholdTable(60, 10, 0.8, []float64{0.05})
+	ctx := context.Background()
+	solver := feasim.NewAnalyticSolver()
+	a, err := solver.Answer(ctx, feasim.ThresholdQuery{W: 60, O: 10, Util: 0.05, TargetEff: 0.8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows[0].MinRatio != 8 {
-		t.Errorf("threshold %d, want 8", rows[0].MinRatio)
+	if got := a.(feasim.ThresholdAnswer).MinRatio; got != 8 {
+		t.Errorf("threshold %d, want 8", got)
 	}
-	pts, err := feasim.ScaledSweep(100, 10, 0.05, []int{1, 100})
+	a, err = solver.Answer(ctx, feasim.ScaledQuery{T: 100, O: 10, Util: 0.05, Ws: []int{1, 100}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	pts := a.(feasim.ScaledAnswer).Points
 	if math.Abs(pts[1].IncreaseVsDedicated-0.30) > 0.02 {
 		t.Errorf("scaled increase %v, paper 0.30", pts[1].IncreaseVsDedicated)
 	}
@@ -266,16 +213,24 @@ func TestFacadeDistributionAPI(t *testing.T) {
 }
 
 func TestFacadePartitionPlanning(t *testing.T) {
-	w, err := feasim.MaxWorkstations(2000, 10, 0.05, 0.8, 200)
+	ctx := context.Background()
+	solver := feasim.NewAnalyticSolver()
+	q := feasim.PartitionQuery{J: 2000, O: 10, Util: 0.05, TargetEff: 0.8, MaxW: 200}
+	a, err := solver.Answer(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := feasim.PlanPartition(2000, 10, 0.05, 0.8, 200)
+	plan := a.(feasim.PartitionAnswer)
+	if plan.Report.W != plan.W || plan.Report.WeightedEfficiency < q.TargetEff {
+		t.Errorf("plan W %d: report at W=%d has weff %.4f", plan.W, plan.Report.W, plan.Report.WeightedEfficiency)
+	}
+	// The plan is the largest W meeting the target.
+	next, err := solver.Solve(ctx, feasim.Scenario{J: q.J, W: plan.W + 1, O: q.O, Util: q.Util})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.W != w {
-		t.Errorf("plan W %d vs MaxWorkstations %d", plan.W, w)
+	if next.WeightedEfficiency >= q.TargetEff {
+		t.Errorf("W=%d still meets the target (weff %.4f); plan W=%d is not the largest", plan.W+1, next.WeightedEfficiency, plan.W)
 	}
 }
 

@@ -98,19 +98,3 @@ func (c *Cluster) ConfiguredUtilization() float64 {
 	}
 	return sum / float64(len(c.stations))
 }
-
-// LeastUtilized returns the index of the station with the lowest configured
-// owner utilization, excluding the indexes in exclude. Used by the
-// migration policy. Returns -1 when every station is excluded.
-func (c *Cluster) LeastUtilized(exclude map[int]bool) int {
-	best, bestU := -1, 2.0
-	for i, s := range c.stations {
-		if exclude[i] {
-			continue
-		}
-		if u := s.params.Utilization(); u < bestU {
-			best, bestU = i, u
-		}
-	}
-	return best
-}

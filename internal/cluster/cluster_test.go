@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"feasim/internal/core"
-	"feasim/internal/rng"
 	"feasim/internal/stats"
 )
 
@@ -108,12 +107,17 @@ func TestStationNegativeDemandPanics(t *testing.T) {
 	p := elcParams(t, 10, 0.1)
 	c, _ := New(1, p, 9)
 	st, _ := c.Station(0)
-	defer func() {
-		if recover() == nil {
-			t.Error("negative demand should panic")
-		}
-	}()
-	st.RunTask(-1)
+	// An infinite demand would otherwise walk forever: Inf - slice == Inf.
+	for _, demand := range []float64{-1, math.Inf(1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("demand %v should panic", demand)
+				}
+			}()
+			st.RunTask(demand)
+		}()
+	}
 }
 
 func TestProbeUtilizationMatchesConfigured(t *testing.T) {
@@ -196,15 +200,6 @@ func TestHeterogeneousUtilizations(t *testing.T) {
 	if got := c.ConfiguredUtilization(); math.Abs(got-0.15) > 1e-9 {
 		t.Errorf("mean configured utilization %v, want 0.15", got)
 	}
-	if idx := c.LeastUtilized(nil); idx != 0 {
-		t.Errorf("least utilized = %d, want 0", idx)
-	}
-	if idx := c.LeastUtilized(map[int]bool{0: true}); idx != 1 {
-		t.Errorf("least utilized excluding 0 = %d, want 1", idx)
-	}
-	if idx := c.LeastUtilized(map[int]bool{0: true, 1: true}); idx != -1 {
-		t.Errorf("all excluded should give -1, got %d", idx)
-	}
 }
 
 // TestStationMeanMatchesModel compares the station's mean task elapsed time
@@ -234,95 +229,5 @@ func TestStationMeanMatchesModel(t *testing.T) {
 	}
 	if sum.Mean() < ana.ETask*0.995 {
 		t.Errorf("real system beat the optimistic model meaningfully: %.2f < %.2f", sum.Mean(), ana.ETask)
-	}
-}
-
-func TestRunTaskBudgetStopsEarly(t *testing.T) {
-	// Heavy interference with a tiny budget: the task must come back
-	// unfinished with interference just over the budget.
-	p := StationParams{
-		OwnerThink:  rng.Deterministic{V: 5},
-		OwnerDemand: rng.Deterministic{V: 20},
-	}
-	c, _ := New(1, p, 21)
-	st, _ := c.Station(0)
-	rec, remaining := st.RunTaskBudget(1000, 30)
-	if remaining <= 0 {
-		t.Fatal("task should not complete under heavy interference with small budget")
-	}
-	if rec.OwnerTime <= 30 {
-		t.Errorf("should stop only after exceeding budget, owner time %v", rec.OwnerTime)
-	}
-	if rec.OwnerTime > 30+20+1e-9 { // at most one extra burst past the budget
-		t.Errorf("overshot budget by more than one burst: %v", rec.OwnerTime)
-	}
-	if math.Abs(rec.Elapsed-((rec.Demand-remaining)+rec.OwnerTime)) > 1e-9 {
-		t.Errorf("partial record inconsistent: %+v remaining %v", rec, remaining)
-	}
-}
-
-func TestMigratorMovesOffBusyStation(t *testing.T) {
-	// Station 0: owner hogging 80% of the CPU. Station 1: idle. A migrating
-	// task must end up cheaper than staying.
-	busy := StationParams{
-		OwnerThink:  rng.Exponential{M: 5},
-		OwnerDemand: rng.Deterministic{V: 20},
-	}
-	idle := elcParams(t, 10, 0.01)
-	mk := func() *Cluster {
-		c, err := NewHeterogeneous([]StationParams{busy, idle}, 33)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	m := Migrator{InterferenceBudget: 0.2, TransferCost: 5, MaxMigrations: 1}
-	var mig, stay stats.Summary
-	for i := 0; i < 60; i++ {
-		cm := mk()
-		rec, err := m.RunTask(cm, 0, 500)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !rec.Migrated {
-			t.Fatal("task should have migrated off the busy station")
-		}
-		mig.Add(rec.Elapsed)
-		cs := mk()
-		st0, _ := cs.Station(0)
-		stay.Add(st0.RunTask(500).Elapsed)
-	}
-	if mig.Mean() >= stay.Mean() {
-		t.Errorf("migration should win: migrated %.1f vs stayed %.1f", mig.Mean(), stay.Mean())
-	}
-}
-
-func TestMigratorStaysOnQuietStation(t *testing.T) {
-	c, _ := New(2, elcParams(t, 10, 0.01), 55)
-	m := Migrator{InterferenceBudget: 1.0, TransferCost: 5, MaxMigrations: 2}
-	rec, err := m.RunTask(c, 0, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Migrated {
-		t.Errorf("task migrated off a 1%%-utilized station: %+v", rec)
-	}
-}
-
-func TestMigratorValidate(t *testing.T) {
-	bad := []Migrator{
-		{InterferenceBudget: 0, TransferCost: 1, MaxMigrations: 1},
-		{InterferenceBudget: 0.5, TransferCost: -1, MaxMigrations: 1},
-		{InterferenceBudget: 0.5, TransferCost: 1, MaxMigrations: -1},
-	}
-	c, _ := New(1, elcParams(t, 10, 0.1), 1)
-	for i, m := range bad {
-		if _, err := m.RunTask(c, 0, 10); err == nil {
-			t.Errorf("case %d should fail: %+v", i, m)
-		}
-	}
-	good := Migrator{InterferenceBudget: 0.5, TransferCost: 1, MaxMigrations: 1}
-	if _, err := good.RunTask(c, 5, 10); err == nil {
-		t.Error("bad station index should fail")
 	}
 }

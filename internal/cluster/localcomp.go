@@ -2,34 +2,28 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 
-	"feasim/internal/pvm"
 	"feasim/internal/stats"
 )
 
 // Local computation experiment (paper Section 4): a perfectly parallel
-// program with no interprocess communication is run with PVM; the master
-// forks W tasks, one per workstation, each task computes independently at
-// low priority, records its own computation time, and returns it to the
-// master, which reports the maximum.
-
-// Message tags of the experiment protocol.
-const (
-	TagWork   = 1 // master → worker: assigned compute demand
-	TagResult = 2 // worker → master: task timing record
-)
+// program with no interprocess communication. The paper ran it under PVM:
+// the master forked W tasks, one per workstation, each task computed
+// independently at low priority, recorded its own computation time and
+// returned it to the master, which reported the maximum. No measured
+// quantity depends on the message layer, so the run here is a direct loop
+// over the stations.
 
 // LocalComputation configures one experiment run.
 type LocalComputation struct {
 	// Cluster supplies the non-dedicated workstations. Workers are placed
-	// one per station: PVM host i ↔ station i.
+	// one per station: worker i runs on station i.
 	Cluster *Cluster
 	// Workers is W; it must not exceed the cluster size.
 	Workers int
 	// TotalDemand is J in virtual seconds; each worker computes J/W.
 	TotalDemand float64
-	// Transport selects the message path (default in-process).
-	Transport pvm.TransportKind
 }
 
 // RunResult is one execution of the parallel program.
@@ -43,7 +37,7 @@ type RunResult struct {
 	MeanTaskTime float64
 	// TotalOwnerTime sums the interference absorbed by all tasks.
 	TotalOwnerTime float64
-	// Records holds the per-task details.
+	// Records holds the per-task details in station order.
 	Records []TaskRecord
 }
 
@@ -55,106 +49,25 @@ func (lc LocalComputation) Validate() error {
 	if lc.Workers < 1 || lc.Workers > lc.Cluster.Size() {
 		return fmt.Errorf("cluster: workers must be in [1, %d], got %d", lc.Cluster.Size(), lc.Workers)
 	}
-	if !(lc.TotalDemand > 0) {
-		return fmt.Errorf("cluster: total demand must be positive, got %v", lc.TotalDemand)
+	if !(lc.TotalDemand > 0) || math.IsInf(lc.TotalDemand, 1) {
+		return fmt.Errorf("cluster: total demand must be positive and finite, got %v", lc.TotalDemand)
 	}
 	return nil
 }
 
-// Run executes the parallel program once over the PVM substrate: spawn W
-// workers round-robin (here exactly one per host), send each its demand,
-// gather the timing records, and report the maximum task time.
+// Run executes the parallel program once: station i runs the niced task of
+// J/W demand while its owner preempts it, and the run reports the maximum
+// task time.
 func (lc LocalComputation) Run() (RunResult, error) {
 	if err := lc.Validate(); err != nil {
 		return RunResult{}, err
 	}
-	names := make([]string, lc.Workers)
-	for i := range names {
-		st, err := lc.Cluster.Station(i)
-		if err != nil {
-			return RunResult{}, err
-		}
-		names[i] = st.Name()
-	}
-	vm, err := pvm.NewVM(pvm.Config{Hosts: lc.Workers, Transport: lc.Transport, HostNames: names})
-	if err != nil {
-		return RunResult{}, err
-	}
-	defer vm.Halt()
-
 	res := RunResult{W: lc.Workers, DemandPerTask: lc.TotalDemand / float64(lc.Workers)}
-
-	worker := func(t *pvm.Task) error {
-		m, err := t.Recv(t.Parent(), TagWork)
-		if err != nil {
-			return err
-		}
-		demand, err := m.Body.UnpackFloat64()
-		if err != nil {
-			return err
-		}
-		st, err := lc.Cluster.Station(t.Host())
-		if err != nil {
-			return err
-		}
-		// The niced computation: owner processes preempt it on the station.
-		rec := st.RunTask(demand)
-		reply := pvm.NewBuffer().
-			PackString(rec.Station).
-			PackFloat64(rec.Demand).
-			PackFloat64(rec.Elapsed).
-			PackFloat64(rec.OwnerTime).
-			PackInt32(int32(rec.Bursts))
-		return t.Send(t.Parent(), TagResult, reply)
-	}
-
-	master, err := vm.Spawn("master", 0, 0, func(t *pvm.Task) error {
-		tids, err := t.SpawnN("worker", lc.Workers, worker)
-		if err != nil {
-			return err
-		}
-		work := pvm.NewBuffer().PackFloat64(res.DemandPerTask)
-		for _, tid := range tids {
-			if err := t.Send(tid, TagWork, work); err != nil {
-				return err
-			}
-		}
-		for range tids {
-			m, err := t.Recv(pvm.AnyTID, TagResult)
-			if err != nil {
-				return err
-			}
-			var rec TaskRecord
-			if rec.Station, err = m.Body.UnpackString(); err != nil {
-				return err
-			}
-			if rec.Demand, err = m.Body.UnpackFloat64(); err != nil {
-				return err
-			}
-			if rec.Elapsed, err = m.Body.UnpackFloat64(); err != nil {
-				return err
-			}
-			if rec.OwnerTime, err = m.Body.UnpackFloat64(); err != nil {
-				return err
-			}
-			b32, err := m.Body.UnpackInt32()
-			if err != nil {
-				return err
-			}
-			rec.Bursts = int(b32)
-			res.Records = append(res.Records, rec)
-		}
-		return nil
-	})
-	if err != nil {
-		return RunResult{}, err
-	}
-	if err := vm.Wait(master); err != nil {
-		return RunResult{}, err
-	}
-
+	res.Records = make([]TaskRecord, lc.Workers)
 	var sum stats.Summary
-	for _, rec := range res.Records {
+	for i := range res.Records {
+		rec := lc.Cluster.stations[i].RunTask(res.DemandPerTask)
+		res.Records[i] = rec
 		sum.Add(rec.Elapsed)
 		res.TotalOwnerTime += rec.OwnerTime
 	}

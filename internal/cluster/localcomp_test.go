@@ -1,11 +1,11 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"feasim/internal/core"
-	"feasim/internal/pvm"
 )
 
 func testCluster(t *testing.T, n int, util float64, seed uint64) *Cluster {
@@ -24,6 +24,7 @@ func TestLocalComputationValidate(t *testing.T) {
 		{Cluster: c, Workers: 0, TotalDemand: 10},
 		{Cluster: c, Workers: 3, TotalDemand: 10}, // more workers than stations
 		{Cluster: c, Workers: 2, TotalDemand: 0},
+		{Cluster: c, Workers: 2, TotalDemand: math.Inf(1)},
 	}
 	for i, lc := range bad {
 		if err := lc.Validate(); err == nil {
@@ -81,19 +82,31 @@ func TestLocalComputationMaxAtLeastMean(t *testing.T) {
 	}
 }
 
-func TestLocalComputationOverTCP(t *testing.T) {
-	c := testCluster(t, 3, 0.03, 5)
-	res, err := LocalComputation{
-		Cluster: c, Workers: 3, TotalDemand: 300, Transport: pvm.TCP,
-	}.Run()
+// TestExperimentPinnedNumbers pins the Section 4 run at a fixed seed: the
+// records come back in station order, and the mean max-task time matches a
+// recorded value bit for bit. It holds for any execution order of the
+// stations: each draws only from its own stream, and the maximum does not
+// depend on record order. MeanTaskTime is not pinned; its float sum does.
+func TestExperimentPinnedNumbers(t *testing.T) {
+	c := testCluster(t, 6, 0.1, 2024)
+	lc := LocalComputation{Cluster: c, Workers: 6, TotalDemand: 1200}
+	run, err := lc.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Records) != 3 {
-		t.Errorf("TCP run returned %d records", len(res.Records))
+	for i, rec := range run.Records {
+		if want := fmt.Sprintf("elc%d", i); rec.Station != want {
+			t.Errorf("record %d from %s, want %s", i, rec.Station, want)
+		}
 	}
-	if res.MaxTaskTime < 100 {
-		t.Errorf("max task time %v below per-task demand", res.MaxTaskTime)
+
+	c = testCluster(t, 6, 0.1, 2024)
+	res, err := Experiment{LocalComputation: LocalComputation{Cluster: c, Workers: 6, TotalDemand: 1200}, Runs: 10}.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := res.MaxTaskTime.Mean(), 241.11747269779843; got != want {
+		t.Errorf("mean max-task time %v (bits %#x), want %v", got, math.Float64bits(got), want)
 	}
 }
 

@@ -19,6 +19,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"feasim/internal/rng"
@@ -64,7 +65,6 @@ type TaskRecord struct {
 	Elapsed   float64 // wall (virtual) time from start to completion
 	OwnerTime float64 // interference absorbed from owner bursts
 	Bursts    int     // number of owner bursts that hit the task
-	Migrated  bool    // true when the migration extension moved the task
 }
 
 // Station is one virtual workstation.
@@ -95,29 +95,12 @@ func (s *Station) Name() string { return s.name }
 func (s *Station) Params() StationParams { return s.params }
 
 // RunTask executes a parallel task of the given compute demand to
-// completion and returns its timing record. Safe for concurrent use; each
-// call simulates an independent task arrival.
+// completion and returns its timing record: the owner/task interleaving
+// walk. Safe for concurrent use; each call simulates an independent task
+// arrival.
 func (s *Station) RunTask(demand float64) TaskRecord {
-	rec, remaining := s.runBounded(demand, -1)
-	if remaining != 0 {
-		panic("cluster: unbounded run left work unfinished")
-	}
-	return rec
-}
-
-// RunTaskBudget executes the task until completion or until accumulated
-// owner interference exceeds maxInterference (a virtual-time budget). It
-// returns the record so far and the remaining compute demand (0 when the
-// task completed). The migration policy is built on this primitive.
-func (s *Station) RunTaskBudget(demand, maxInterference float64) (TaskRecord, float64) {
-	return s.runBounded(demand, maxInterference)
-}
-
-// runBounded is the owner/task interleaving walk. maxInterference < 0 means
-// unbounded.
-func (s *Station) runBounded(demand, maxInterference float64) (TaskRecord, float64) {
-	if demand < 0 {
-		panic(fmt.Sprintf("cluster: negative task demand %v", demand))
+	if !(demand >= 0) || math.IsInf(demand, 1) {
+		panic(fmt.Sprintf("cluster: task demand must be finite and >= 0, got %v", demand))
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -150,9 +133,6 @@ func (s *Station) runBounded(demand, maxInterference float64) (TaskRecord, float
 	}
 
 	for remaining > 0 {
-		if maxInterference >= 0 && rec.OwnerTime > maxInterference {
-			break
-		}
 		if nextArrival <= now {
 			// Owner bursts in; task is preempted for the whole burst.
 			// Zero-length bursts (a dedicated owner) are not counted.
@@ -178,8 +158,8 @@ func (s *Station) runBounded(demand, maxInterference float64) (TaskRecord, float
 	rec.Elapsed = now
 	s.tasksRun++
 	s.busyOwner += rec.OwnerTime
-	s.busyTask += demand - remaining
-	return rec, remaining
+	s.busyTask += demand
+	return rec
 }
 
 // ProbeUtilization measures the owner's busy fraction over a virtual

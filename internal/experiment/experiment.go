@@ -51,7 +51,8 @@ type Output struct {
 type Config struct {
 	// Seed drives all stochastic experiments.
 	Seed uint64
-	// Runs is the repetition count for the PVM experiment (the paper: 10).
+	// Runs is the repetition count for the Section 4 cluster experiment (the
+	// paper: 10).
 	Runs int
 	// WStep is the sweep granularity over workstation counts in analytic
 	// figures (1 reproduces every plotted point).

@@ -90,7 +90,7 @@ func TestRunGeneralPrecisionGrowsWithoutRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	pr := Protocol{Batches: 4, BatchSize: 25, Level: 0.9, MaxRel: 1e-9, MaxSamples: 400}
-	res, err := RunGeneral(g, pr)
+	res, err := RunGeneralCtx(context.Background(), g, pr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"feasim/internal/core"
 	"feasim/internal/stats"
 )
 
@@ -50,13 +49,8 @@ type RunResult struct {
 	ObservedUtil float64
 }
 
-// RunExact applies the protocol to the exact simulator.
-func RunExact(x *Exact, pr Protocol) (RunResult, error) {
-	return RunExactCtx(context.Background(), x, pr)
-}
-
-// RunExactCtx is RunExact with cancellation: the sampling loop checks ctx
-// between batches and returns ctx.Err() on cancellation.
+// RunExactCtx applies the protocol to the exact simulator. The sampling
+// loop checks ctx between batches and returns ctx.Err() on cancellation.
 func RunExactCtx(ctx context.Context, x *Exact, pr Protocol) (RunResult, error) {
 	if err := pr.Validate(); err != nil {
 		return RunResult{}, err
@@ -71,13 +65,8 @@ func RunExactCtx(ctx context.Context, x *Exact, pr Protocol) (RunResult, error) 
 	return drive(ctx, job, task, gen, pr)
 }
 
-// RunGeneral applies the protocol to the general simulator. The engine runs
-// in slabs of one batch between precision checks.
-func RunGeneral(g *General, pr Protocol) (RunResult, error) {
-	return RunGeneralCtx(context.Background(), g, pr)
-}
-
-// RunGeneralCtx is RunGeneral with cancellation: the engine checks ctx
+// RunGeneralCtx applies the protocol to the general simulator. The engine
+// runs in slabs of one batch between precision checks, and checks ctx
 // periodically while stepping and between precision attempts.
 func RunGeneralCtx(ctx context.Context, g *General, pr Protocol) (RunResult, error) {
 	if err := pr.Validate(); err != nil {
@@ -169,31 +158,4 @@ func summarize(job, task *stats.BatchMeans, pr Protocol) (RunResult, error) {
 		Samples:      job.N(),
 		MetPrecision: pr.MaxRel <= 0 || jci.Relative() <= pr.MaxRel,
 	}, nil
-}
-
-// ValidateAgainstAnalysis runs the exact simulator at p and reports whether
-// the analytic E_j and E_t fall within the simulation confidence intervals —
-// the paper's own validation procedure ("the simulation results were
-// identical to the analysis thus verifying the correctness of analysis
-// code"). A small tolerance widens the intervals to absorb CI misses at the
-// configured level.
-func ValidateAgainstAnalysis(p core.Params, pr Protocol, seed uint64, slack float64) (RunResult, core.Result, bool, error) {
-	x, err := NewExact(p, seed)
-	if err != nil {
-		return RunResult{}, core.Result{}, false, err
-	}
-	run, err := RunExact(x, pr)
-	if err != nil {
-		return RunResult{}, core.Result{}, false, err
-	}
-	ana, err := core.Analyze(p)
-	if err != nil {
-		return RunResult{}, core.Result{}, false, err
-	}
-	jb := run.JobTime
-	jb.HalfWidth *= 1 + slack
-	tk := run.MeanTask
-	tk.HalfWidth *= 1 + slack
-	ok := jb.Contains(ana.EJob) && tk.Contains(ana.ETask)
-	return run, ana, ok, nil
 }

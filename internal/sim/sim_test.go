@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -116,11 +117,19 @@ func TestValidationAgainstAnalysis(t *testing.T) {
 			if p.TaskDemand() != math.Trunc(p.TaskDemand()) {
 				continue
 			}
-			run, ana, ok, err := ValidateAgainstAnalysis(p, pr, seed, 0.6)
+			x, err := NewExact(p, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !ok {
+			run, err := RunExactCtx(context.Background(), x, pr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ana := core.MustAnalyze(p)
+			jb, tk := run.JobTime, run.MeanTask
+			jb.HalfWidth *= 1.6
+			tk.HalfWidth *= 1.6
+			if !jb.Contains(ana.EJob) || !tk.Contains(ana.ETask) {
 				t.Errorf("W=%d util=%v: analysis E_j=%.3f E_t=%.3f outside simulation CIs %v / %v",
 					w, util, ana.EJob, ana.ETask, run.JobTime, run.MeanTask)
 			}
@@ -136,7 +145,7 @@ func TestRunExactPrecisionLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	pr := Protocol{Batches: 10, BatchSize: 100, Level: 0.90, MaxRel: 0.005, MaxSamples: 500_000}
-	res, err := RunExact(x, pr)
+	res, err := RunExactCtx(context.Background(), x, pr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +362,7 @@ func TestRunGeneralProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 	pr := Protocol{Batches: 5, BatchSize: 50, Level: 0.90, MaxRel: 0, MaxSamples: 1 << 20}
-	res, err := RunGeneral(g, pr)
+	res, err := RunGeneralCtx(context.Background(), g, pr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,11 +383,11 @@ func TestRunRejectsBadArgs(t *testing.T) {
 	if _, err := g.Run(0); err == nil {
 		t.Error("Run(0) should error")
 	}
-	if _, err := RunGeneral(g, Protocol{}); err == nil {
+	if _, err := RunGeneralCtx(context.Background(), g, Protocol{}); err == nil {
 		t.Error("invalid protocol should error")
 	}
 	x, _ := NewExact(mustParams(t, 100, 10, 10, 0.1), 1)
-	if _, err := RunExact(x, Protocol{}); err == nil {
+	if _, err := RunExactCtx(context.Background(), x, Protocol{}); err == nil {
 		t.Error("invalid protocol should error")
 	}
 }

@@ -39,8 +39,9 @@ func (iv Interval) Width() float64 { return iv.Hi - iv.Lo }
 // Zero reports whether the interval is the zero value (no CI available).
 func (iv Interval) Zero() bool { return iv.Lo == 0 && iv.Hi == 0 }
 
-// Widen returns the interval scaled about its midpoint by (1 + slack), the
-// same convention as sim.ValidateAgainstAnalysis.
+// Widen returns the interval scaled about its midpoint by (1 + slack): the
+// paper's validation convention, which widens a simulated confidence
+// interval to absorb expected misses at its confidence level.
 func (iv Interval) Widen(slack float64) Interval {
 	mid := (iv.Lo + iv.Hi) / 2
 	half := (iv.Hi - iv.Lo) / 2 * (1 + slack)

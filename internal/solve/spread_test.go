@@ -264,9 +264,9 @@ func TestSpreadSpecJSONRoundTrip(t *testing.T) {
 	}
 
 	fs := FrontierSpec{
-		Base: spreadBase(),
-		X:    FrontierAxis{Axis: FrontierAxisSpread, Min: 0, Max: 1.6},
-		Y:    FrontierAxis{Axis: FrontierAxisRatio, Min: 1, Max: 40},
+		Base:   spreadBase(),
+		X:      FrontierAxis{Axis: FrontierAxisSpread, Min: 0, Max: 1.6},
+		Y:      FrontierAxis{Axis: FrontierAxisRatio, Min: 1, Max: 40},
 		Coarse: 2, Depth: 2,
 	}
 	if err := fs.Validate(); err != nil {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"feasim"
+	"feasim/internal/core"
 )
 
 // TestThresholdQueryCrossBackendParity is the query-API parity check: the
@@ -81,8 +82,8 @@ func TestPartitionQueryDESBisection(t *testing.T) {
 	if ans.Report.W != ans.W {
 		t.Errorf("answer W=%d but report solved W=%d", ans.W, ans.Report.W)
 	}
-	// The analytic right-sizer on the same question should land nearby.
-	w, err := feasim.MaxWorkstations(q.J, q.O, q.Util, q.TargetEff, q.MaxW)
+	// The flat analytic right-sizer on the same question should land nearby.
+	w, err := core.MaxWorkstations(q.J, q.O, q.Util, q.TargetEff, q.MaxW)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 // intervals wide enough to be meaningful.
 var parityProtocol = feasim.Protocol{Batches: 10, BatchSize: 100, Level: 0.90}
 
-// parity slack reuses the sim.ValidateAgainstAnalysis convention: widen the
+// parity slack reuses the Interval.Widen convention: widen the
 // simulated interval by (1+slack) to absorb expected CI misses at the 90%
 // level (and, for the DES backend, the general model's fidelity gap — it
 // drops the exact model's one-unit-progress guarantee, so it runs a shade
