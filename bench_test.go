@@ -77,8 +77,9 @@ func BenchmarkAnalyze(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	f := p.Fleet()
 	for i := 0; i < b.N; i++ {
-		if _, err := feasim.Analyze(p); err != nil {
+		if _, err := feasim.Analyze(f); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -90,8 +91,9 @@ func BenchmarkAnalyzeLargeT(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	f := p.Fleet()
 	for i := 0; i < b.N; i++ {
-		if _, err := feasim.Analyze(p); err != nil {
+		if _, err := feasim.Analyze(f); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -105,9 +107,28 @@ func BenchmarkBinomialExpectedMax(b *testing.B) {
 }
 
 func BenchmarkThresholdSolve(b *testing.B) {
-	q := core.ThresholdQuery{W: 60, O: 10, Util: 0.1, TargetWeightedEff: 0.8}
+	p, err := feasim.ParamsFromUtilization(600, 60, 10, 0.1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	q := core.ThresholdQuery{Stations: p.Fleet().Stations, O: 10, TargetWeightedEff: 0.8}
 	for i := 0; i < b.N; i++ {
-		if _, err := q.MinTaskRatio(1 << 20); err != nil {
+		if _, _, err := q.MinTaskRatio(1 << 20); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPartitionSearch is the homogeneous right-sizing search over
+// [1, 256] workstations: the one-station template tiled to each probe.
+func BenchmarkPartitionSearch(b *testing.B) {
+	p, err := feasim.ParamsFromUtilization(4000, 1, 10, 0.05)
+	if err != nil {
+		b.Fatal(err)
+	}
+	template := p.Fleet().Stations
+	for i := 0; i < b.N; i++ {
+		if _, err := core.MaxWorkstations(4000, 10, template, 0.8, 256); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -470,7 +491,7 @@ func BenchmarkAblationTrialsConvention(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			r1, err := core.Analyze(p)
+			r1, err := core.Analyze(p.Fleet())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -512,7 +533,7 @@ func BenchmarkAblationGumbel(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			exact, err := core.Analyze(p)
+			exact, err := core.Analyze(p.Fleet())
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -84,14 +84,14 @@ func cmdBench(args []string) error {
 	}{
 		{"analyze_small", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := feasim.Analyze(small); err != nil {
+				if _, err := feasim.Analyze(small.Fleet()); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}},
 		{"analyze_large_t", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := feasim.Analyze(large); err != nil {
+				if _, err := feasim.Analyze(large.Fleet()); err != nil {
 					b.Fatal(err)
 				}
 			}

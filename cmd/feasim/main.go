@@ -400,7 +400,7 @@ func cmdAnalyze(args []string) error {
 	if err != nil {
 		return err
 	}
-	r, err := feasim.Analyze(p)
+	r, err := feasim.Analyze(p.Fleet())
 	if err != nil {
 		return err
 	}
@@ -425,7 +425,7 @@ func cmdAssess(args []string) error {
 	if err != nil {
 		return err
 	}
-	v, err := feasim.Assess(p, *target)
+	v, err := feasim.Assess(p.Fleet(), *target)
 	if err != nil {
 		return err
 	}

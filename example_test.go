@@ -12,7 +12,7 @@ import (
 // loses almost 40% of the perfect speedup.
 func ExampleAnalyze() {
 	p, _ := feasim.ParamsFromUtilization(1000, 100, 10, 0.01)
-	r, _ := feasim.Analyze(p)
+	r, _ := feasim.Analyze(p.Fleet())
 	fmt.Printf("speedup %.1f of 100, weighted efficiency %.3f\n", r.Speedup, r.WeightedEfficiency)
 	// Output: speedup 61.0 of 100, weighted efficiency 0.616
 }
@@ -36,7 +36,7 @@ func ExampleThresholdQuery() {
 // enough for this cluster, and if not, how big must it become?
 func ExampleAssess() {
 	p, _ := feasim.ParamsFromUtilization(600, 60, 10, 0.2)
-	v, _ := feasim.Assess(p, 0.8)
+	v, _ := feasim.Assess(p.Fleet(), 0.8)
 	fmt.Printf("feasible: %v; grow J to at least %.0f\n", v.Feasible, v.MinJobDemand)
 	// Output: feasible: false; grow J to at least 10800
 }
@@ -55,8 +55,8 @@ func ExampleScaledQuery() {
 // control: will the job make its window?
 func ExampleDeadlineProb() {
 	p, _ := feasim.ParamsFromUtilization(1000, 10, 10, 0.1)
-	certain, _ := feasim.DeadlineProb(p, 200)
-	hopeless, _ := feasim.DeadlineProb(p, 100)
+	certain, _ := feasim.DeadlineProb(p.Fleet(), 200)
+	hopeless, _ := feasim.DeadlineProb(p.Fleet(), 100)
 	fmt.Printf("deadline 200: %.2f, deadline 100: %.2f\n", certain, hopeless)
 	// Output: deadline 200: 1.00, deadline 100: 0.00
 }

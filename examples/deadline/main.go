@@ -50,7 +50,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		d, err := feasim.JobTimeDistribution(p)
+		d, err := feasim.JobTimeDistribution(p.Fleet())
 		if err != nil {
 			log.Fatal(err)
 		}

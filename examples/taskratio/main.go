@@ -64,7 +64,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		v, err := feasim.Assess(p, target)
+		v, err := feasim.Assess(p.Fleet(), target)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -87,7 +87,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		r, err := feasim.Analyze(p)
+		r, err := feasim.Analyze(p.Fleet())
 		if err != nil {
 			log.Fatal(err)
 		}

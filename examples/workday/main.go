@@ -69,7 +69,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	r, err := feasim.Analyze(p)
+	r, err := feasim.Analyze(p.Fleet())
 	if err != nil {
 		log.Fatal(err)
 	}

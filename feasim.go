@@ -42,8 +42,9 @@
 //     curves, partitions and simulation cross-checks included.
 //   - The analytical model (Analyze, Assess, JobTimeDistribution,
 //     DeadlineProb): exact discrete-time results from the paper's
-//     equations (1)-(8), and their heterogeneous-fleet generalization
-//     (AnalyzeFleet, AssessFleet).
+//     equations (1)-(8), asked of one Fleet type. The paper's homogeneous
+//     system is the one-group fleet Params.Fleet(), answered by the
+//     binomial kernel; per-station availability and speed generalize it.
 //   - Simulation (RunMultiJob, MultiJobSweep): closed multi-job contention
 //     on the discrete-event engine, the one simulation study beyond the
 //     exact and DES Solver backends.
@@ -70,10 +71,20 @@ import (
 
 // ---- Analytical model (the paper's primary contribution) ----
 
-// Params are the model inputs: J (total job demand), W (workstations),
-// O (owner burst demand), P (owner request probability per unit of task
-// progress).
+// Params are the homogeneous model inputs: J (total job demand), W
+// (workstations), O (owner burst demand), P (owner request probability per
+// unit of task progress). Params.Fleet() is the one-group Fleet the
+// analytical model is asked of.
 type Params = core.Params
+
+// FleetStation is one group of identical stations in a fleet: Count
+// stations with owner request probability P, executing task work at Speed
+// times the reference rate (0 means 1).
+type FleetStation = core.FleetStation
+
+// Fleet is the feasibility question: job demand J split one task per
+// station, shared owner burst demand O, per-group availability and speed.
+type Fleet = core.Fleet
 
 // Result is the full model output: E_t, E_j and all Section 3 metrics.
 type Result = core.Result
@@ -95,12 +106,13 @@ func ParamsFromUtilization(j float64, w int, o, util float64) (Params, error) {
 	return core.ParamsFromUtilization(j, w, o, util)
 }
 
-// Analyze evaluates the model.
-func Analyze(p Params) (Result, error) { return core.Analyze(p) }
+// Analyze evaluates the model; a one-group fleet at reference speed takes
+// the paper's binomial kernel.
+func Analyze(f Fleet) (Result, error) { return core.Analyze(f) }
 
-// Assess combines Analyze with the threshold solver into a verdict.
-func Assess(p Params, targetWeightedEff float64) (FeasibilityVerdict, error) {
-	return core.Assess(p, targetWeightedEff)
+// Assess combines Analyze with the threshold search into a verdict.
+func Assess(f Fleet, targetWeightedEff float64) (FeasibilityVerdict, error) {
+	return core.Assess(f, targetWeightedEff)
 }
 
 // TimeDistribution is a discrete completion-time distribution with
@@ -109,43 +121,23 @@ type TimeDistribution = core.TimeDistribution
 
 // JobTimeDistribution returns the exact distribution of the job completion
 // time (mean = E_j), enabling quantiles and deadline probabilities.
-func JobTimeDistribution(p Params) (TimeDistribution, error) { return core.JobTimeDistribution(p) }
+func JobTimeDistribution(f Fleet) (TimeDistribution, error) { return core.JobTimeDistribution(f) }
 
 // TaskTimeDistribution returns the exact distribution of one task's
-// completion time (mean = E_t).
+// completion time (mean = E_t) in the homogeneous model.
 func TaskTimeDistribution(p Params) (TimeDistribution, error) { return core.TaskTimeDistribution(p) }
 
 // DeadlineProb returns P(job completes within deadline).
-func DeadlineProb(p Params, deadline float64) (float64, error) { return core.DeadlineProb(p, deadline) }
+func DeadlineProb(f Fleet, deadline float64) (float64, error) { return core.DeadlineProb(f, deadline) }
 
 // AnalyzeGumbel is the O(1) extreme-value approximation of Analyze for very
 // large task demands.
 func AnalyzeGumbel(p Params) (Result, error) { return core.AnalyzeGumbel(p) }
 
-// ---- Heterogeneous fleets (per-station availability/speed) ----
-
-// FleetStation is one group of identical stations in a heterogeneous fleet:
-// Count stations with owner request probability P, executing task work at
-// Speed times the reference rate (0 means 1).
-type FleetStation = core.FleetStation
-
-// Fleet is the heterogeneous feasibility question: job demand J split one
-// task per station, shared owner burst demand O, per-group availability and
-// speed.
-type Fleet = core.Fleet
-
-// FleetResult is the heterogeneous model output, mirroring Result.
-type FleetResult = core.FleetResult
-
-// FleetVerdict is the heterogeneous feasibility verdict, mirroring
-// FeasibilityVerdict.
-type FleetVerdict = core.FleetVerdict
-
-// FleetThresholdQuery is the heterogeneous minimum-task-ratio solver.
-type FleetThresholdQuery = core.FleetThresholdQuery
-
-// FleetScaledPoint is one system size of a heterogeneous scaled sweep.
-type FleetScaledPoint = core.FleetScaledPoint
+// TileFleet expands a station template cyclically to exactly w stations.
+func TileFleet(template []FleetStation, w int) ([]FleetStation, error) {
+	return core.TileFleet(template, w)
+}
 
 // PBGroup is one (probability, trial count) group of a Poisson-binomial
 // sum.
@@ -167,43 +159,6 @@ func PoissonBinomial(groups []PBGroup) (*PoissonBinomialTables, error) {
 // hit/miss counters.
 func PoissonBinomialCacheStats() (hits, misses uint64) {
 	return core.PoissonBinomialCacheStats()
-}
-
-// AnalyzeFleet evaluates the heterogeneous model; a fleet that collapses to
-// one reference-speed group reproduces Analyze bit-for-bit.
-func AnalyzeFleet(f Fleet) (FleetResult, error) { return core.AnalyzeFleet(f) }
-
-// AssessFleet combines AnalyzeFleet with the fleet threshold solver.
-func AssessFleet(f Fleet, targetWeightedEff float64) (FleetVerdict, error) {
-	return core.AssessFleet(f, targetWeightedEff)
-}
-
-// FleetJobTimeDistribution returns the exact heterogeneous job
-// completion-time distribution.
-func FleetJobTimeDistribution(f Fleet) (TimeDistribution, error) {
-	return core.FleetJobTimeDistribution(f)
-}
-
-// FleetDeadlineProb returns P(fleet job completes within deadline).
-func FleetDeadlineProb(f Fleet, deadline float64) (float64, error) {
-	return core.FleetDeadlineProb(f, deadline)
-}
-
-// TileFleet expands a station template cyclically to exactly w stations.
-func TileFleet(template []FleetStation, w int) ([]FleetStation, error) {
-	return core.TileFleet(template, w)
-}
-
-// MaxFleetWorkstations right-sizes a heterogeneous mix: the largest tiled
-// fleet meeting the target weighted efficiency.
-func MaxFleetWorkstations(j, o float64, template []FleetStation, target float64, maxW int) (int, error) {
-	return core.MaxFleetWorkstations(j, o, template, target, maxW)
-}
-
-// ScaledFleetSweep is the memory-bounded scaleup curve over a heterogeneous
-// mix (J = t·W, template tiled to each size).
-func ScaledFleetSweep(t, o float64, template []FleetStation, ws []int) ([]FleetScaledPoint, error) {
-	return core.ScaledFleetSweep(t, o, template, ws)
 }
 
 // ---- Simulation (Section 2.2 and its future-work extensions) ----

@@ -17,7 +17,7 @@ func TestFacadeAnalyzeMatchesPaperSpotValue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := feasim.Analyze(p)
+	r, err := feasim.Analyze(p.Fleet())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestFacadeAnalyzeMatchesPaperSpotValue(t *testing.T) {
 
 func TestFacadeAssessRoundTrip(t *testing.T) {
 	p := feasim.NewParams(600, 60, 10, 0.025)
-	v, err := feasim.Assess(p, 0.8)
+	v, err := feasim.Assess(p.Fleet(), 0.8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,11 +178,11 @@ func TestFacadeDistributionAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := feasim.JobTimeDistribution(p)
+	d, err := feasim.JobTimeDistribution(p.Fleet())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := feasim.Analyze(p)
+	r, err := feasim.Analyze(p.Fleet())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestFacadeDistributionAPI(t *testing.T) {
 	if math.Abs(td.Mean()-r.ETask) > 1e-8*r.ETask {
 		t.Errorf("task distribution mean %v vs E_t %v", td.Mean(), r.ETask)
 	}
-	prob, err := feasim.DeadlineProb(p, r.EJob*2)
+	prob, err := feasim.DeadlineProb(p.Fleet(), r.EJob*2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -223,7 +223,7 @@ func TestStationMeanMatchesModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ana := core.MustAnalyze(p)
+	ana := core.MustAnalyze(p.Fleet())
 	if rel := math.Abs(sum.Mean()-ana.ETask) / ana.ETask; rel > 0.03 {
 		t.Errorf("station mean %.2f vs model E_t %.2f (rel %.4f)", sum.Mean(), ana.ETask, rel)
 	}

@@ -156,7 +156,7 @@ func TestFigure10Agreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ana := core.MustAnalyze(p)
+	ana := core.MustAnalyze(p.Fleet())
 	got := res.MaxTaskTime.Mean()
 	if rel := math.Abs(got-ana.EJob) / ana.EJob; rel > 0.05 {
 		t.Errorf("measured mean max-task %.1f vs analytic E_j %.1f (rel %.3f)", got, ana.EJob, rel)

@@ -108,9 +108,19 @@ func TaskTimeDistribution(p Params) (TimeDistribution, error) {
 }
 
 // JobTimeDistribution returns the exact distribution of the job completion
-// time, T + O·max over W tasks of the burst counts — the distribution whose
-// mean is the paper's E_j (equation (7)).
-func JobTimeDistribution(p Params) (TimeDistribution, error) {
+// time — the distribution whose mean is the paper's E_j (equation (7)). On a
+// homogeneous fleet it is T + O·max over W tasks of the burst counts, read
+// off the binomial tables; any other fleet takes the fleet kernel's merged
+// lattice (fleet.go).
+func JobTimeDistribution(f Fleet) (TimeDistribution, error) {
+	p, ok := f.homogeneous()
+	if !ok {
+		if err := f.Validate(); err != nil {
+			return TimeDistribution{}, err
+		}
+		times, probs := fleetJobPMF(resolveFleetGroups(f), f.O)
+		return TimeDistribution{Times: times, Probs: probs}, nil
+	}
 	if err := p.Validate(); err != nil {
 		return TimeDistribution{}, err
 	}
@@ -152,8 +162,8 @@ func burstCountToTimes(t, o float64, lo int, pmf []float64) TimeDistribution {
 
 // DeadlineProb returns P(job completes within the deadline) — the
 // deliverable a batch scheduler wants from the model.
-func DeadlineProb(p Params, deadline float64) (float64, error) {
-	d, err := JobTimeDistribution(p)
+func DeadlineProb(f Fleet, deadline float64) (float64, error) {
+	d, err := JobTimeDistribution(f)
 	if err != nil {
 		return 0, err
 	}
@@ -177,7 +187,7 @@ func AnalyzeGumbel(p Params) (Result, error) {
 	}
 	t := p.TaskDemand()
 	u := p.Utilization()
-	r := Result{Params: p, T: t, U: u}
+	r := Result{Fleet: p.Fleet(), W: p.W, T: t, U: u}
 	n := p.trials()
 	bin := Binomial{N: n, P: p.P}
 	r.EBurstsPerTsk = bin.Mean()

@@ -24,7 +24,7 @@ func TestTaskTimeDistributionMeanMatchesETask(t *testing.T) {
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	ana := MustAnalyze(p)
+	ana := MustAnalyze(p.Fleet())
 	if math.Abs(d.Mean()-ana.ETask) > 1e-9*ana.ETask {
 		t.Errorf("distribution mean %v vs E_t %v", d.Mean(), ana.ETask)
 	}
@@ -34,14 +34,14 @@ func TestJobTimeDistributionMeanMatchesEJob(t *testing.T) {
 	for _, w := range []int{1, 2, 10, 100} {
 		for _, util := range []float64{0.01, 0.1, 0.2} {
 			p := distParams(t, 1000, w, util)
-			d, err := JobTimeDistribution(p)
+			d, err := JobTimeDistribution(p.Fleet())
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := d.Validate(); err != nil {
 				t.Fatal(err)
 			}
-			ana := MustAnalyze(p)
+			ana := MustAnalyze(p.Fleet())
 			if math.Abs(d.Mean()-ana.EJob) > 1e-8*ana.EJob {
 				t.Errorf("W=%d util=%v: distribution mean %v vs E_j %v", w, util, d.Mean(), ana.EJob)
 			}
@@ -51,7 +51,7 @@ func TestJobTimeDistributionMeanMatchesEJob(t *testing.T) {
 
 func TestJobTimeDistributionDedicated(t *testing.T) {
 	p := distParams(t, 1000, 10, 0)
-	d, err := JobTimeDistribution(p)
+	d, err := JobTimeDistribution(p.Fleet())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestJobTimeStochasticallyDominatesTaskTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	job, err := JobTimeDistribution(p)
+	job, err := JobTimeDistribution(p.Fleet())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestJobTimeStochasticallyDominatesTaskTime(t *testing.T) {
 
 func TestQuantileMonotone(t *testing.T) {
 	p := distParams(t, 1000, 20, 0.1)
-	d, err := JobTimeDistribution(p)
+	d, err := JobTimeDistribution(p.Fleet())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestQuantileMonotone(t *testing.T) {
 
 func TestTailProbEdges(t *testing.T) {
 	p := distParams(t, 1000, 10, 0.1)
-	d, err := JobTimeDistribution(p)
+	d, err := JobTimeDistribution(p.Fleet())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,17 +124,17 @@ func TestTailProbEdges(t *testing.T) {
 func TestDeadlineProb(t *testing.T) {
 	p := distParams(t, 1000, 10, 0.1) // T=100
 	// Deadline below T: impossible.
-	if prob, err := DeadlineProb(p, 99); err != nil || prob != 0 {
+	if prob, err := DeadlineProb(p.Fleet(), 99); err != nil || prob != 0 {
 		t.Errorf("impossible deadline: %v %v", prob, err)
 	}
 	// Deadline at the worst case: certain.
-	if prob, err := DeadlineProb(p, TaskTimeBound(p)); err != nil || math.Abs(prob-1) > 1e-9 {
+	if prob, err := DeadlineProb(p.Fleet(), TaskTimeBound(p)); err != nil || math.Abs(prob-1) > 1e-9 {
 		t.Errorf("certain deadline: %v %v", prob, err)
 	}
 	// Monotone in the deadline.
 	prev := -1.0
 	for _, dl := range []float64{100, 110, 130, 160, 200} {
-		prob, err := DeadlineProb(p, dl)
+		prob, err := DeadlineProb(p.Fleet(), dl)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +178,7 @@ func TestAnalyzeGumbelTracksExact(t *testing.T) {
 	// E_j in the regime the approximation targets (large mean counts).
 	for _, w := range []int{8, 20, 60, 100} {
 		p := distParams(t, 100000, w, 0.1) // large T: binomial ≈ normal
-		exact := MustAnalyze(p)
+		exact := MustAnalyze(p.Fleet())
 		approx, err := AnalyzeGumbel(p)
 		if err != nil {
 			t.Fatal(err)
@@ -193,7 +193,7 @@ func TestAnalyzeGumbelTracksExact(t *testing.T) {
 func TestAnalyzeGumbelDegenerateCases(t *testing.T) {
 	// W=1 must be exact (no extreme-value step involved).
 	p := distParams(t, 1000, 1, 0.1)
-	exact := MustAnalyze(p)
+	exact := MustAnalyze(p.Fleet())
 	approx, err := AnalyzeGumbel(p)
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +223,7 @@ func TestQuickJobDistributionProper(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		d, err := JobTimeDistribution(p)
+		d, err := JobTimeDistribution(p.Fleet())
 		if err != nil {
 			return false
 		}

@@ -6,21 +6,22 @@ import (
 	"sort"
 )
 
-// Heterogeneous fleets: the paper's model with per-station owner request
-// probability and execution speed. Station i runs its task share at speed
-// s_i (effective demand t_i = T/s_i, T = J/W the reference task demand) and
-// its owner interrupts each unit of progress with probability p_i, so the
-// per-task burst count is Bin(round(t_i), p_i) and the job completion time
-// is
+// Fleets: the paper's model with per-station owner request probability and
+// execution speed, the one question type of the analytic layer. Station i
+// runs its task share at speed s_i (effective demand t_i = T/s_i, T = J/W
+// the reference task demand) and its owner interrupts each unit of progress
+// with probability p_i, so the per-task burst count is Bin(round(t_i), p_i)
+// and the job completion time is
 //
 //	M = max_i ( t_i + O·X_i ),   X_i ~ Bin(n_i, p_i) independent.
 //
 // P(M ≤ x) = Π_g F_g(⌊(x−t_g)/O⌋)^c_g over the speed/availability groups,
 // evaluated on the shared BinomialTables windows via the log1p(−tail)
 // product (the same precision trick as ExpectedMax); the fleet's total
-// burst count Σ_i X_i is served by the PoissonBinomialTables kernel. A
-// fleet that collapses to one group at reference speed delegates to
-// Analyze, reproducing the homogeneous path bit-for-bit.
+// burst count Σ_i X_i is served by the PoissonBinomialTables kernel. The
+// paper's homogeneous model is the one-group fleet at reference speed
+// (Params.Fleet): every entry point detects it without allocating and
+// answers it with the binomial kernel of model.go.
 
 // FleetStation describes one group of identical stations in a
 // heterogeneous fleet: Count stations whose owners request with
@@ -40,9 +41,9 @@ func (s FleetStation) speed() float64 {
 	return s.Speed
 }
 
-// Fleet is a heterogeneous feasibility question: total job demand J split
-// evenly across the stations (one task each), owner burst demand O shared
-// fleet-wide, availability and speed per station group.
+// Fleet is a feasibility question: total job demand J split evenly across
+// the stations (one task each), owner burst demand O shared fleet-wide,
+// availability and speed per station group.
 type Fleet struct {
 	J        float64
 	O        float64
@@ -74,17 +75,26 @@ func (f Fleet) Validate() error {
 	}
 	t := f.TaskDemand()
 	for i, s := range f.Stations {
-		switch {
-		case s.Count < 1:
-			return fmt.Errorf("core: fleet station group %d count must be >= 1, got %d", i, s.Count)
-		case s.P < 0 || s.P > 1 || math.IsNaN(s.P):
-			return fmt.Errorf("core: fleet station group %d probability must be in [0,1], got %v", i, s.P)
-		case !(s.speed() > 0) || math.IsInf(s.Speed, 0) || math.IsNaN(s.Speed):
-			return fmt.Errorf("core: fleet station group %d speed must be positive and finite, got %v", i, s.Speed)
-		case s.P > 0 && t/s.speed() < 1:
+		if err := s.validate(i); err != nil {
+			return err
+		}
+		if s.P > 0 && t/s.speed() < 1 {
 			return fmt.Errorf("core: fleet station group %d effective task demand %v is below one time unit",
 				i, t/s.speed())
 		}
+	}
+	return nil
+}
+
+// validate checks the ranges of station group i.
+func (s FleetStation) validate(i int) error {
+	switch {
+	case s.Count < 1:
+		return fmt.Errorf("core: fleet station group %d count must be >= 1, got %d", i, s.Count)
+	case s.P < 0 || s.P > 1 || math.IsNaN(s.P):
+		return fmt.Errorf("core: fleet station group %d probability must be in [0,1], got %v", i, s.P)
+	case !(s.speed() > 0) || math.IsInf(s.Speed, 0) || math.IsNaN(s.Speed):
+		return fmt.Errorf("core: fleet station group %d speed must be positive and finite, got %v", i, s.Speed)
 	}
 	return nil
 }
@@ -114,15 +124,23 @@ func (f Fleet) Canonical() []FleetStation {
 	return merged
 }
 
-// Homogeneous reports whether the fleet collapses to the homogeneous model
-// — one canonical group at reference speed — and returns the equivalent
-// Params.
-func (f Fleet) Homogeneous() (Params, bool) {
-	canon := f.Canonical()
-	if len(canon) != 1 || canon[0].Speed != 1 {
-		return Params{}, false
+// homogeneous reports whether every station group shares one request
+// probability at the reference speed — the paper's model — and returns the
+// equivalent Params, for the caller to validate under the homogeneous
+// model's own rules. It allocates nothing, so the binomial fast path costs
+// a scan of the groups. A group with a non-positive count is left to the
+// fleet validation.
+func (f Fleet) homogeneous() (p Params, ok bool) {
+	for i, s := range f.Stations {
+		if i == 0 {
+			p = Params{J: f.J, O: f.O, P: s.P}
+		}
+		if s.P != p.P || s.speed() != 1 || s.Count < 1 {
+			return Params{}, false
+		}
+		p.W += s.Count
 	}
-	return Params{J: f.J, W: canon[0].Count, O: f.O, P: canon[0].P}, true
+	return p, p.W > 0
 }
 
 // Utilization is the station-weighted mean owner utilization
@@ -166,22 +184,6 @@ func (f Fleet) BurstTables() (*PoissonBinomialTables, bool, error) {
 	return pb, true, nil
 }
 
-// FleetResult is the model output for one heterogeneous parameter point,
-// mirroring Result.
-type FleetResult struct {
-	Fleet
-	W     int
-	T     float64 // reference task demand J/W
-	U     float64 // station-weighted owner utilization
-	ETask float64 // station-weighted expected task completion time
-	EJob  float64 // E[max over stations of task completion times]
-	// EMaxBursts is E[max burst count] when every station runs at the
-	// reference speed (the counts share one lattice); 0 otherwise.
-	EMaxBursts    float64
-	EBurstsPerTsk float64 // fleet-mean bursts per task, from the Poisson-binomial kernel
-	Metrics
-}
-
 // fleetGroup is one canonical group resolved against the job: effective
 // demand, trial count and the shared binomial window.
 type fleetGroup struct {
@@ -204,33 +206,11 @@ func resolveFleetGroups(f Fleet) []fleetGroup {
 	return out
 }
 
-// AnalyzeFleet evaluates the heterogeneous model at f. A fleet whose
-// canonical form is a single reference-speed group routes through Analyze,
-// reproducing the homogeneous answer bit-for-bit.
-func AnalyzeFleet(f Fleet) (FleetResult, error) {
-	if err := f.Validate(); err != nil {
-		return FleetResult{}, err
-	}
-	if p, ok := f.Homogeneous(); ok {
-		r, err := Analyze(p)
-		if err != nil {
-			return FleetResult{}, err
-		}
-		return FleetResult{
-			Fleet:         f,
-			W:             p.W,
-			T:             r.T,
-			U:             r.U,
-			ETask:         r.ETask,
-			EJob:          r.EJob,
-			EMaxBursts:    r.EMaxBursts,
-			EBurstsPerTsk: r.EBurstsPerTsk,
-			Metrics:       r.Metrics,
-		}, nil
-	}
-
+// analyzeFleet is the fleet kernel behind Analyze for a validated fleet
+// that is not homogeneous.
+func analyzeFleet(f Fleet) (Result, error) {
 	w := f.W()
-	res := FleetResult{Fleet: f, W: w, T: f.TaskDemand(), U: f.Utilization()}
+	res := Result{Fleet: f, W: w, T: f.TaskDemand(), U: f.Utilization()}
 	groups := resolveFleetGroups(f)
 
 	var etask float64
@@ -244,7 +224,7 @@ func AnalyzeFleet(f Fleet) (FleetResult, error) {
 	res.ETask = etask / float64(w)
 
 	if pb, ok, err := f.BurstTables(); err != nil {
-		return FleetResult{}, err
+		return Result{}, err
 	} else if ok {
 		res.EBurstsPerTsk = pb.Mean() / float64(w)
 	}
@@ -340,318 +320,44 @@ func fleetJobPMF(groups []fleetGroup, o float64) (times, probs []float64) {
 	return times, probs
 }
 
-// FleetJobTimeDistribution returns the exact distribution of the fleet job
-// completion time — the heterogeneous JobTimeDistribution.
-func FleetJobTimeDistribution(f Fleet) (TimeDistribution, error) {
-	if err := f.Validate(); err != nil {
-		return TimeDistribution{}, err
-	}
-	if p, ok := f.Homogeneous(); ok {
-		return JobTimeDistribution(p)
-	}
-	times, probs := fleetJobPMF(resolveFleetGroups(f), f.O)
-	return TimeDistribution{Times: times, Probs: probs}, nil
-}
-
-// FleetDeadlineProb returns P(fleet job completes within the deadline).
-func FleetDeadlineProb(f Fleet, deadline float64) (float64, error) {
-	d, err := FleetJobTimeDistribution(f)
-	if err != nil {
-		return 0, err
-	}
-	return 1 - d.TailProb(deadline), nil
-}
-
 // TileFleet expands a station template cyclically to exactly w stations —
 // the convention the threshold/partition/scaled searches use to grow or
-// shrink a heterogeneous fleet while preserving its mix. The result is
-// canonical (sorted, merged).
+// shrink a fleet while preserving its mix. The result is canonical (sorted,
+// merged).
 func TileFleet(template []FleetStation, w int) ([]FleetStation, error) {
+	tiled, err := tile(nil, template, w)
+	if err != nil {
+		return nil, err
+	}
+	return Fleet{Stations: tiled}.Canonical(), nil
+}
+
+// tile appends to dst the station groups of template expanded cyclically to
+// w stations, one group per template group that receives any, in template
+// order. It is arithmetic in the number of template groups: the stations
+// repeat the template's period w/period times, and the first w%period
+// stations of one more period follow.
+func tile(dst, template []FleetStation, w int) ([]FleetStation, error) {
 	if len(template) == 0 {
 		return nil, fmt.Errorf("core: fleet template needs at least one station group")
 	}
 	if w < 1 {
 		return nil, fmt.Errorf("core: fleet tiling needs w >= 1, got %d", w)
 	}
-	var flat []FleetStation
+	period := 0
 	for _, s := range template {
 		if s.Count < 1 {
 			return nil, fmt.Errorf("core: fleet template group count must be >= 1, got %d", s.Count)
 		}
-		for i := 0; i < s.Count; i++ {
-			flat = append(flat, FleetStation{P: s.P, Speed: s.speed(), Count: 1})
-		}
+		period += s.Count
 	}
-	out := make([]FleetStation, 0, w)
-	for i := 0; i < w; i++ {
-		out = append(out, flat[i%len(flat)])
-	}
-	return Fleet{J: 1, O: 0, Stations: out}.Canonical(), nil
-}
-
-// FleetThresholdQuery is ThresholdQuery over a heterogeneous fleet: the
-// station mix is fixed, the task ratio (J = ratio·O·W) is searched.
-type FleetThresholdQuery struct {
-	Stations          []FleetStation
-	O                 float64
-	TargetWeightedEff float64
-}
-
-// Validate checks the query parameters.
-func (q FleetThresholdQuery) Validate() error {
-	switch {
-	case len(q.Stations) == 0:
-		return fmt.Errorf("core: fleet threshold query needs at least one station group")
-	case !(q.O > 0):
-		return fmt.Errorf("core: fleet threshold query needs O > 0, got %v", q.O)
-	case !(q.TargetWeightedEff > 0) || q.TargetWeightedEff > 1:
-		return fmt.Errorf("core: target weighted efficiency must be in (0,1], got %v", q.TargetWeightedEff)
-	}
-	return nil
-}
-
-func (q FleetThresholdQuery) dedicated() bool {
-	for _, s := range q.Stations {
-		if s.P > 0 {
-			return false
-		}
-	}
-	return true
-}
-
-func (q FleetThresholdQuery) weightedEffAtRatio(r float64) (float64, error) {
-	w := 0
-	for _, s := range q.Stations {
-		w += s.Count
-	}
-	res, err := AnalyzeFleet(Fleet{J: r * q.O * float64(w), O: q.O, Stations: q.Stations})
-	if err != nil {
-		return 0, err
-	}
-	return res.WeightedEfficiency, nil
-}
-
-// MinTaskRatio returns the smallest integer task ratio achieving the
-// target weighted efficiency, by the same exponential-then-binary search
-// as the homogeneous ThresholdQuery (weighted efficiency is monotone
-// nondecreasing in the ratio for a fixed mix).
-func (q FleetThresholdQuery) MinTaskRatio(maxRatio int) (int, error) {
-	ratio, _, err := q.minTaskRatioEff(maxRatio)
-	return ratio, err
-}
-
-func (q FleetThresholdQuery) minTaskRatioEff(maxRatio int) (int, float64, error) {
-	if err := q.Validate(); err != nil {
-		return 0, 0, err
-	}
-	if maxRatio < 1 {
-		return 0, 0, fmt.Errorf("core: maxRatio must be >= 1, got %d", maxRatio)
-	}
-	if q.dedicated() {
-		// All-p=0 fleet: no owner ever interrupts, so E[job] = t/s_min and
-		// the weighted efficiency J/(W·E[job]) = s_min at every ratio. The
-		// reference-speed fleet reproduces the homogeneous (1, 1) answer.
-		eff := math.Inf(1)
-		for _, s := range q.Stations {
-			if sp := s.speed(); sp < eff {
-				eff = sp
-			}
-		}
-		if eff < q.TargetWeightedEff {
-			return 0, 0, fmt.Errorf("core: target weighted efficiency %.3f unreachable at any ratio: the dedicated fleet's slowest station caps it at %.4f",
-				q.TargetWeightedEff, eff)
-		}
-		return 1, eff, nil
-	}
-	hi := 1
-	hiEff := 0.0
-	for {
-		eff, err := q.weightedEffAtRatio(float64(hi))
-		if err != nil {
-			return 0, 0, err
-		}
-		if eff >= q.TargetWeightedEff {
-			hiEff = eff
-			break
-		}
-		if hi >= maxRatio {
-			return 0, 0, fmt.Errorf("core: target weighted efficiency %.3f unreachable within task ratio %d (best %.4f)",
-				q.TargetWeightedEff, maxRatio, eff)
-		}
-		hi *= 2
-		if hi > maxRatio {
-			hi = maxRatio
-		}
-	}
-	lo := hi / 2
-	if hi == 1 {
-		return 1, hiEff, nil
-	}
-	for lo+1 < hi {
-		mid := (lo + hi) / 2
-		eff, err := q.weightedEffAtRatio(float64(mid))
-		if err != nil {
-			return 0, 0, err
-		}
-		if eff >= q.TargetWeightedEff {
-			hi, hiEff = mid, eff
-		} else {
-			lo = mid
-		}
-	}
-	return hi, hiEff, nil
-}
-
-// FleetVerdict is FeasibilityVerdict over a heterogeneous fleet.
-type FleetVerdict struct {
-	FleetResult
-	Target   float64
-	Feasible bool
-	MinRatio int
-	// MinJobDemand is the smallest J meeting the target at this mix;
-	// +Inf when unreachable.
-	MinJobDemand float64
-}
-
-// AssessFleet runs the fleet model and its threshold solver together,
-// mirroring Assess.
-func AssessFleet(f Fleet, target float64) (FleetVerdict, error) {
-	res, err := AnalyzeFleet(f)
-	if err != nil {
-		return FleetVerdict{}, err
-	}
-	v := FleetVerdict{FleetResult: res, Target: target, Feasible: res.WeightedEfficiency >= target}
-	if f.O > 0 && res.U > 0 {
-		q := FleetThresholdQuery{Stations: f.Stations, O: f.O, TargetWeightedEff: target}
-		ratio, err := q.MinTaskRatio(1 << 20)
-		if err != nil {
-			v.MinJobDemand = math.Inf(1)
-			return v, nil
-		}
-		v.MinRatio = ratio
-		v.MinJobDemand = RequiredJobDemand(ratio, f.O, res.W)
-	} else {
-		v.MinRatio = 1
-		v.MinJobDemand = f.O * float64(res.W)
-	}
-	return v, nil
-}
-
-// MaxFleetWorkstations is MaxWorkstations over a heterogeneous mix: the
-// largest W in [1, maxW] whose tiled fleet meets the target weighted
-// efficiency for a job of demand j. The template is tiled cyclically to
-// each probed size (TileFleet), so the mix is preserved as the fleet grows.
-func MaxFleetWorkstations(j, o float64, template []FleetStation, target float64, maxW int) (int, error) {
-	if maxW < 1 {
-		return 0, fmt.Errorf("core: maxW must be >= 1, got %d", maxW)
-	}
-	if !(target > 0) || target > 1 {
-		return 0, fmt.Errorf("core: target weighted efficiency must be in (0,1], got %v", target)
-	}
-	// The discrete model needs every interruptible station's effective
-	// demand j/(w·s) >= 1, which caps the usable size at floor(j/s_max)
-	// over stations with p > 0.
-	maxSpeed := 0.0
+	rest := w % period
 	for _, s := range template {
-		if s.P > 0 && s.speed() > maxSpeed {
-			maxSpeed = s.speed()
+		n := w/period*s.Count + min(max(rest, 0), s.Count)
+		rest -= s.Count
+		if n > 0 {
+			dst = append(dst, FleetStation{P: s.P, Speed: s.speed(), Count: n})
 		}
 	}
-	if maxSpeed > 0 && float64(maxW) > j/maxSpeed {
-		maxW = int(j / maxSpeed)
-		if maxW < 1 {
-			return 0, fmt.Errorf("core: job demand %v is below one effective time unit at the fleet's fastest station", j)
-		}
-	}
-	memo := make(map[int]float64)
-	eff := func(w int) (float64, error) {
-		if e, ok := memo[w]; ok {
-			return e, nil
-		}
-		stations, err := TileFleet(template, w)
-		if err != nil {
-			return 0, err
-		}
-		r, err := AnalyzeFleet(Fleet{J: j, O: o, Stations: stations})
-		if err != nil {
-			return 0, err
-		}
-		memo[w] = r.WeightedEfficiency
-		return r.WeightedEfficiency, nil
-	}
-	one, err := eff(1)
-	if err != nil {
-		return 0, err
-	}
-	if one < target {
-		return 0, fmt.Errorf("core: even one workstation reaches only %.4f weighted efficiency (target %.4f)", one, target)
-	}
-	lo, hi := 1, maxW
-	top, err := eff(maxW)
-	if err != nil {
-		return 0, err
-	}
-	if top >= target {
-		return maxW, nil
-	}
-	for lo+1 < hi {
-		mid := (lo + hi) / 2
-		e, err := eff(mid)
-		if err != nil {
-			return 0, err
-		}
-		if e >= target {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo, nil
-}
-
-// FleetScaledPoint is the fleet model output at one system size of a
-// scaled sweep.
-type FleetScaledPoint struct {
-	W                   int
-	Result              FleetResult
-	IncreaseVsDedicated float64
-	IncreaseVsSingle    float64
-}
-
-// ScaledFleetSweep is ScaledSweep over a heterogeneous mix: the reference
-// per-task demand t is held fixed (J = t·W) while the template is tiled to
-// each system size.
-func ScaledFleetSweep(t, o float64, template []FleetStation, ws []int) ([]FleetScaledPoint, error) {
-	if len(ws) == 0 {
-		return nil, fmt.Errorf("core: scaled sweep needs at least one system size")
-	}
-	at := func(w int) (FleetResult, error) {
-		stations, err := TileFleet(template, w)
-		if err != nil {
-			return FleetResult{}, err
-		}
-		return AnalyzeFleet(Fleet{J: t * float64(w), O: o, Stations: stations})
-	}
-	base, err := at(1)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]FleetScaledPoint, 0, len(ws))
-	for _, w := range ws {
-		r := base
-		if w != 1 {
-			var err error
-			r, err = at(w)
-			if err != nil {
-				return nil, err
-			}
-		}
-		out = append(out, FleetScaledPoint{
-			W:                   w,
-			Result:              r,
-			IncreaseVsDedicated: r.EJob/t - 1,
-			IncreaseVsSingle:    r.EJob/base.EJob - 1,
-		})
-	}
-	return out, nil
+	return dst, nil
 }

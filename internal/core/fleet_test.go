@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -10,7 +11,7 @@ import (
 // answer bit-exactly, even when the stations arrive as split groups.
 func TestAnalyzeFleetHomogeneousCollapse(t *testing.T) {
 	p := Params{J: 400, W: 4, O: 10, P: 0.02}
-	want, err := Analyze(p)
+	want, err := Analyze(p.Fleet())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,7 +20,7 @@ func TestAnalyzeFleetHomogeneousCollapse(t *testing.T) {
 		{{P: 0.02, Count: 1}, {P: 0.02, Count: 3}},
 		{{P: 0.02, Speed: 1, Count: 2}, {P: 0.02, Count: 2}},
 	} {
-		got, err := AnalyzeFleet(Fleet{J: 400, O: 10, Stations: stations})
+		got, err := Analyze(Fleet{J: 400, O: 10, Stations: stations})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,7 +41,7 @@ func TestAnalyzeFleetBruteForce(t *testing.T) {
 		{P: 0.20, Count: 1},
 		{P: 0.10, Speed: 2, Count: 1},
 	}}
-	res, err := AnalyzeFleet(f)
+	res, err := Analyze(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,13 +116,13 @@ func TestAnalyzeFleetBruteForce(t *testing.T) {
 // TestFleetSpeedEquivalence: a uniformly-sped fleet is the homogeneous
 // model at the scaled task demand.
 func TestFleetSpeedEquivalence(t *testing.T) {
-	res, err := AnalyzeFleet(Fleet{J: 800, O: 10, Stations: []FleetStation{{P: 0.05, Speed: 2, Count: 4}}})
+	res, err := Analyze(Fleet{J: 800, O: 10, Stations: []FleetStation{{P: 0.05, Speed: 2, Count: 4}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// t_i = (800/4)/2 = 100: same per-task law as the homogeneous fleet
 	// with J = 400.
-	want, err := Analyze(Params{J: 400, W: 4, O: 10, P: 0.05})
+	want, err := Analyze(Params{J: 400, W: 4, O: 10, P: 0.05}.Fleet())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,14 +139,14 @@ func TestFleetJobTimeDistribution(t *testing.T) {
 		{P: 0.03, Count: 2},
 		{P: 0.08, Count: 2},
 	}}
-	d, err := FleetJobTimeDistribution(f)
+	d, err := JobTimeDistribution(f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := AnalyzeFleet(f)
+	res, err := Analyze(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestFleetJobTimeDistribution(t *testing.T) {
 	}
 	// The heterogeneous max is stochastically above each group's own max:
 	// its mean exceeds the homogeneous job time of the better group alone.
-	better, err := Analyze(Params{J: 400, W: 4, O: 10, P: 0.03})
+	better, err := Analyze(Params{J: 400, W: 4, O: 10, P: 0.03}.Fleet())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,20 +192,43 @@ func TestFleetValidation(t *testing.T) {
 	}
 }
 
+// TestTileFleet checks the arithmetic tiling against the literal
+// definition: station i of the tiled fleet is station i mod period of the
+// template's flat expansion, canonicalized.
 func TestTileFleet(t *testing.T) {
-	tpl := []FleetStation{{P: 0.1, Count: 2}, {P: 0.3, Count: 1}}
-	got, err := TileFleet(tpl, 7)
+	templates := [][]FleetStation{
+		{{P: 0.1, Count: 1}},
+		{{P: 0.1, Count: 2}, {P: 0.3, Count: 1}},
+		{{P: 0.3, Speed: 2, Count: 3}, {P: 0.1, Count: 1}, {P: 0.3, Speed: 2, Count: 2}, {P: 0, Speed: 0.5, Count: 4}},
+	}
+	for _, tpl := range templates {
+		var flat []FleetStation
+		for _, s := range tpl {
+			for i := 0; i < s.Count; i++ {
+				flat = append(flat, FleetStation{P: s.P, Speed: s.speed(), Count: 1})
+			}
+		}
+		for w := 1; w <= 3*len(flat)+1; w++ {
+			brute := make([]FleetStation, 0, w)
+			for i := 0; i < w; i++ {
+				brute = append(brute, flat[i%len(flat)])
+			}
+			want := Fleet{Stations: brute}.Canonical()
+			got, err := TileFleet(tpl, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("template %v tiled to %d: got %v, want %v", tpl, w, got, want)
+			}
+		}
+	}
+	// Cycle p: .1 .1 .3 .1 .1 .3 .1 → five at 0.1, two at 0.3.
+	got, err := TileFleet(templates[1], 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Cycle p: .1 .1 .3 .1 .1 .3 .1 → five at 0.1, two at 0.3.
-	counts := map[float64]int{}
-	total := 0
-	for _, s := range got {
-		counts[s.P] += s.Count
-		total += s.Count
-	}
-	if total != 7 || counts[0.1] != 5 || counts[0.3] != 2 {
+	if want := []FleetStation{{P: 0.1, Speed: 1, Count: 5}, {P: 0.3, Speed: 1, Count: 2}}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("tiled fleet %+v, want 5×0.1 + 2×0.3", got)
 	}
 	if _, err := TileFleet(nil, 3); err == nil {
@@ -212,23 +236,42 @@ func TestTileFleet(t *testing.T) {
 	}
 }
 
-// TestFleetThresholdCollapse: the fleet threshold search on a homogeneous
-// mix returns the homogeneous threshold.
+// fleetKernelWeff evaluates weighted efficiency with the fleet kernel,
+// bypassing the binomial fast path that Analyze takes for a homogeneous mix.
+func fleetKernelWeff(t *testing.T, f Fleet) float64 {
+	t.Helper()
+	r, err := analyzeFleet(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r.WeightedEfficiency
+}
+
+// TestFleetThresholdCollapse: the threshold search on a homogeneous mix
+// returns the same ratio whatever the mix's spelling, and the same ratio a
+// linear scan finds with the fleet kernel.
 func TestFleetThresholdCollapse(t *testing.T) {
 	o, util := 10.0, 0.05
 	p := util / (o * (1 - util))
-	hq := ThresholdQuery{W: 10, O: o, Util: util, TargetWeightedEff: 0.8}
-	want, err := hq.MinTaskRatio(1 << 20)
+	hq := ThresholdQuery{Stations: []FleetStation{{P: p, Count: 10}}, O: o, TargetWeightedEff: 0.8}
+	want, wantEff, err := hq.MinTaskRatio(1 << 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fq := FleetThresholdQuery{Stations: []FleetStation{{P: p, Count: 10}}, O: o, TargetWeightedEff: 0.8}
-	got, err := fq.MinTaskRatio(1 << 20)
+	fq := ThresholdQuery{Stations: []FleetStation{{P: p, Count: 3}, {P: p, Speed: 1, Count: 7}}, O: o, TargetWeightedEff: 0.8}
+	got, gotEff, err := fq.MinTaskRatio(1 << 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != want {
-		t.Fatalf("fleet threshold %d, homogeneous %d", got, want)
+	if got != want || gotEff != wantEff {
+		t.Fatalf("split fleet threshold (%d, %v), one group (%d, %v)", got, gotEff, want, wantEff)
+	}
+	scan := 1
+	for fleetKernelWeff(t, Fleet{J: float64(scan) * o * 10, O: o, Stations: hq.Stations}) < 0.8 {
+		scan++
+	}
+	if scan != want {
+		t.Fatalf("fleet-kernel scan threshold %d, binomial search %d", scan, want)
 	}
 }
 
@@ -241,24 +284,24 @@ func TestFleetThresholdCollapse(t *testing.T) {
 func TestFleetThresholdMinimality(t *testing.T) {
 	o := 10.0
 	lowP, highP := 0.003, 0.02
-	mixed := FleetThresholdQuery{
+	mixed := ThresholdQuery{
 		Stations:          []FleetStation{{P: lowP, Count: 5}, {P: highP, Count: 5}},
 		O:                 o,
 		TargetWeightedEff: 0.8,
 	}
-	mixedRatio, err := mixed.MinTaskRatio(1 << 20)
+	mixedRatio, _, err := mixed.MinTaskRatio(1 << 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	best := FleetThresholdQuery{Stations: []FleetStation{{P: lowP, Count: 10}}, O: o, TargetWeightedEff: 0.8}
-	bestRatio, err := best.MinTaskRatio(1 << 20)
+	best := ThresholdQuery{Stations: []FleetStation{{P: lowP, Count: 10}}, O: o, TargetWeightedEff: 0.8}
+	bestRatio, _, err := best.MinTaskRatio(1 << 20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mixedRatio < bestRatio {
 		t.Fatalf("mixed ratio %d below all-best homogeneous ratio %d", mixedRatio, bestRatio)
 	}
-	at, err := mixed.weightedEffAtRatio(float64(mixedRatio))
+	at, err := mixed.weightedEffAtRatio(float64(mixedRatio), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +309,7 @@ func TestFleetThresholdMinimality(t *testing.T) {
 		t.Fatalf("weff(%d) = %v misses the target", mixedRatio, at)
 	}
 	if mixedRatio > 1 {
-		below, err := mixed.weightedEffAtRatio(float64(mixedRatio - 1))
+		below, err := mixed.weightedEffAtRatio(float64(mixedRatio-1), 10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -276,40 +319,68 @@ func TestFleetThresholdMinimality(t *testing.T) {
 	}
 }
 
+// TestMaxFleetWorkstationsCollapse: the partition search over a homogeneous
+// template returns the same W whatever the template's spelling, and the
+// largest W a scan of the fleet kernel finds meeting the target.
 func TestMaxFleetWorkstationsCollapse(t *testing.T) {
 	o, util := 10.0, 0.05
 	p := util / (o * (1 - util))
-	want, err := MaxWorkstations(4000, o, util, 0.8, 64)
+	one := []FleetStation{{P: p, Count: 1}}
+	want, err := MaxWorkstations(4000, o, one, 0.8, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := MaxFleetWorkstations(4000, o, []FleetStation{{P: p, Count: 1}}, 0.8, 64)
+	got, err := MaxWorkstations(4000, o, []FleetStation{{P: p, Count: 2}, {P: p, Speed: 1, Count: 3}}, 0.8, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != want {
-		t.Fatalf("fleet partition %d, homogeneous %d", got, want)
+		t.Fatalf("split template partition %d, one station %d", got, want)
+	}
+	scan := 0
+	for w := 1; w <= 64; w++ {
+		if fleetKernelWeff(t, Fleet{J: 4000, O: o, Stations: []FleetStation{{P: p, Count: w}}}) >= 0.8 {
+			scan = w
+		}
+	}
+	if scan != want {
+		t.Fatalf("fleet-kernel scan partition %d, binomial search %d", scan, want)
 	}
 }
 
+// TestScaledFleetSweepCollapse: the scaled sweep over a homogeneous
+// template is bit-exact whatever the template's spelling, and agrees with
+// the fleet kernel at every size.
 func TestScaledFleetSweepCollapse(t *testing.T) {
 	o, util := 10.0, 0.05
 	p := util / (o * (1 - util))
 	ws := []int{1, 4, 16}
-	want, err := ScaledSweep(100, o, util, ws)
+	want, err := ScaledSweep(100, o, []FleetStation{{P: p, Count: 1}}, ws)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ScaledFleetSweep(100, o, []FleetStation{{P: p, Count: 1}}, ws)
+	got, err := ScaledSweep(100, o, []FleetStation{{P: p, Count: 1}, {P: p, Speed: 1, Count: 2}}, ws)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range ws {
-		if math.Abs(got[i].Result.EJob-want[i].Result.EJob) > 1e-12 {
-			t.Fatalf("W=%d: fleet scaled EJob %v, homogeneous %v", ws[i], got[i].Result.EJob, want[i].Result.EJob)
+		// The result echoes the tiled stations, which keep the spelling.
+		g, w := got[i], want[i]
+		g.Result.Stations, w.Result.Stations = nil, nil
+		if !reflect.DeepEqual(g, w) {
+			t.Fatalf("W=%d: split template point %+v, one station %+v", ws[i], g, w)
 		}
-		if math.Abs(got[i].IncreaseVsDedicated-want[i].IncreaseVsDedicated) > 1e-12 {
-			t.Fatalf("W=%d: increase-vs-dedicated mismatch", ws[i])
+	}
+	for i, w := range ws {
+		r, err := analyzeFleet(Fleet{J: 100 * float64(w), O: o, Stations: []FleetStation{{P: p, Count: w}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(r.EJob-want[i].Result.EJob) > 1e-12*want[i].Result.EJob {
+			t.Fatalf("W=%d: fleet-kernel EJob %v, binomial %v", w, r.EJob, want[i].Result.EJob)
+		}
+		if inc := r.EJob/100 - 1; math.Abs(inc-want[i].IncreaseVsDedicated) > 1e-12 {
+			t.Fatalf("W=%d: fleet-kernel increase-vs-dedicated %v, binomial %v", w, inc, want[i].IncreaseVsDedicated)
 		}
 	}
 }
@@ -319,21 +390,27 @@ func TestAssessFleet(t *testing.T) {
 		{P: 0.003, Count: 5},
 		{P: 0.02, Count: 5},
 	}}
-	v, err := AssessFleet(f, 0.8)
+	v, err := Assess(f, 0.8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.MinRatio < 1 || math.IsInf(v.MinJobDemand, 1) {
+	if v.MinRatio < 1 || v.MinJobDemand == 0 {
 		t.Fatalf("verdict %+v: threshold must be reachable", v)
 	}
 	// Feasible iff the achieved weighted efficiency clears the target —
 	// consistent with the threshold's own verdict at this ratio.
-	atMin, err := AnalyzeFleet(Fleet{J: v.MinJobDemand, O: 10, Stations: f.Stations})
+	atMin, err := Analyze(Fleet{J: v.MinJobDemand, O: 10, Stations: f.Stations})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if atMin.WeightedEfficiency < 0.8 {
 		t.Fatalf("fleet at MinJobDemand %v reaches only %v", v.MinJobDemand, atMin.WeightedEfficiency)
+	}
+	// A dedicated fleet is capped at its slowest station's speed at every
+	// ratio: no prescription reaches 0.8, as the threshold search says.
+	slow := Fleet{J: 1000, O: 10, Stations: []FleetStation{{Speed: 0.5, Count: 2}, {Speed: 1, Count: 2}}}
+	if v, err := Assess(slow, 0.8); err != nil || v.Feasible || v.MinRatio != 0 || v.MinJobDemand != 0 {
+		t.Fatalf("dedicated slow fleet verdict %+v (err %v): want infeasible with no prescription", v, err)
 	}
 }
 
@@ -353,7 +430,7 @@ func TestFleetBurstTables(t *testing.T) {
 	if math.Abs(pb.Mean()-22) > 1e-12 {
 		t.Fatalf("fleet burst mean %v, want 22", pb.Mean())
 	}
-	res, err := AnalyzeFleet(f)
+	res, err := Analyze(f)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,10 @@ import (
 	"math"
 )
 
-// Params are the inputs of the feasibility model.
+// Params are the inputs of the paper's homogeneous model: W identical
+// stations with one owner request probability P. They are the exact
+// simulator's input; the analytic layer asks its questions of the
+// equivalent one-group Fleet (Params.Fleet).
 type Params struct {
 	J float64 // total demand of the parallel job (time units)
 	W int     // number of workstations (== number of tasks)
@@ -56,6 +59,12 @@ func (p Params) Validate() error {
 	return nil
 }
 
+// Fleet returns the one-group fleet this homogeneous model describes: W
+// stations at the reference speed, each with request probability P.
+func (p Params) Fleet() Fleet {
+	return Fleet{J: p.J, O: p.O, Stations: []FleetStation{{P: p.P, Speed: 1, Count: p.W}}}
+}
+
 // TaskDemand is T = J/W.
 func (p Params) TaskDemand() float64 { return p.J / float64(p.W) }
 
@@ -93,33 +102,47 @@ type Metrics struct {
 	WeightedEfficiency float64 // J / ((1−U)·W·E_j)
 }
 
-// Result is the full model output for one parameter point.
+// Result is the full model output for one fleet.
 type Result struct {
-	Params
-	T             float64 // task demand J/W
-	U             float64 // owner utilization
-	ETask         float64 // expected task completion time, equation (3)
-	EJob          float64 // expected job completion time, equation (7)
-	EMaxBursts    float64 // E[max over W tasks of owner-burst counts]
-	EBurstsPerTsk float64 // E[bursts on one task] = T·P
+	Fleet
+	W     int     // total station (= task) count
+	T     float64 // reference task demand J/W
+	U     float64 // station-weighted owner utilization, equation (8)
+	ETask float64 // station-weighted expected task completion time, equation (3)
+	EJob  float64 // expected job completion time, equation (7)
+	// EMaxBursts is E[max over the W tasks of owner-burst counts] when every
+	// station runs at one speed (the counts share one lattice); 0 otherwise.
+	EMaxBursts    float64
+	EBurstsPerTsk float64 // mean bursts per task (T·P on a homogeneous fleet)
 	Metrics
 }
 
-// Analyze evaluates the model at p. The order-statistic kernel is served by
-// the shared (N, P)-memoized tables (tables.go), so sweeps that revisit the
-// same task demand and request probability — a W-grid, a threshold
-// bisection — build each binomial table once.
-func Analyze(p Params) (Result, error) {
-	if err := p.Validate(); err != nil {
+// Analyze evaluates the model for fleet f. A fleet whose stations all share
+// one request probability at the reference speed is the paper's homogeneous
+// model: it takes the binomial order-statistic kernel, served by the shared
+// (N, P)-memoized tables (tables.go), so sweeps that revisit the same task
+// demand and request probability — a W-grid, a threshold bisection — build
+// each binomial table once. Any other fleet takes the fleet kernel
+// (fleet.go).
+func Analyze(f Fleet) (Result, error) {
+	if p, ok := f.homogeneous(); ok {
+		if err := p.Validate(); err != nil {
+			return Result{}, err
+		}
+		r := Result{Fleet: f}
+		r.binomial(p, p.trials())
+		return r, nil
+	}
+	if err := f.Validate(); err != nil {
 		return Result{}, err
 	}
-	return analyzeWithTrials(p, p.trials())
+	return analyzeFleet(f)
 }
 
 // MustAnalyze is Analyze for known-good parameters; it panics on error.
 // The experiment definitions use it with validated sweeps.
-func MustAnalyze(p Params) Result {
-	r, err := Analyze(p)
+func MustAnalyze(f Fleet) Result {
+	r, err := Analyze(f)
 	if err != nil {
 		panic(err)
 	}
@@ -192,18 +215,14 @@ func AnalyzeInterpolated(p Params) (Result, error) {
 	t := p.TaskDemand()
 	lo := math.Floor(t)
 	hi := math.Ceil(t)
+	rl := Result{Fleet: p.Fleet()}
+	rl.binomial(p, int(lo))
 	if lo == hi {
-		return Analyze(p)
+		return rl, nil
 	}
 	frac := t - lo
-	rl, err := analyzeWithTrials(p, int(lo))
-	if err != nil {
-		return Result{}, err
-	}
-	rh, err := analyzeWithTrials(p, int(hi))
-	if err != nil {
-		return Result{}, err
-	}
+	var rh Result
+	rh.binomial(p, int(hi))
 	r := rl
 	r.ETask = (1-frac)*rl.ETask + frac*rh.ETask
 	r.EJob = (1-frac)*rl.EJob + frac*rh.EJob
@@ -213,10 +232,12 @@ func AnalyzeInterpolated(p Params) (Result, error) {
 	return r, nil
 }
 
-func analyzeWithTrials(p Params, n int) (Result, error) {
+// binomial is the binomial kernel: it fills r with the homogeneous model p
+// analyzed at n interruption opportunities per task.
+func (r *Result) binomial(p Params, n int) {
 	t := p.TaskDemand()
 	u := p.Utilization()
-	r := Result{Params: p, T: t, U: u}
+	r.W, r.T, r.U = p.W, t, u
 	mean := float64(n) * p.P
 	r.EBurstsPerTsk = mean
 	r.ETask = t + p.O*mean
@@ -227,5 +248,4 @@ func analyzeWithTrials(p Params, n int) (Result, error) {
 		r.EJob = t + p.O*r.EMaxBursts
 	}
 	r.Metrics = metricsFor(p, u, r.EJob)
-	return r, nil
 }

@@ -30,7 +30,7 @@ func TestZeroUtilization(t *testing.T) {
 	if p.P != 0 {
 		t.Fatalf("zero utilization must give P=0, got %v", p.P)
 	}
-	r := MustAnalyze(p)
+	r := MustAnalyze(p.Fleet())
 	if r.EJob != p.TaskDemand() || r.ETask != p.TaskDemand() {
 		t.Errorf("dedicated system: E_j=%v E_t=%v want %v", r.EJob, r.ETask, p.TaskDemand())
 	}
@@ -47,11 +47,11 @@ func TestZeroUtilization(t *testing.T) {
 // is only 61% of the optimal speedup, for a 20% utilization the speedup is
 // only 32.5% of the optimal speedup."
 func TestPaperFigure1SpotValues(t *testing.T) {
-	r1 := MustAnalyze(paperParams(t, 1000, 100, 0.01))
+	r1 := MustAnalyze(paperParams(t, 1000, 100, 0.01).Fleet())
 	if pct := r1.Speedup / 100 * 100; math.Abs(pct-61.0) > 0.5 {
 		t.Errorf("util 1%%: %% of optimal = %.1f, paper says 61", pct)
 	}
-	r20 := MustAnalyze(paperParams(t, 1000, 100, 0.2))
+	r20 := MustAnalyze(paperParams(t, 1000, 100, 0.2).Fleet())
 	if pct := r20.Speedup / 100 * 100; math.Abs(pct-32.5) > 0.5 {
 		t.Errorf("util 20%%: %% of optimal = %.1f, paper says 32.5", pct)
 	}
@@ -60,11 +60,11 @@ func TestPaperFigure1SpotValues(t *testing.T) {
 // TestPaperWeightedEfficiencySpotValues pins "the weighted-efficiency is
 // still only 61.5% (41%) for a utilization of 1% (20%)" at 100 nodes.
 func TestPaperWeightedEfficiencySpotValues(t *testing.T) {
-	r1 := MustAnalyze(paperParams(t, 1000, 100, 0.01))
+	r1 := MustAnalyze(paperParams(t, 1000, 100, 0.01).Fleet())
 	if math.Abs(r1.WeightedEfficiency-0.615) > 0.01 {
 		t.Errorf("weighted efficiency at 1%% = %.3f, paper says 0.615", r1.WeightedEfficiency)
 	}
-	r20 := MustAnalyze(paperParams(t, 1000, 100, 0.2))
+	r20 := MustAnalyze(paperParams(t, 1000, 100, 0.2).Fleet())
 	if math.Abs(r20.WeightedEfficiency-0.41) > 0.01 {
 		t.Errorf("weighted efficiency at 20%% = %.3f, paper says 0.41", r20.WeightedEfficiency)
 	}
@@ -82,7 +82,7 @@ func TestETaskClosedFormMatchesDirectSum(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		closed := MustAnalyze(p).ETask
+		closed := MustAnalyze(p.Fleet()).ETask
 		return math.Abs(direct-closed) < 1e-6*(1+closed)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -98,7 +98,7 @@ func TestEJobTailSumMatchesMaxPMF(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			viaTail := MustAnalyze(p).EJob
+			viaTail := MustAnalyze(p.Fleet()).EJob
 			if math.Abs(direct-viaTail) > 1e-8*(1+viaTail) {
 				t.Errorf("W=%d util=%v: direct %v vs tail-sum %v", w, util, direct, viaTail)
 			}
@@ -108,7 +108,7 @@ func TestEJobTailSumMatchesMaxPMF(t *testing.T) {
 
 func TestSingleWorkstationJobEqualsTask(t *testing.T) {
 	for _, util := range []float64{0.01, 0.1, 0.3} {
-		r := MustAnalyze(paperParams(t, 500, 1, util))
+		r := MustAnalyze(paperParams(t, 500, 1, util).Fleet())
 		if math.Abs(r.EJob-r.ETask) > 1e-9 {
 			t.Errorf("W=1: E_j %v != E_t %v", r.EJob, r.ETask)
 		}
@@ -125,7 +125,7 @@ func TestOrderingInvariants(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		r := MustAnalyze(p)
+		r := MustAnalyze(p.Fleet())
 		tdem := p.TaskDemand()
 		tol := 1e-9 * (1 + r.EJob) // relative: E_j accumulates thousands of terms
 		return r.ETask >= tdem-tol &&
@@ -150,7 +150,7 @@ func TestSpeedupBounds(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		r := MustAnalyze(p)
+		r := MustAnalyze(p.Fleet())
 		// The rounded-trials convention undercounts interruption
 		// opportunities when T = J/W sits barely above the granularity
 		// floor (trials = round(T) < T), which can push the weighted
@@ -177,7 +177,7 @@ func TestSpeedupConcaveBenefitShrinks(t *testing.T) {
 	// the last stretch, and speedup itself must keep rising.
 	sp := make([]float64, 101)
 	for w := 1; w <= 100; w++ {
-		sp[w] = MustAnalyze(paperParams(t, 1000, w, 0.1)).Speedup
+		sp[w] = MustAnalyze(paperParams(t, 1000, w, 0.1).Fleet()).Speedup
 	}
 	for w := 2; w <= 100; w++ {
 		if sp[w] < sp[w-1]-0.02 {
@@ -195,8 +195,8 @@ func TestBiggerJobsHigherWeightedEfficiency(t *testing.T) {
 	// Figures 3-6: J=10000 dominates J=1000 at every W and utilization.
 	for _, util := range []float64{0.01, 0.05, 0.1, 0.2} {
 		for _, w := range []int{10, 40, 80, 100} {
-			small := MustAnalyze(paperParams(t, 1000, w, util))
-			big := MustAnalyze(paperParams(t, 10000, w, util))
+			small := MustAnalyze(paperParams(t, 1000, w, util).Fleet())
+			big := MustAnalyze(paperParams(t, 10000, w, util).Fleet())
 			if big.WeightedEfficiency <= small.WeightedEfficiency {
 				t.Errorf("util=%v W=%d: J=10K weff %.4f not above J=1K %.4f",
 					util, w, big.WeightedEfficiency, small.WeightedEfficiency)
@@ -209,7 +209,7 @@ func TestHigherUtilizationLowerSpeedup(t *testing.T) {
 	for _, w := range []int{5, 50, 100} {
 		prev := math.Inf(1)
 		for _, util := range []float64{0.01, 0.05, 0.1, 0.2} {
-			r := MustAnalyze(paperParams(t, 1000, w, util))
+			r := MustAnalyze(paperParams(t, 1000, w, util).Fleet())
 			if r.Speedup >= prev {
 				t.Errorf("W=%d: speedup should fall with utilization", w)
 			}
@@ -234,7 +234,7 @@ func TestValidateRejectsBadParams(t *testing.T) {
 		if err := p.Validate(); err == nil {
 			t.Errorf("case %d: %+v should fail validation", i, p)
 		}
-		if _, err := Analyze(p); err == nil {
+		if _, err := Analyze(p.Fleet()); err == nil {
 			t.Errorf("case %d: Analyze should refuse %+v", i, p)
 		}
 	}
@@ -265,7 +265,7 @@ func TestTaskRatio(t *testing.T) {
 
 func TestAnalyzeInterpolatedAgreesAtIntegralT(t *testing.T) {
 	p := paperParams(t, 1000, 10, 0.1) // T = 100 exactly
-	a := MustAnalyze(p)
+	a := MustAnalyze(p.Fleet())
 	b, err := AnalyzeInterpolated(p)
 	if err != nil {
 		t.Fatal(err)
@@ -281,11 +281,11 @@ func TestAnalyzeInterpolatedBetweenNeighbors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, err := Analyze(Params{J: 999, W: 3, O: p.O, P: p.P}) // T = 333
+	lo, err := Analyze(Params{J: 999, W: 3, O: p.O, P: p.P}.Fleet()) // T = 333
 	if err != nil {
 		t.Fatal(err)
 	}
-	hi, err := Analyze(Params{J: 1002, W: 3, O: p.O, P: p.P}) // T = 334
+	hi, err := Analyze(Params{J: 1002, W: 3, O: p.O, P: p.P}.Fleet()) // T = 334
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,11 +301,11 @@ func TestMustAnalyzePanics(t *testing.T) {
 			t.Error("MustAnalyze should panic on invalid params")
 		}
 	}()
-	MustAnalyze(Params{})
+	MustAnalyze(Params{}.Fleet())
 }
 
 func TestMetricsRelationshipsHold(t *testing.T) {
-	r := MustAnalyze(paperParams(t, 1000, 60, 0.05))
+	r := MustAnalyze(paperParams(t, 1000, 60, 0.05).Fleet())
 	if math.Abs(r.Efficiency-r.Speedup/60) > 1e-12 {
 		t.Error("efficiency != speedup/W")
 	}

@@ -10,43 +10,35 @@ import "fmt"
 // largest W that still meets an efficiency target.
 
 // MaxWorkstations returns the largest W in [1, maxW] whose weighted
-// efficiency meets the target for a job of demand j on machines with owner
-// burst o and utilization util. If even W=1 misses the target, it returns
-// an error carrying the achievable efficiency.
-func MaxWorkstations(j, o, util, target float64, maxW int) (int, error) {
+// efficiency meets the target for a job of demand j with owner burst o on
+// the station template tiled cyclically to W stations (TileFleet), so the
+// mix is preserved as the fleet grows; the paper's question tiles a
+// one-group template, such as Params.Fleet().Stations. If even W=1 misses
+// the target, it returns an error carrying the achievable efficiency.
+func MaxWorkstations(j, o float64, template []FleetStation, target float64, maxW int) (int, error) {
 	if maxW < 1 {
 		return 0, fmt.Errorf("core: maxW must be >= 1, got %d", maxW)
 	}
 	if !(target > 0) || target > 1 {
 		return 0, fmt.Errorf("core: target weighted efficiency must be in (0,1], got %v", target)
 	}
-	// Memoize evaluations within this search: the bracket endpoints can be
-	// revisited (eff(maxW) when the whole range is feasible). Each probe has
-	// its own T = J/W, so the process-wide table memo only helps across
-	// calls that repeat a W, not between probes.
-	memo := make(map[int]float64)
-	eff := func(w int) (float64, error) {
-		if e, ok := memo[w]; ok {
-			return e, nil
-		}
-		p, err := ParamsFromUtilization(j, w, o, util)
-		if err != nil {
-			return 0, err
-		}
-		r, err := Analyze(p)
-		if err != nil {
-			return 0, err
-		}
-		memo[w] = r.WeightedEfficiency
-		return r.WeightedEfficiency, nil
+	maxW, err := PartitionLimit(j, template, maxW)
+	if err != nil {
+		return 0, err
 	}
-	// The discrete model needs T = J/W >= 1, which caps the usable system
-	// size at floor(J) regardless of maxW.
-	if util > 0 && float64(maxW) > j {
-		maxW = int(j)
-		if maxW < 1 {
-			return 0, fmt.Errorf("core: job demand %v is below one time unit", j)
+	// Each probe tiles into the same buffer: only its weighted efficiency
+	// outlives the probe.
+	stations := make([]FleetStation, 0, len(template))
+	eff := func(w int) (float64, error) {
+		var err error
+		if stations, err = tile(stations[:0], template, w); err != nil {
+			return 0, err
 		}
+		r, err := Analyze(Fleet{J: j, O: o, Stations: stations})
+		if err != nil {
+			return 0, err
+		}
+		return r.WeightedEfficiency, nil
 	}
 	one, err := eff(1)
 	if err != nil {
@@ -55,8 +47,12 @@ func MaxWorkstations(j, o, util, target float64, maxW int) (int, error) {
 	if one < target {
 		return 0, fmt.Errorf("core: even one workstation reaches only %.4f weighted efficiency (target %.4f)", one, target)
 	}
+	if maxW == 1 {
+		return 1, nil
+	}
 	// Weighted efficiency is monotone nonincreasing in W for fixed J
-	// (property-tested); binary search for the boundary.
+	// (property-tested); binary search for the boundary. Every probe is a
+	// distinct W, so nothing is evaluated twice.
 	lo, hi := 1, maxW // eff(lo) >= target
 	top, err := eff(maxW)
 	if err != nil {
@@ -80,27 +76,23 @@ func MaxWorkstations(j, o, util, target float64, maxW int) (int, error) {
 	return lo, nil
 }
 
-// PartitionPlan describes how to run a fixed-size job efficiently.
-type PartitionPlan struct {
-	W      int     // workstations to use
-	Result Result  // model output at that W
-	Target float64 // the efficiency target the plan meets
-}
-
-// PlanPartition runs MaxWorkstations and returns the full model output at
-// the chosen size.
-func PlanPartition(j, o, util, target float64, maxW int) (PartitionPlan, error) {
-	w, err := MaxWorkstations(j, o, util, target, maxW)
-	if err != nil {
-		return PartitionPlan{}, err
+// PartitionLimit caps a partition search's maxW at the largest fleet the
+// discrete model can describe for a job of demand j: every interruptible
+// station needs an effective task demand j/(w·speed) of at least one time
+// unit, so the fastest interruptible template station bounds w by
+// floor(j/speed). A template without interruptible stations is not capped.
+func PartitionLimit(j float64, template []FleetStation, maxW int) (int, error) {
+	fastest := 0.0
+	for _, s := range template {
+		if s.P > 0 {
+			fastest = max(fastest, s.speed())
+		}
 	}
-	p, err := ParamsFromUtilization(j, w, o, util)
-	if err != nil {
-		return PartitionPlan{}, err
+	if fastest > 0 && float64(maxW) > j/fastest {
+		maxW = int(j / fastest)
+		if maxW < 1 {
+			return 0, fmt.Errorf("core: job demand %v is below one time unit at the fleet's fastest interruptible station", j)
+		}
 	}
-	r, err := Analyze(p)
-	if err != nil {
-		return PartitionPlan{}, err
-	}
-	return PartitionPlan{W: w, Result: r, Target: target}, nil
+	return maxW, nil
 }

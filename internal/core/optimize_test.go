@@ -7,7 +7,7 @@ import (
 func TestMaxWorkstationsBoundary(t *testing.T) {
 	// J=2000, O=10, util 5%: from the taskratio example, weff crosses 0.8
 	// somewhere between 24 and 48 workstations.
-	w, err := MaxWorkstations(2000, 10, 0.05, 0.8, 200)
+	w, err := MaxWorkstations(2000, 10, paperStations(1, 0.05), 0.8, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -17,7 +17,7 @@ func TestMaxWorkstationsBoundary(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return MustAnalyze(p).WeightedEfficiency
+		return MustAnalyze(p.Fleet()).WeightedEfficiency
 	}
 	if at(w) < 0.8 {
 		t.Errorf("W=%d misses the target: %.4f", w, at(w))
@@ -29,7 +29,7 @@ func TestMaxWorkstationsBoundary(t *testing.T) {
 
 func TestMaxWorkstationsWholeRangeFeasible(t *testing.T) {
 	// An enormous job meets 80% everywhere up to maxW.
-	w, err := MaxWorkstations(1e6, 10, 0.05, 0.8, 100)
+	w, err := MaxWorkstations(1e6, 10, paperStations(1, 0.05), 0.8, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestMaxWorkstationsSingleStationIdentity(t *testing.T) {
 	// On one workstation weighted efficiency is exactly 1 — the identity
 	// (1-U)*E_t = T — so any target <= 1 is feasible at W=1, and a tiny job
 	// is simply capped at W = floor(J) by the T >= 1 constraint.
-	w, err := MaxWorkstations(10, 10, 0.3, 0.99, 100)
+	w, err := MaxWorkstations(10, 10, paperStations(1, 0.3), 0.99, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,23 +53,23 @@ func TestMaxWorkstationsSingleStationIdentity(t *testing.T) {
 
 func TestMaxWorkstationsSubUnitJob(t *testing.T) {
 	// A job below one time unit cannot be modelled at all.
-	if _, err := MaxWorkstations(0.5, 10, 0.3, 0.8, 100); err == nil {
+	if _, err := MaxWorkstations(0.5, 10, paperStations(1, 0.3), 0.8, 100); err == nil {
 		t.Error("sub-unit job should error")
 	}
 }
 
 func TestMaxWorkstationsValidation(t *testing.T) {
-	if _, err := MaxWorkstations(100, 10, 0.05, 0.8, 0); err == nil {
+	if _, err := MaxWorkstations(100, 10, paperStations(1, 0.05), 0.8, 0); err == nil {
 		t.Error("maxW=0 should fail")
 	}
-	if _, err := MaxWorkstations(100, 10, 0.05, 0, 10); err == nil {
+	if _, err := MaxWorkstations(100, 10, paperStations(1, 0.05), 0, 10); err == nil {
 		t.Error("target 0 should fail")
 	}
-	if _, err := MaxWorkstations(100, 10, 0.05, 1.5, 10); err == nil {
+	if _, err := MaxWorkstations(100, 10, paperStations(1, 0.05), 1.5, 10); err == nil {
 		t.Error("target > 1 should fail")
 	}
-	if _, err := MaxWorkstations(100, 10, 1.0, 0.8, 10); err == nil {
-		t.Error("bad utilization should propagate")
+	if _, err := MaxWorkstations(100, 10, []FleetStation{{P: 1.5, Count: 1}}, 0.8, 10); err == nil {
+		t.Error("bad request probability should propagate")
 	}
 }
 
@@ -83,7 +83,7 @@ func TestWeightedEffMonotoneInW(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eff := MustAnalyze(p).WeightedEfficiency
+		eff := MustAnalyze(p.Fleet()).WeightedEfficiency
 		if eff > prev+0.005 {
 			t.Fatalf("weighted efficiency rose at W=%d: %.5f after %.5f", w, eff, prev)
 		}
@@ -91,18 +91,50 @@ func TestWeightedEffMonotoneInW(t *testing.T) {
 	}
 }
 
+// TestPlanPartition: the plan a right-sizing caller builds — the template
+// tiled to MaxWorkstations' W, analyzed there — meets its own target.
 func TestPlanPartition(t *testing.T) {
-	plan, err := PlanPartition(2000, 10, 0.05, 0.8, 200)
+	template := paperStations(1, 0.05)
+	w, err := MaxWorkstations(2000, 10, template, 0.8, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Result.WeightedEfficiency < plan.Target {
-		t.Errorf("plan misses its own target: %.4f < %.4f", plan.Result.WeightedEfficiency, plan.Target)
+	if w < 1 || w > 200 {
+		t.Errorf("plan W = %d out of range", w)
 	}
-	if plan.W < 1 || plan.W > 200 {
-		t.Errorf("plan W = %d out of range", plan.W)
+	stations, err := TileFleet(template, w)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := PlanPartition(0.5, 10, 0.3, 0.99, 100); err == nil {
+	if r := MustAnalyze(Fleet{J: 2000, O: 10, Stations: stations}); r.WeightedEfficiency < 0.8 {
+		t.Errorf("plan misses its own target: %.4f < 0.8", r.WeightedEfficiency)
+	}
+	if _, err := MaxWorkstations(0.5, 10, paperStations(1, 0.3), 0.99, 100); err == nil {
 		t.Error("sub-unit job plan should error")
+	}
+}
+
+// TestPartitionLimit pins the one home of the partition clamp: the fastest
+// interruptible station needs at least one unit of effective task demand.
+func TestPartitionLimit(t *testing.T) {
+	for _, c := range []struct {
+		j        float64
+		template []FleetStation
+		maxW     int
+		want     int
+	}{
+		{j: 50, template: paperStations(1, 0.1), maxW: 200, want: 50},
+		{j: 50.9, template: paperStations(1, 0.1), maxW: 200, want: 50},
+		{j: 50, template: paperStations(1, 0.1), maxW: 20, want: 20},
+		{j: 50, template: paperStations(1, 0), maxW: 200, want: 200},
+		{j: 50, template: []FleetStation{{P: 0.1, Speed: 2, Count: 1}, {P: 0, Speed: 4, Count: 1}}, maxW: 200, want: 25},
+	} {
+		got, err := PartitionLimit(c.j, c.template, c.maxW)
+		if err != nil || got != c.want {
+			t.Errorf("PartitionLimit(%v, %v, %d) = %d, %v; want %d", c.j, c.template, c.maxW, got, err, c.want)
+		}
+	}
+	if _, err := PartitionLimit(0.5, paperStations(1, 0.3), 100); err == nil {
+		t.Error("sub-unit job should error")
 	}
 }

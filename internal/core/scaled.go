@@ -25,15 +25,24 @@ type ScaledPoint struct {
 }
 
 // ScaledSweep evaluates the scaled problem at each system size in ws,
-// holding the per-task demand t and owner parameters fixed. Because (T, P)
-// are constant across the sweep, every point consumes the same memoized
-// binomial table (tables.go); only the O(window) order-statistic fold is
-// per-W work.
-func ScaledSweep(t, o, util float64, ws []int) ([]ScaledPoint, error) {
+// holding the reference per-task demand t and the owner parameters fixed:
+// the station template is tiled cyclically to each size (TileFleet) and the
+// job demand is J = t·W. The paper's curve tiles a one-group template, such
+// as Params.Fleet().Stations. Because (T, P) are constant across a
+// homogeneous sweep, every point consumes the same memoized binomial table
+// (tables.go); only the O(window) order-statistic fold is per-W work.
+func ScaledSweep(t, o float64, template []FleetStation, ws []int) ([]ScaledPoint, error) {
 	if len(ws) == 0 {
 		return nil, fmt.Errorf("core: scaled sweep needs at least one system size")
 	}
-	base, err := scaledAt(t, o, util, 1)
+	at := func(w int) (Result, error) {
+		stations, err := tile(nil, template, w)
+		if err != nil {
+			return Result{}, err
+		}
+		return Analyze(Fleet{J: t * float64(w), O: o, Stations: stations})
+	}
+	base, err := at(1)
 	if err != nil {
 		return nil, err
 	}
@@ -42,7 +51,7 @@ func ScaledSweep(t, o, util float64, ws []int) ([]ScaledPoint, error) {
 		r := base // scaled sweeps usually include W=1: reuse the baseline solve
 		if w != 1 {
 			var err error
-			r, err = scaledAt(t, o, util, w)
+			r, err = at(w)
 			if err != nil {
 				return nil, err
 			}
@@ -55,33 +64,4 @@ func ScaledSweep(t, o, util float64, ws []int) ([]ScaledPoint, error) {
 		})
 	}
 	return out, nil
-}
-
-func scaledAt(t, o, util float64, w int) (Result, error) {
-	p, err := ParamsFromUtilization(t*float64(w), w, o, util)
-	if err != nil {
-		return Result{}, err
-	}
-	return Analyze(p)
-}
-
-// ScaledIncreaseAt returns the response-time increase of a scaled problem at
-// system size w against the dedicated baseline (the numbers quoted in the
-// paper's conclusions: +30% at 5% utilization and W=100, +71% at 20%).
-func ScaledIncreaseAt(t, o, util float64, w int) (float64, error) {
-	pts, err := ScaledSweep(t, o, util, []int{w})
-	if err != nil {
-		return 0, err
-	}
-	return pts[0].IncreaseVsDedicated, nil
-}
-
-// Scaleup reports how much more work the scaled system completes per unit
-// time than the single workstation: W·E_j(1)/E_j(W). Perfect memory-bounded
-// scaleup would be W.
-func Scaleup(pt ScaledPoint, base Result) float64 {
-	if pt.Result.EJob == 0 {
-		return 0
-	}
-	return float64(pt.W) * base.EJob / pt.Result.EJob
 }

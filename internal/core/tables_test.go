@@ -391,7 +391,7 @@ func TestAnalyzeParityOnFigureGrids(t *testing.T) {
 	check := func(p Params) {
 		t.Helper()
 		refTask, refJob := refAnalyze(p)
-		r := MustAnalyze(p)
+		r := MustAnalyze(p.Fleet())
 		if math.Abs(r.ETask-refTask) > 1e-9*refTask {
 			t.Errorf("J=%g W=%d P=%g: E_t %v vs reference %v", p.J, p.W, p.P, r.ETask, refTask)
 		}
@@ -439,7 +439,7 @@ func TestAnalyzeParityLargeT(t *testing.T) {
 			t.Fatal(err)
 		}
 		refTask, refJob := refAnalyze(p)
-		r := MustAnalyze(p)
+		r := MustAnalyze(p.Fleet())
 		if math.Abs(r.ETask-refTask) > 1e-9*refTask {
 			t.Errorf("J=%g W=%d: E_t %v vs reference %v", c.j, c.w, r.ETask, refTask)
 		}
@@ -461,7 +461,7 @@ func TestJobTimeDistributionCompactForLargeT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := JobTimeDistribution(p)
+	d, err := JobTimeDistribution(p.Fleet())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +471,7 @@ func TestJobTimeDistributionCompactForLargeT(t *testing.T) {
 	if len(d.Times) > 20000 {
 		t.Errorf("distribution has %d points; truncation should keep it O(√T)", len(d.Times))
 	}
-	ana := MustAnalyze(p)
+	ana := MustAnalyze(p.Fleet())
 	if math.Abs(d.Mean()-ana.EJob) > 1e-8*ana.EJob {
 		t.Errorf("windowed distribution mean %v vs E_j %v", d.Mean(), ana.EJob)
 	}

@@ -5,45 +5,45 @@ import (
 	"math"
 )
 
-// ThresholdQuery asks: on a system of W workstations each with owner burst
-// demand O and owner utilization Util, how large must the task ratio T/O be
-// for the parallel job to reach TargetWeightedEff weighted efficiency?
+// ThresholdQuery asks: on a fleet of these stations, each with owner burst
+// demand O, how large must the task ratio T/O be for the parallel job to
+// reach TargetWeightedEff weighted efficiency? The station mix is fixed and
+// the job demand J = ratio·O·W is searched.
 //
 // This is the paper's headline engineering result (Section 5): "the task
 // ratio should be at least 8 for a parallel job to achieve 80 percent of the
 // possible speedup ... for a utilization of 5 percent. At a utilization of
 // 10 percent the task ratio must be 13 or higher, and at a utilization of 20
-// percent the task ratio must be 20 or greater."
+// percent the task ratio must be 20 or greater." The paper's question is the
+// one-group fleet, Params.Fleet().Stations.
 type ThresholdQuery struct {
-	W                 int
+	Stations          []FleetStation
 	O                 float64
-	Util              float64
 	TargetWeightedEff float64
 }
 
 // Validate checks the query parameters.
 func (q ThresholdQuery) Validate() error {
 	switch {
-	case q.W < 1:
-		return fmt.Errorf("core: threshold query needs W >= 1, got %d", q.W)
+	case len(q.Stations) == 0:
+		return fmt.Errorf("core: threshold query needs at least one station group")
 	case !(q.O > 0):
 		return fmt.Errorf("core: threshold query needs O > 0, got %v", q.O)
-	case q.Util < 0 || q.Util >= 1:
-		return fmt.Errorf("core: threshold query needs utilization in [0,1), got %v", q.Util)
 	case !(q.TargetWeightedEff > 0) || q.TargetWeightedEff > 1:
 		return fmt.Errorf("core: target weighted efficiency must be in (0,1], got %v", q.TargetWeightedEff)
+	}
+	for i, s := range q.Stations {
+		if err := s.validate(i); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
-// weightedEffAtRatio evaluates weighted efficiency at task ratio r (T = r·O).
-func (q ThresholdQuery) weightedEffAtRatio(r float64) (float64, error) {
-	t := r * q.O
-	p, err := ParamsFromUtilization(t*float64(q.W), q.W, q.O, q.Util)
-	if err != nil {
-		return 0, err
-	}
-	res, err := Analyze(p)
+// weightedEffAtRatio evaluates weighted efficiency at task ratio r on a fleet
+// of w stations (J = r·O·w).
+func (q ThresholdQuery) weightedEffAtRatio(r float64, w int) (float64, error) {
+	res, err := Analyze(Fleet{J: r * q.O * float64(w), O: q.O, Stations: q.Stations})
 	if err != nil {
 		return 0, err
 	}
@@ -51,37 +51,37 @@ func (q ThresholdQuery) weightedEffAtRatio(r float64) (float64, error) {
 }
 
 // MinTaskRatio returns the smallest integer task ratio achieving the target
-// weighted efficiency, found by exponential-then-binary search. Weighted
-// efficiency is monotone nondecreasing in the task ratio (larger tasks
-// amortize each owner burst over more useful work), which the property tests
-// verify. maxRatio caps the search; if even maxRatio misses the target, an
-// error is returned. Each probe varies T (= ratio·O) at fixed P, so probes
-// within one search hit distinct (N, P) tables; the process-wide memo of
-// tables.go pays off across searches — repeated queries, ThresholdTable
-// rows at shared ratios, or a sweep running alongside.
-func (q ThresholdQuery) MinTaskRatio(maxRatio int) (int, error) {
-	ratio, _, err := q.minTaskRatioEff(maxRatio)
-	return ratio, err
-}
-
-// minTaskRatioEff is MinTaskRatio returning also the weighted efficiency
-// achieved at the returned ratio, so callers that report both (ThresholdTable,
-// Assess) do not re-solve the boundary point.
-func (q ThresholdQuery) minTaskRatioEff(maxRatio int) (int, float64, error) {
+// weighted efficiency, and the weighted efficiency achieved there, found by
+// exponential-then-binary search. Weighted efficiency is monotone
+// nondecreasing in the task ratio for a fixed mix (larger tasks amortize
+// each owner burst over more useful work), which the property tests verify.
+// maxRatio caps the search; if even maxRatio misses the target, an error is
+// returned. Each probe varies T (= ratio·O) at fixed P, so probes within one
+// search hit distinct (N, P) tables; the process-wide memo of tables.go pays
+// off across searches — repeated queries or a sweep running alongside.
+func (q ThresholdQuery) MinTaskRatio(maxRatio int) (int, float64, error) {
 	if err := q.Validate(); err != nil {
 		return 0, 0, err
 	}
 	if maxRatio < 1 {
 		return 0, 0, fmt.Errorf("core: maxRatio must be >= 1, got %d", maxRatio)
 	}
-	if q.Util == 0 {
-		return 1, 1, nil // dedicated system: any ratio achieves weighted eff 1
+	w := Fleet{Stations: q.Stations}.W()
+	if slowest, dedicated := q.dedicated(); dedicated {
+		// No owner ever interrupts, so E[job] = t/s_min and the weighted
+		// efficiency J/(W·E[job]) = s_min at every ratio: exactly 1 on the
+		// paper's dedicated system.
+		if slowest < q.TargetWeightedEff {
+			return 0, 0, fmt.Errorf("core: target weighted efficiency %.3f unreachable at any ratio: the dedicated fleet's slowest station caps it at %.4f",
+				q.TargetWeightedEff, slowest)
+		}
+		return 1, slowest, nil
 	}
 	// Exponential search for an upper bracket.
 	hi := 1
 	hiEff := 0.0
 	for {
-		eff, err := q.weightedEffAtRatio(float64(hi))
+		eff, err := q.weightedEffAtRatio(float64(hi), w)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -104,7 +104,7 @@ func (q ThresholdQuery) minTaskRatioEff(maxRatio int) (int, float64, error) {
 	}
 	for lo+1 < hi {
 		mid := (lo + hi) / 2
-		eff, err := q.weightedEffAtRatio(float64(mid))
+		eff, err := q.weightedEffAtRatio(float64(mid), w)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -117,27 +117,17 @@ func (q ThresholdQuery) minTaskRatioEff(maxRatio int) (int, float64, error) {
 	return hi, hiEff, nil
 }
 
-// ThresholdRow is one line of the conclusions table.
-type ThresholdRow struct {
-	Util        float64
-	MinRatio    int
-	WeightedEff float64 // achieved weighted efficiency at MinRatio
-}
-
-// ThresholdTable reproduces the conclusions table: for each utilization, the
-// minimum task ratio reaching the target weighted efficiency on a system of
-// w workstations with owner demand o.
-func ThresholdTable(w int, o, target float64, utils []float64) ([]ThresholdRow, error) {
-	rows := make([]ThresholdRow, 0, len(utils))
-	for _, u := range utils {
-		q := ThresholdQuery{W: w, O: o, Util: u, TargetWeightedEff: target}
-		ratio, eff, err := q.minTaskRatioEff(1 << 20)
-		if err != nil {
-			return nil, err
+// dedicated reports whether no station's owner ever interrupts, and the
+// slowest station speed.
+func (q ThresholdQuery) dedicated() (slowest float64, ok bool) {
+	slowest = math.Inf(1)
+	for _, s := range q.Stations {
+		if s.P > 0 {
+			return 0, false
 		}
-		rows = append(rows, ThresholdRow{Util: u, MinRatio: ratio, WeightedEff: eff})
+		slowest = min(slowest, s.speed())
 	}
-	return rows, nil
+	return slowest, true
 }
 
 // RequiredJobDemand converts a task-ratio threshold into the minimum total
@@ -146,37 +136,38 @@ func RequiredJobDemand(ratio int, o float64, w int) float64 {
 	return float64(ratio) * o * float64(w)
 }
 
-// FeasibilityVerdict classifies a parameter point against a target weighted
-// efficiency, for the advisor example.
+// FeasibilityVerdict classifies a fleet against a target weighted
+// efficiency.
 type FeasibilityVerdict struct {
 	Result
 	Target   float64
 	Feasible bool
-	// MinRatio is the threshold ratio at these (W, O, U); 0 when unreachable.
+	// MinRatio is the threshold ratio at this mix and O; 0 when the target
+	// is unreachable.
 	MinRatio int
-	// MinJobDemand is the smallest J meeting the target; +Inf when unreachable.
+	// MinJobDemand is the smallest J meeting the target at this mix; 0 when
+	// the target is unreachable.
 	MinJobDemand float64
 }
 
-// Assess runs the model and the threshold solver together.
-func Assess(p Params, target float64) (FeasibilityVerdict, error) {
-	res, err := Analyze(p)
+// Assess runs the model and the threshold search together. Without owner
+// bursts (O = 0) the task ratio is unbounded and the verdict prescribes
+// ratio 1 with no minimum job demand.
+func Assess(f Fleet, target float64) (FeasibilityVerdict, error) {
+	res, err := Analyze(f)
 	if err != nil {
 		return FeasibilityVerdict{}, err
 	}
 	v := FeasibilityVerdict{Result: res, Target: target, Feasible: res.WeightedEfficiency >= target}
-	if p.O > 0 && res.U > 0 {
-		q := ThresholdQuery{W: p.W, O: p.O, Util: res.U, TargetWeightedEff: target}
-		ratio, err := q.MinTaskRatio(1 << 20)
-		if err != nil {
-			v.MinJobDemand = math.Inf(1)
-			return v, nil
-		}
-		v.MinRatio = ratio
-		v.MinJobDemand = RequiredJobDemand(ratio, p.O, p.W)
-	} else {
+	if f.O == 0 {
 		v.MinRatio = 1
-		v.MinJobDemand = p.O * float64(p.W)
+		v.MinJobDemand = f.O * float64(res.W)
+		return v, nil
+	}
+	q := ThresholdQuery{Stations: f.Stations, O: f.O, TargetWeightedEff: target}
+	if ratio, _, err := q.MinTaskRatio(1 << 20); err == nil {
+		v.MinRatio = ratio
+		v.MinJobDemand = RequiredJobDemand(ratio, f.O, res.W)
 	}
 	return v, nil
 }

@@ -11,38 +11,49 @@ import (
 // 5 / 10 / 20% read off its Figure 7; the exact solve gives 8 / 12 / 18 —
 // within one plot-gridline of the paper (see EXPERIMENTS.md).
 func TestConclusionsTable(t *testing.T) {
-	rows, err := ThresholdTable(60, 10, 0.8, []float64{0.05, 0.1, 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := []int{8, 12, 18}
 	paper := []int{8, 13, 20}
-	for i, row := range rows {
-		if row.MinRatio != want[i] {
-			t.Errorf("util=%v: min ratio %d, want %d (paper read %d off Figure 7)",
-				row.Util, row.MinRatio, want[i], paper[i])
+	for i, util := range []float64{0.05, 0.1, 0.2} {
+		q := paperThreshold(60, util, 0.8)
+		ratio, weff, err := q.MinTaskRatio(1 << 20)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if row.WeightedEff < 0.8 {
-			t.Errorf("util=%v: achieved weighted efficiency %.4f below target", row.Util, row.WeightedEff)
+		if ratio != want[i] {
+			t.Errorf("util=%v: min ratio %d, want %d (paper read %d off Figure 7)",
+				util, ratio, want[i], paper[i])
+		}
+		if weff < 0.8 {
+			t.Errorf("util=%v: achieved weighted efficiency %.4f below target", util, weff)
 		}
 		// Minimality: one ratio lower must miss the target.
-		q := ThresholdQuery{W: 60, O: 10, Util: row.Util, TargetWeightedEff: 0.8}
-		below, err := q.weightedEffAtRatio(float64(row.MinRatio - 1))
+		below, err := q.weightedEffAtRatio(float64(ratio-1), 60)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if below >= 0.8 {
 			t.Errorf("util=%v: ratio %d already meets target; %d not minimal",
-				row.Util, row.MinRatio-1, row.MinRatio)
+				util, ratio-1, ratio)
 		}
 	}
+}
+
+// paperThreshold is the paper's threshold question: w stations with owner
+// burst demand O = 10 at owner utilization util (equation (8) inverted).
+func paperThreshold(w int, util, target float64) ThresholdQuery {
+	return ThresholdQuery{Stations: paperStations(w, util), O: 10, TargetWeightedEff: target}
+}
+
+// paperStations is the one-group fleet of w stations at owner utilization
+// util with O = 10.
+func paperStations(w int, util float64) []FleetStation {
+	return []FleetStation{{P: util / (10 * (1 - util)), Count: w}}
 }
 
 func TestThresholdMonotoneInUtilization(t *testing.T) {
 	prev := 0
 	for _, util := range []float64{0.01, 0.02, 0.05, 0.1, 0.15, 0.2, 0.3} {
-		q := ThresholdQuery{W: 60, O: 10, Util: util, TargetWeightedEff: 0.8}
-		ratio, err := q.MinTaskRatio(1 << 20)
+		ratio, _, err := paperThreshold(60, util, 0.8).MinTaskRatio(1 << 20)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,8 +68,7 @@ func TestThresholdMonotoneInSystemSize(t *testing.T) {
 	// Figure 8: "Sensitivity to the task ratio increases with system size."
 	prev := 0
 	for _, w := range []int{2, 4, 8, 20, 60, 100} {
-		q := ThresholdQuery{W: w, O: 10, Util: 0.1, TargetWeightedEff: 0.8}
-		ratio, err := q.MinTaskRatio(1 << 20)
+		ratio, _, err := paperThreshold(w, 0.1, 0.8).MinTaskRatio(1 << 20)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,10 +80,10 @@ func TestThresholdMonotoneInSystemSize(t *testing.T) {
 }
 
 func TestWeightedEffMonotoneInRatio(t *testing.T) {
-	q := ThresholdQuery{W: 60, O: 10, Util: 0.1, TargetWeightedEff: 0.8}
+	q := paperThreshold(60, 0.1, 0.8)
 	prev := 0.0
 	for r := 1; r <= 64; r *= 2 {
-		eff, err := q.weightedEffAtRatio(float64(r))
+		eff, err := q.weightedEffAtRatio(float64(r), 60)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,40 +95,43 @@ func TestWeightedEffMonotoneInRatio(t *testing.T) {
 }
 
 func TestThresholdDedicated(t *testing.T) {
-	q := ThresholdQuery{W: 10, O: 10, Util: 0, TargetWeightedEff: 0.99}
-	ratio, err := q.MinTaskRatio(100)
+	ratio, weff, err := paperThreshold(10, 0, 0.99).MinTaskRatio(100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ratio != 1 {
-		t.Errorf("dedicated system threshold = %d, want 1", ratio)
+	if ratio != 1 || weff != 1 {
+		t.Errorf("dedicated system threshold = %d at weighted efficiency %v, want 1 at exactly 1", ratio, weff)
 	}
 }
 
 func TestThresholdUnreachable(t *testing.T) {
 	// Target 1.0 weighted efficiency with interference on W>1 is impossible.
-	q := ThresholdQuery{W: 10, O: 10, Util: 0.2, TargetWeightedEff: 1.0}
-	if _, err := q.MinTaskRatio(64); err == nil {
+	if _, _, err := paperThreshold(10, 0.2, 1.0).MinTaskRatio(64); err == nil {
 		t.Error("unreachable target should error at maxRatio cap")
 	}
 }
 
 func TestThresholdQueryValidate(t *testing.T) {
 	bad := []ThresholdQuery{
-		{W: 0, O: 10, Util: 0.1, TargetWeightedEff: 0.8},
-		{W: 10, O: 0, Util: 0.1, TargetWeightedEff: 0.8},
-		{W: 10, O: 10, Util: 1.0, TargetWeightedEff: 0.8},
-		{W: 10, O: 10, Util: -0.1, TargetWeightedEff: 0.8},
-		{W: 10, O: 10, Util: 0.1, TargetWeightedEff: 0},
-		{W: 10, O: 10, Util: 0.1, TargetWeightedEff: 1.2},
+		{O: 10, TargetWeightedEff: 0.8},
+		paperThreshold(10, 0.1, 0.8),
+		paperThreshold(10, 0.1, 0),
+		paperThreshold(10, 0.1, 1.2),
 	}
+	bad[1].O = 0
 	for i, q := range bad {
 		if err := q.Validate(); err == nil {
 			t.Errorf("case %d should fail validation: %+v", i, q)
 		}
 	}
-	if _, err := (ThresholdQuery{W: 10, O: 10, Util: 0.1, TargetWeightedEff: 0.8}).MinTaskRatio(0); err == nil {
+	if _, _, err := paperThreshold(10, 0.1, 0.8).MinTaskRatio(0); err == nil {
 		t.Error("maxRatio 0 should be rejected")
+	}
+	for _, s := range []FleetStation{{P: 1.5, Count: 10}, {P: -0.1, Count: 10}, {P: 0.1, Count: 0}, {P: 0.1, Speed: -1, Count: 10}} {
+		q := ThresholdQuery{Stations: []FleetStation{s}, O: 10, TargetWeightedEff: 0.8}
+		if err := q.Validate(); err == nil {
+			t.Errorf("station %+v should be rejected", s)
+		}
 	}
 }
 
@@ -134,7 +147,7 @@ func TestAssessFeasibleAndNot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := Assess(big, 0.8)
+	v, err := Assess(big.Fleet(), 0.8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +167,7 @@ func TestAssessFeasibleAndNot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := Assess(small, 0.8)
+	v2, err := Assess(small.Fleet(), 0.8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,9 +178,18 @@ func TestAssessFeasibleAndNot(t *testing.T) {
 		t.Errorf("MinJobDemand %v should exceed current J %v", v2.MinJobDemand, small.J)
 	}
 
+	// Unreachable target: infeasible, and no prescription.
+	v4, err := Assess(small.Fleet(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v4.Feasible || v4.MinRatio != 0 || v4.MinJobDemand != 0 {
+		t.Errorf("unreachable verdict %+v: want infeasible with no prescription", v4)
+	}
+
 	// Dedicated system: trivially feasible with ratio 1.
 	ded := Params{J: 100, W: 4, O: 0, P: 0}
-	v3, err := Assess(ded, 0.9)
+	v3, err := Assess(ded.Fleet(), 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,18 +203,18 @@ func TestScaledSweepAgainstPaper(t *testing.T) {
 	// of 1/5/10/20% with T=100, O=10 (dedicated baseline; see scaled.go).
 	want := map[float64]float64{0.01: 0.14, 0.05: 0.30, 0.1: 0.44, 0.2: 0.71}
 	for util, inc := range want {
-		got, err := ScaledIncreaseAt(100, 10, util, 100)
+		pts, err := ScaledSweep(100, 10, paperStations(1, util), []int{100})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(got-inc) > 0.02 {
+		if got := pts[0].IncreaseVsDedicated; math.Abs(got-inc) > 0.02 {
 			t.Errorf("util=%v: scaled increase %.3f, paper %.2f", util, got, inc)
 		}
 	}
 }
 
 func TestScaledSweepShape(t *testing.T) {
-	pts, err := ScaledSweep(100, 10, 0.1, []int{1, 2, 5, 10, 20, 50, 100})
+	pts, err := ScaledSweep(100, 10, paperStations(1, 0.1), []int{1, 2, 5, 10, 20, 50, 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +239,7 @@ func TestScaledSweepShape(t *testing.T) {
 }
 
 func TestScaledTaskRatioConstant(t *testing.T) {
-	pts, err := ScaledSweep(100, 10, 0.05, []int{1, 10, 100})
+	pts, err := ScaledSweep(100, 10, paperStations(1, 0.05), []int{1, 10, 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,22 +251,26 @@ func TestScaledTaskRatioConstant(t *testing.T) {
 }
 
 func TestScaledSweepErrors(t *testing.T) {
-	if _, err := ScaledSweep(100, 10, 0.1, nil); err == nil {
+	if _, err := ScaledSweep(100, 10, paperStations(1, 0.1), nil); err == nil {
 		t.Error("empty sweep should error")
 	}
-	if _, err := ScaledSweep(100, 10, 1.0, []int{1}); err == nil {
-		t.Error("utilization 1.0 should error")
+	if _, err := ScaledSweep(100, 10, []FleetStation{{P: 1.5, Count: 1}}, []int{1}); err == nil {
+		t.Error("request probability 1.5 should error")
+	}
+	if _, err := ScaledSweep(100, 10, nil, []int{1}); err == nil {
+		t.Error("empty template should error")
 	}
 }
 
 func TestScaleup(t *testing.T) {
-	pts, err := ScaledSweep(100, 10, 0.1, []int{1, 100})
+	pts, err := ScaledSweep(100, 10, paperStations(1, 0.1), []int{1, 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := pts[0].Result
-	s := Scaleup(pts[1], base)
-	// Perfect scaleup would be 100; interference should cost 20-40%.
+	// Scaleup W·E_j(1)/E_j(W): how much more work the scaled system
+	// completes per unit time than one workstation. Perfect scaleup would
+	// be 100; interference should cost 20-40%.
+	s := float64(pts[1].W) * pts[0].Result.EJob / pts[1].Result.EJob
 	if s <= 50 || s >= 100 {
 		t.Errorf("scaleup at W=100, util 10%% = %v, expected in (50, 100)", s)
 	}

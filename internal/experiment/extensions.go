@@ -67,7 +67,7 @@ func extension01() Definition {
 			if err != nil {
 				return Output{}, err
 			}
-			ana, err := core.Analyze(p)
+			ana, err := core.Analyze(p.Fleet())
 			if err != nil {
 				return Output{}, err
 			}
@@ -149,7 +149,7 @@ func extension02() Definition {
 			if err != nil {
 				return Output{}, err
 			}
-			ana, err := core.Analyze(p)
+			ana, err := core.Analyze(p.Fleet())
 			if err != nil {
 				return Output{}, err
 			}

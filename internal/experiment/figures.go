@@ -48,7 +48,7 @@ func fixedSizeFigure(id, caption, yLabel string, j float64, sel metricSelector, 
 				if err != nil {
 					return Output{}, err
 				}
-				r, err := core.Analyze(p)
+				r, err := core.Analyze(p.Fleet())
 				if err != nil {
 					return Output{}, err
 				}
@@ -66,7 +66,7 @@ func analyzeAt(j float64, w int, util float64) (core.Result, error) {
 	if err != nil {
 		return core.Result{}, err
 	}
-	return core.Analyze(p)
+	return core.Analyze(p.Fleet())
 }
 
 func figure01() Definition {
@@ -225,7 +225,7 @@ func taskRatioFigure(id, caption string, w int, utils []float64, seriesName func
 				if err != nil {
 					return Output{}, err
 				}
-				r, err := core.Analyze(p)
+				r, err := core.Analyze(p.Fleet())
 				if err != nil {
 					return Output{}, err
 				}
@@ -401,7 +401,7 @@ func figure10() Definition {
 					if err != nil {
 						return Output{}, err
 					}
-					r, err := core.Analyze(p)
+					r, err := core.Analyze(p.Fleet())
 					if err != nil {
 						return Output{}, err
 					}

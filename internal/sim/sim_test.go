@@ -125,7 +125,7 @@ func TestValidationAgainstAnalysis(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ana := core.MustAnalyze(p)
+			ana := core.MustAnalyze(p.Fleet())
 			jb, tk := run.JobTime, run.MeanTask
 			jb.HalfWidth *= 1.6
 			tk.HalfWidth *= 1.6
@@ -283,7 +283,7 @@ func TestGeneralTracksAnalysisAtLowUtilization(t *testing.T) {
 	for _, s := range st.Samples {
 		sum.Add(s.JobTime)
 	}
-	ana := core.MustAnalyze(p)
+	ana := core.MustAnalyze(p.Fleet())
 	if rel := math.Abs(sum.Mean()-ana.EJob) / ana.EJob; rel > 0.05 {
 		t.Errorf("general model mean job time %.2f vs analysis %.2f (rel %.3f)",
 			sum.Mean(), ana.EJob, rel)

@@ -35,44 +35,15 @@ type reportFn func(ctx context.Context, s Scenario) (Report, error)
 // probes. 0 means no guess (the analytic solver could not place the
 // boundary within maxRatio), preserving the cold full search.
 func analyticThresholdGuess(q ThresholdQuery, maxRatio int) int {
-	if len(q.Stations) > 0 {
-		stations, err := tiledFleetStations(q.Stations, q.O, q.W)
-		if err != nil {
-			return 0
-		}
-		fq := core.FleetThresholdQuery{Stations: stations, O: q.O, TargetWeightedEff: q.TargetEff}
-		g, err := fq.MinTaskRatio(maxRatio)
-		if err != nil || g < 1 {
-			return 0
-		}
-		return g
+	cq, err := q.search()
+	if err != nil {
+		return 0
 	}
-	cq := core.ThresholdQuery{W: q.W, O: q.O, Util: q.Util, TargetWeightedEff: q.TargetEff}
-	g, err := cq.MinTaskRatio(maxRatio)
+	g, _, err := cq.MinTaskRatio(maxRatio)
 	if err != nil || g < 1 {
 		return 0
 	}
 	return g
-}
-
-// tiledFleetStations resolves and tiles a query's station template to
-// exactly w stations in core form.
-func tiledFleetStations(specs []StationSpec, o float64, w int) ([]core.FleetStation, error) {
-	template, err := fleetTemplate(specs, o)
-	if err != nil {
-		return nil, err
-	}
-	return core.TileFleet(template, w)
-}
-
-// tiledStationSpecs is tiledFleetStations lifted back to scenario specs, for
-// building heterogeneous probe scenarios.
-func tiledStationSpecs(specs []StationSpec, o float64, w int) ([]StationSpec, error) {
-	tiled, err := tiledFleetStations(specs, o, w)
-	if err != nil {
-		return nil, err
-	}
-	return stationSpecs(tiled), nil
 }
 
 // bisectThreshold finds the smallest integer task ratio in [1, maxRatio]
@@ -96,7 +67,7 @@ func bisectThreshold(ctx context.Context, backend string, q ThresholdQuery, maxR
 	var tiled []StationSpec
 	if len(q.Stations) > 0 {
 		var err error
-		if tiled, err = tiledStationSpecs(q.Stations, q.O, q.W); err != nil {
+		if tiled, err = tiledSpecs(q.Stations, q.O, q.W); err != nil {
 			return nil, err
 		}
 	}
@@ -221,22 +192,15 @@ func bisectThreshold(ctx context.Context, backend string, q ThresholdQuery, maxR
 // identically on either path. 0 means no guess (the analytic solver refused
 // the point), preserving the cold full search.
 func analyticPartitionGuess(q PartitionQuery) int {
-	if len(q.Stations) > 0 {
-		template, err := fleetTemplate(q.Stations, q.O)
-		if err != nil {
-			return 0
-		}
-		w, err := core.MaxFleetWorkstations(q.J, q.O, template, q.TargetEff, q.MaxW)
-		if err != nil || w < 1 {
-			return 0
-		}
-		return w
-	}
-	plan, err := core.PlanPartition(q.J, q.O, q.Util, q.TargetEff, q.MaxW)
-	if err != nil || plan.W < 1 {
+	template, err := stationTemplate(q.Stations, q.O, q.Util)
+	if err != nil {
 		return 0
 	}
-	return plan.W
+	w, err := core.MaxWorkstations(q.J, q.O, template, q.TargetEff, q.MaxW)
+	if err != nil || w < 1 {
+		return 0
+	}
+	return w
 }
 
 // bisectPartition finds the largest W in [1, maxW] whose simulated weighted
@@ -245,59 +209,23 @@ func analyticPartitionGuess(q PartitionQuery) int {
 // target, guess+1 misses) and only falls back to the full bracket plus
 // binary search when the empirical boundary disagrees.
 func bisectPartition(ctx context.Context, backend string, q PartitionQuery, warmStart int, probe reportFn) (Answer, error) {
-	maxW := q.MaxW
-	// The aggregate scenario form needs T = J/W >= 1, capping the usable
-	// system size at floor(J) — the same clamp as core.MaxWorkstations.
-	if q.Util > 0 && float64(maxW) > q.J {
-		maxW = int(q.J)
-		if maxW < 1 {
-			return nil, fmt.Errorf("solve: job demand %v is below one time unit", q.J)
-		}
+	// The model's fleet-size cap, shared with the analytic search.
+	template, err := stationTemplate(q.Stations, q.O, q.Util)
+	if err != nil {
+		return nil, err
 	}
-	if len(q.Stations) > 0 {
-		// Heterogeneous template: the model needs every interruptible
-		// station's effective demand J/(w·speed) >= 1, the same clamp as
-		// core.MaxFleetWorkstations.
-		maxSpeed := 0.0
-		for _, ss := range q.Stations {
-			p, err := ss.resolveP(q.O)
-			if err != nil {
-				return nil, err
-			}
-			speed := ss.Speed
-			if speed == 0 {
-				speed = 1
-			}
-			if p > 0 && speed > maxSpeed {
-				maxSpeed = speed
-			}
-		}
-		if maxSpeed > 0 && float64(maxW) > q.J/maxSpeed {
-			maxW = int(q.J / maxSpeed)
-			if maxW < 1 {
-				return nil, fmt.Errorf("solve: job demand %v is below one effective time unit at the template's fastest station", q.J)
-			}
-		}
+	maxW, err := core.PartitionLimit(q.J, template, q.MaxW)
+	if err != nil {
+		return nil, err
 	}
 	root := rng.NewStream(q.Seed)
 	probes, samples := 0, int64(0)
 	eval := func(w int) (Report, error) {
-		sc := Scenario{
-			Name:      fmt.Sprintf("partition/w%d", w),
-			J:         q.J,
-			W:         w,
-			O:         q.O,
-			Util:      q.Util,
-			TargetEff: q.TargetEff,
-			Seed:      root.Split(uint64(w)).Uint64(),
+		sc, err := q.scenario(fmt.Sprintf("partition/w%d", w), w)
+		if err != nil {
+			return Report{}, err
 		}
-		if len(q.Stations) > 0 {
-			tiled, err := tiledStationSpecs(q.Stations, q.O, w)
-			if err != nil {
-				return Report{}, err
-			}
-			sc.Stations = tiled
-		}
+		sc.Seed = root.Split(uint64(w)).Uint64()
 		r, err := probe(ctx, sc)
 		if err != nil {
 			return Report{}, fmt.Errorf("solve: partition probe at W=%d: %w", w, err)

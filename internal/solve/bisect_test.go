@@ -96,7 +96,7 @@ func TestThresholdWarmStartRespectsDedicated(t *testing.T) {
 
 // TestPartitionWarmStartCutsProbes is the threshold pin's mirror for the
 // right-sizing search (the ROADMAP carry-forward): warm-starting the
-// empirical partition bisection from core.PlanPartition must confirm the
+// empirical partition bisection from core.MaxWorkstations must confirm the
 // boundary in exactly two probes, agree with the cold search, and cut the
 // probe count by at least 3×. The probe is again the analytic report, so the
 // measured curve is deterministic and exactly monotone in W.

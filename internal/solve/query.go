@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"os"
+
+	"feasim/internal/core"
 )
 
 // The paper asks more than one kind of question. PR 1's Scenario/Report pair
@@ -123,8 +125,7 @@ func (q ReportQuery) Validate() error { return q.Scenario.Validate() }
 // each probe point (weighted efficiency is nondecreasing in the ratio).
 // With a Stations template the query searches a *heterogeneous* fleet:
 // the template (model-form per-station p/util/speed) is tiled cyclically
-// to W stations, Util must stay zero, and only the analytic backend
-// answers (through the Poisson-binomial fleet kernel).
+// to W stations, Util must stay zero, and the exact backend refuses it.
 type ThresholdQuery struct {
 	W         int     `json:"w"`
 	O         float64 `json:"o"`
@@ -177,15 +178,29 @@ func (q ThresholdQuery) maxRatio(def int) int {
 	return def
 }
 
+// search lowers the query onto the core threshold search: the station
+// template, or the aggregate form's one-station template, tiled to W.
+func (q ThresholdQuery) search() (core.ThresholdQuery, error) {
+	template, err := stationTemplate(q.Stations, q.O, q.Util)
+	if err != nil {
+		return core.ThresholdQuery{}, err
+	}
+	stations, err := core.TileFleet(template, q.W)
+	if err != nil {
+		return core.ThresholdQuery{}, err
+	}
+	return core.ThresholdQuery{Stations: stations, O: q.O, TargetWeightedEff: q.TargetEff}, nil
+}
+
 // ---- partition ----
 
 // PartitionQuery right-sizes a cluster for a fixed job: the largest W in
 // [1, MaxW] at which a job of total demand J still meets the target weighted
-// efficiency. The analytic backend wraps the exact PlanPartition solver; the
-// DES backend answers empirically by a monotone bisection over W (weighted
-// efficiency is nonincreasing in W at fixed J).
-// With a Stations template the search is heterogeneous: the template is
-// tiled to each probed W (analytic backend only), and Util must stay zero.
+// efficiency. The analytic backend answers with the exact right-sizing
+// search (core.MaxWorkstations); the DES backend answers empirically by a
+// monotone bisection over W (weighted efficiency is nonincreasing in W at
+// fixed J). With a Stations template the search is heterogeneous: the
+// template is tiled to each probed W, and Util must stay zero.
 type PartitionQuery struct {
 	J         float64 `json:"j"`
 	O         float64 `json:"o"`
@@ -223,6 +238,20 @@ func (q PartitionQuery) Validate() error {
 		return fmt.Errorf("solve: partition query with a station template needs o > 0, got %v", q.O)
 	}
 	return validateStationTemplate(q.Stations, q.O)
+}
+
+// scenario is the report scenario at fleet size w: the aggregate form, or
+// the station template tiled to w stations.
+func (q PartitionQuery) scenario(name string, w int) (Scenario, error) {
+	sc := Scenario{Name: name, J: q.J, W: w, O: q.O, Util: q.Util, TargetEff: q.TargetEff}
+	if len(q.Stations) > 0 {
+		tiled, err := tiledSpecs(q.Stations, q.O, w)
+		if err != nil {
+			return Scenario{}, err
+		}
+		sc.Stations = tiled
+	}
+	return sc, nil
 }
 
 // ---- distribution ----

@@ -8,7 +8,10 @@
 //
 // The three backends adapt the existing layers:
 //
-//   - "analytic" wraps core.Analyze/Assess — the paper's equations (1)-(8).
+//   - "analytic" asks every question of one core.Fleet — the scenario's
+//     (Scenario.Fleet) or a query's station template — through
+//     core.Analyze/Assess and the core searches: the paper's equations
+//     (1)-(8) and their per-station generalization.
 //   - "exact" wraps sim.Exact under the batch-means Protocol — the paper's
 //     CSIM validation study.
 //   - "des" wraps sim.General — the engine that drops the model's
@@ -296,10 +299,16 @@ func (s Scenario) validateHeterogeneous() error {
 	return f.Validate()
 }
 
-// Fleet lowers a heterogeneous scenario onto the core fleet kernel.
+// Fleet lowers the scenario onto the core fleet the analytic backend asks:
+// a heterogeneous scenario's stations, or the aggregate form's one-group
+// fleet (Params().Fleet()).
 func (s Scenario) Fleet() (core.Fleet, error) {
 	if !s.Heterogeneous() {
-		return core.Fleet{}, fmt.Errorf("solve: scenario %q is not a heterogeneous fleet", s.Name)
+		p, err := s.Params()
+		if err != nil {
+			return core.Fleet{}, err
+		}
+		return p.Fleet(), nil
 	}
 	f := core.Fleet{J: s.J, O: s.O}
 	for i, ss := range s.Stations {
@@ -384,9 +393,13 @@ func validateStationTemplate(specs []StationSpec, o float64) error {
 	return nil
 }
 
-// fleetTemplate lowers a station template onto the core fleet kernel's
-// station groups.
-func fleetTemplate(specs []StationSpec, o float64) ([]core.FleetStation, error) {
+// stationTemplate lowers a threshold/partition/scaled query's owner
+// description onto core station groups: the model-form template, or for the
+// aggregate form one reference-speed station at utilization util.
+func stationTemplate(specs []StationSpec, o, util float64) ([]core.FleetStation, error) {
+	if len(specs) == 0 {
+		specs = []StationSpec{{Util: util, Speed: 1}}
+	}
 	if err := validateStationTemplate(specs, o); err != nil {
 		return nil, err
 	}
@@ -398,15 +411,23 @@ func fleetTemplate(specs []StationSpec, o float64) ([]core.FleetStation, error) 
 	return out, nil
 }
 
-// stationSpecs lifts core fleet station groups back into scenario specs —
-// the inverse of fleetTemplate, used to restate a tiled fleet as a
-// heterogeneous Scenario.
-func stationSpecs(stations []core.FleetStation) []StationSpec {
-	out := make([]StationSpec, 0, len(stations))
-	for _, s := range stations {
+// tiledSpecs tiles a model-form station template to exactly w stations and
+// restates the canonical result as scenario specs, the form the simulation
+// probes and the partition report carry.
+func tiledSpecs(specs []StationSpec, o float64, w int) ([]StationSpec, error) {
+	template, err := stationTemplate(specs, o, 0)
+	if err != nil {
+		return nil, err
+	}
+	tiled, err := core.TileFleet(template, w)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]StationSpec, 0, len(tiled))
+	for _, s := range tiled {
 		out = append(out, StationSpec{P: s.P, Speed: s.Speed, Count: s.Count})
 	}
-	return out
+	return out, nil
 }
 
 // Validate checks the scenario for internal consistency.

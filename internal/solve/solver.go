@@ -242,7 +242,9 @@ func (a Analytic) Answer(ctx context.Context, q Query) (Answer, error) {
 	}
 }
 
-// report is the ReportQuery body (PR 1's Solve).
+// report is the ReportQuery body: the scenario's fleet through the model,
+// plus the threshold search when it sets a target and the job-time
+// distribution when it sets a deadline.
 func (a Analytic) report(ctx context.Context, s Scenario) (Report, error) {
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
@@ -251,62 +253,11 @@ func (a Analytic) report(ctx context.Context, s Scenario) (Report, error) {
 	if err := s.Validate(); err != nil {
 		return Report{}, err
 	}
-	if s.Heterogeneous() {
-		r, err := a.fleetReport(s)
-		if err != nil {
-			return Report{}, err
-		}
-		r.Elapsed = time.Since(start)
-		return r, nil
-	}
-	p, err := s.Params()
-	if err != nil {
-		return Report{}, err
-	}
-	res, err := core.Analyze(p)
-	if err != nil {
-		return Report{}, err
-	}
-	r := Report{
-		Scenario:           s,
-		Backend:            BackendAnalytic,
-		W:                  p.W,
-		U:                  res.U,
-		EJob:               res.EJob,
-		ETask:              res.ETask,
-		TaskRatio:          res.Metrics.TaskRatio,
-		Speedup:            res.Speedup,
-		Efficiency:         res.Efficiency,
-		WeightedEfficiency: res.WeightedEfficiency,
-	}
-	if s.TargetEff > 0 {
-		v, err := core.Assess(p, s.TargetEff)
-		if err != nil {
-			return Report{}, err
-		}
-		r.Feasible = &v.Feasible
-		r.MinRatio = v.MinRatio
-		r.MinJobDemand = v.MinJobDemand
-	}
-	if s.Deadline > 0 {
-		prob, err := core.DeadlineProb(p, s.Deadline)
-		if err != nil {
-			return Report{}, err
-		}
-		r.DeadlineProb = &prob
-	}
-	r.Elapsed = time.Since(start)
-	return r, nil
-}
-
-// fleetReport answers a heterogeneous (model-form fleet) scenario through
-// the Poisson-binomial fleet kernel.
-func (Analytic) fleetReport(s Scenario) (Report, error) {
 	f, err := s.Fleet()
 	if err != nil {
 		return Report{}, err
 	}
-	res, err := core.AnalyzeFleet(f)
+	res, err := core.Analyze(f)
 	if err != nil {
 		return Report{}, err
 	}
@@ -323,7 +274,7 @@ func (Analytic) fleetReport(s Scenario) (Report, error) {
 		WeightedEfficiency: res.WeightedEfficiency,
 	}
 	if s.TargetEff > 0 {
-		v, err := core.AssessFleet(f, s.TargetEff)
+		v, err := core.Assess(f, s.TargetEff)
 		if err != nil {
 			return Report{}, err
 		}
@@ -332,126 +283,64 @@ func (Analytic) fleetReport(s Scenario) (Report, error) {
 		r.MinJobDemand = v.MinJobDemand
 	}
 	if s.Deadline > 0 {
-		prob, err := core.FleetDeadlineProb(f, s.Deadline)
+		prob, err := core.DeadlineProb(f, s.Deadline)
 		if err != nil {
 			return Report{}, err
 		}
 		r.DeadlineProb = &prob
 	}
+	r.Elapsed = time.Since(start)
 	return r, nil
 }
 
-// threshold answers a ThresholdQuery with the exact solver.
+// threshold answers a ThresholdQuery with the exact search.
 func (Analytic) threshold(q ThresholdQuery) (Answer, error) {
-	if len(q.Stations) > 0 {
-		template, err := fleetTemplate(q.Stations, q.O)
-		if err != nil {
-			return nil, err
-		}
-		stations, err := core.TileFleet(template, q.W)
-		if err != nil {
-			return nil, err
-		}
-		fq := core.FleetThresholdQuery{Stations: stations, O: q.O, TargetWeightedEff: q.TargetEff}
-		ratio, err := fq.MinTaskRatio(q.maxRatio(DefaultMaxRatio))
-		if err != nil {
-			return nil, err
-		}
-		ans := ThresholdAnswer{
-			Backend:      BackendAnalytic,
-			MinRatio:     ratio,
-			MinJobDemand: core.RequiredJobDemand(ratio, q.O, q.W),
-		}
-		res, err := core.AnalyzeFleet(core.Fleet{J: ans.MinJobDemand, O: q.O, Stations: stations})
-		if err != nil {
-			return nil, err
-		}
-		ans.AchievedWeff = res.WeightedEfficiency
-		return ans, nil
-	}
-	cq := core.ThresholdQuery{W: q.W, O: q.O, Util: q.Util, TargetWeightedEff: q.TargetEff}
-	ratio, err := cq.MinTaskRatio(q.maxRatio(DefaultMaxRatio))
+	cq, err := q.search()
 	if err != nil {
 		return nil, err
 	}
-	ans := ThresholdAnswer{
+	ratio, weff, err := cq.MinTaskRatio(q.maxRatio(DefaultMaxRatio))
+	if err != nil {
+		return nil, err
+	}
+	return ThresholdAnswer{
 		Backend:      BackendAnalytic,
 		MinRatio:     ratio,
 		MinJobDemand: core.RequiredJobDemand(ratio, q.O, q.W),
-		AchievedWeff: 1,
-	}
-	if q.Util > 0 {
-		p, err := core.ParamsFromUtilization(ans.MinJobDemand, q.W, q.O, q.Util)
-		if err != nil {
-			return nil, err
-		}
-		res, err := core.Analyze(p)
-		if err != nil {
-			return nil, err
-		}
-		ans.AchievedWeff = res.WeightedEfficiency
-	}
-	return ans, nil
+		AchievedWeff: weff,
+	}, nil
 }
 
-// partition answers a PartitionQuery with the exact right-sizing solver and
+// partition answers a PartitionQuery with the exact right-sizing search and
 // reports the full model output at the chosen size.
 func (a Analytic) partition(ctx context.Context, q PartitionQuery) (Answer, error) {
-	if len(q.Stations) > 0 {
-		template, err := fleetTemplate(q.Stations, q.O)
-		if err != nil {
-			return nil, err
-		}
-		w, err := core.MaxFleetWorkstations(q.J, q.O, template, q.TargetEff, q.MaxW)
-		if err != nil {
-			return nil, err
-		}
-		tiled, err := core.TileFleet(template, w)
-		if err != nil {
-			return nil, err
-		}
-		r, err := a.report(ctx, Scenario{
-			Name: "partition", J: q.J, W: w, O: q.O, TargetEff: q.TargetEff,
-			Stations: stationSpecs(tiled),
-		})
-		if err != nil {
-			return nil, err
-		}
-		return PartitionAnswer{Backend: BackendAnalytic, W: w, Report: r}, nil
-	}
-	plan, err := core.PlanPartition(q.J, q.O, q.Util, q.TargetEff, q.MaxW)
+	template, err := stationTemplate(q.Stations, q.O, q.Util)
 	if err != nil {
 		return nil, err
 	}
-	r, err := a.report(ctx, Scenario{
-		Name: "partition", J: q.J, W: plan.W, O: q.O, Util: q.Util, TargetEff: q.TargetEff,
-	})
+	w, err := core.MaxWorkstations(q.J, q.O, template, q.TargetEff, q.MaxW)
 	if err != nil {
 		return nil, err
 	}
-	return PartitionAnswer{Backend: BackendAnalytic, W: plan.W, Report: r}, nil
+	sc, err := q.scenario("partition", w)
+	if err != nil {
+		return nil, err
+	}
+	r, err := a.report(ctx, sc)
+	if err != nil {
+		return nil, err
+	}
+	return PartitionAnswer{Backend: BackendAnalytic, W: w, Report: r}, nil
 }
 
 // distribution answers a DistributionQuery exactly from the model's
 // discrete job-time distribution.
 func (Analytic) distribution(q DistributionQuery) (Answer, error) {
-	var (
-		d   core.TimeDistribution
-		err error
-	)
-	if q.Scenario.Heterogeneous() {
-		var f core.Fleet
-		if f, err = q.Scenario.Fleet(); err != nil {
-			return nil, err
-		}
-		d, err = core.FleetJobTimeDistribution(f)
-	} else {
-		var p core.Params
-		if p, err = q.Scenario.Params(); err != nil {
-			return nil, err
-		}
-		d, err = core.JobTimeDistribution(p)
+	f, err := q.Scenario.Fleet()
+	if err != nil {
+		return nil, err
 	}
+	d, err := core.JobTimeDistribution(f)
 	if err != nil {
 		return nil, err
 	}
@@ -472,28 +361,11 @@ func (Analytic) distribution(q DistributionQuery) (Answer, error) {
 
 // scaled answers a ScaledQuery with the exact scaled-problem sweep.
 func (Analytic) scaled(q ScaledQuery) (Answer, error) {
-	if len(q.Stations) > 0 {
-		template, err := fleetTemplate(q.Stations, q.O)
-		if err != nil {
-			return nil, err
-		}
-		pts, err := core.ScaledFleetSweep(q.T, q.O, template, q.Ws)
-		if err != nil {
-			return nil, err
-		}
-		ans := ScaledAnswer{Backend: BackendAnalytic, Points: make([]ScaledResultPoint, 0, len(pts))}
-		for _, pt := range pts {
-			ans.Points = append(ans.Points, ScaledResultPoint{
-				W:                   pt.W,
-				EJob:                pt.Result.EJob,
-				IncreaseVsDedicated: pt.IncreaseVsDedicated,
-				IncreaseVsSingle:    pt.IncreaseVsSingle,
-				WeightedEff:         pt.Result.WeightedEfficiency,
-			})
-		}
-		return ans, nil
+	template, err := stationTemplate(q.Stations, q.O, q.Util)
+	if err != nil {
+		return nil, err
 	}
-	pts, err := core.ScaledSweep(q.T, q.O, q.Util, q.Ws)
+	pts, err := core.ScaledSweep(q.T, q.O, template, q.Ws)
 	if err != nil {
 		return nil, err
 	}

@@ -211,7 +211,7 @@ func (qs *QuasiStatic) stationaryEJob(u float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	res, err := core.Analyze(p)
+	res, err := core.Analyze(p.Fleet())
 	if err != nil {
 		return 0, err
 	}

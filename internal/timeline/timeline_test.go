@@ -119,7 +119,7 @@ func TestQuasiStaticUniformIsStationary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Analyze(params)
+	res, err := core.Analyze(params.Fleet())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -334,39 +334,105 @@ func TestExactRefusesHeterogeneous(t *testing.T) {
 // TestDegenerateFleetBitExact pins the collapse contract: a fleet whose
 // stations all resolve to the same (p, speed) must reproduce the aggregate
 // homogeneous answer bit-for-bit, whatever the spelling — split groups,
-// util-vs-p forms, or explicit reference speed.
+// util-vs-p forms, or explicit reference speed — for every analytic kind a
+// fleet can ask: report and distribution over the scenario's stations, and
+// the threshold, partition and scaled searches over a station template.
 func TestDegenerateFleetBitExact(t *testing.T) {
 	ctx := context.Background()
 	analytic := feasim.NewAnalyticSolver()
 	hom := feasim.Scenario{Name: "parity", J: 400, W: 4, O: 10, Util: 0.05, Seed: 1993}
 
-	ref, err := analytic.Answer(ctx, feasim.ReportQuery{Scenario: hom})
-	if err != nil {
-		t.Fatalf("homogeneous reference: %v", err)
-	}
-	want := ref.(feasim.ReportAnswer).Report
-	want.Elapsed = 0
-
-	spellings := map[string][]feasim.StationSpec{
+	// Fleet spellings of hom's four stations, for the scenario kinds.
+	fleets := map[string][]feasim.StationSpec{
 		"one group":   {{Util: 0.05, Count: 4}},
 		"split 2+2":   {{Util: 0.05, Count: 2}, {Util: 0.05, Count: 2}},
 		"split 1+3":   {{Util: 0.05, Count: 1}, {Util: 0.05, Count: 3}},
 		"unit speed":  {{Util: 0.05, Speed: 1, Count: 4}},
 		"unit counts": {{Util: 0.05}, {Util: 0.05}, {Util: 0.05}, {Util: 0.05}},
 	}
-	for name, stations := range spellings {
-		sc := feasim.Scenario{Name: "parity", J: 400, O: 10, Seed: 1993, Stations: stations}
-		ans, err := analytic.Answer(ctx, feasim.ReportQuery{Scenario: sc})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+	// Template spellings of the aggregate util, for the search kinds: any
+	// one-group template tiles to the same fleet at every size.
+	templates := map[string][]feasim.StationSpec{
+		"one station": {{Util: 0.05}},
+		"three":       {{Util: 0.05, Count: 3}},
+		"split 1+2":   {{Util: 0.05, Count: 1}, {Util: 0.05, Count: 2}},
+		"unit speed":  {{Util: 0.05, Speed: 1}},
+	}
+	// stripEcho clears what legitimately differs between spellings: the
+	// echoed query scenario and the wall-clock time.
+	stripEcho := func(a feasim.Answer) feasim.Answer {
+		switch v := a.(type) {
+		case feasim.ReportAnswer:
+			v.Report.Scenario, v.Report.Elapsed = feasim.Scenario{}, 0
+			return v
+		case feasim.PartitionAnswer:
+			v.Report.Scenario, v.Report.Elapsed = feasim.Scenario{}, 0
+			return v
+		case feasim.DistributionAnswer:
+			v.Scenario = feasim.Scenario{}
+			return v
 		}
-		got := ans.(feasim.ReportAnswer).Report
-		got.Elapsed = 0
-		// The embedded scenario echoes the query's own spelling; every
-		// derived number must match the homogeneous answer bit-for-bit.
-		got.Scenario, want.Scenario = feasim.Scenario{}, feasim.Scenario{}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: degenerate fleet report %+v differs from homogeneous %+v", name, got, want)
+		return a
+	}
+	type row struct {
+		aggregate feasim.Query
+		spelled   func(stations []feasim.StationSpec) feasim.Query
+		spellings map[string][]feasim.StationSpec
+	}
+	rows := map[string]row{
+		feasim.KindReport: {
+			aggregate: feasim.ReportQuery{Scenario: hom},
+			spelled: func(st []feasim.StationSpec) feasim.Query {
+				return feasim.ReportQuery{Scenario: feasim.Scenario{Name: "parity", J: 400, O: 10, Seed: 1993, Stations: st}}
+			},
+			spellings: fleets,
+		},
+		feasim.KindDistribution: {
+			aggregate: feasim.DistributionQuery{Scenario: hom, Deadlines: []float64{120, 150}},
+			spelled: func(st []feasim.StationSpec) feasim.Query {
+				return feasim.DistributionQuery{
+					Scenario:  feasim.Scenario{Name: "parity", J: 400, O: 10, Seed: 1993, Stations: st},
+					Deadlines: []float64{120, 150},
+				}
+			},
+			spellings: fleets,
+		},
+		feasim.KindThreshold: {
+			aggregate: feasim.ThresholdQuery{W: 60, O: 10, Util: 0.05, TargetEff: 0.8},
+			spelled: func(st []feasim.StationSpec) feasim.Query {
+				return feasim.ThresholdQuery{W: 60, O: 10, TargetEff: 0.8, Stations: st}
+			},
+			spellings: templates,
+		},
+		feasim.KindPartition: {
+			aggregate: feasim.PartitionQuery{J: 4000, O: 10, Util: 0.05, TargetEff: 0.8, MaxW: 64},
+			spelled: func(st []feasim.StationSpec) feasim.Query {
+				return feasim.PartitionQuery{J: 4000, O: 10, TargetEff: 0.8, MaxW: 64, Stations: st}
+			},
+			spellings: templates,
+		},
+		feasim.KindScaled: {
+			aggregate: feasim.ScaledQuery{T: 100, O: 10, Util: 0.05, Ws: []int{1, 4, 16, 100}},
+			spelled: func(st []feasim.StationSpec) feasim.Query {
+				return feasim.ScaledQuery{T: 100, O: 10, Ws: []int{1, 4, 16, 100}, Stations: st}
+			},
+			spellings: templates,
+		},
+	}
+	for kind, r := range rows {
+		ref, err := analytic.Answer(ctx, r.aggregate)
+		if err != nil {
+			t.Fatalf("%s: homogeneous reference: %v", kind, err)
+		}
+		want := stripEcho(ref)
+		for name, stations := range r.spellings {
+			ans, err := analytic.Answer(ctx, r.spelled(stations))
+			if err != nil {
+				t.Fatalf("%s/%s: %v", kind, name, err)
+			}
+			if got := stripEcho(ans); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s/%s: degenerate fleet answer %+v differs from homogeneous %+v", kind, name, got, want)
+			}
 		}
 	}
 }

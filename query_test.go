@@ -46,7 +46,7 @@ func TestThresholdQueryCrossBackendParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := feasim.Analyze(p)
+	res, err := feasim.Analyze(p.Fleet())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,11 @@ func TestPartitionQueryDESBisection(t *testing.T) {
 		t.Errorf("answer W=%d but report solved W=%d", ans.W, ans.Report.W)
 	}
 	// The flat analytic right-sizer on the same question should land nearby.
-	w, err := core.MaxWorkstations(q.J, q.O, q.Util, q.TargetEff, q.MaxW)
+	p, err := core.ParamsFromUtilization(q.J, 1, q.O, q.Util)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := core.MaxWorkstations(q.J, q.O, p.Fleet().Stations, q.TargetEff, q.MaxW)
 	if err != nil {
 		t.Fatal(err)
 	}

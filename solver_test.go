@@ -1,7 +1,9 @@
 package feasim_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
 	"testing"
@@ -76,7 +78,7 @@ func TestSolverVerdictMatchesAssess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := feasim.Assess(p, 0.8)
+	v, err := feasim.Assess(p.Fleet(), 0.8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,12 +103,78 @@ func TestSolverDeadlineMatchesDistribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := feasim.DeadlineProb(p, 150)
+	want, err := feasim.DeadlineProb(p.Fleet(), 150)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.DeadlineProb == nil || *rep.DeadlineProb != want {
 		t.Errorf("deadline prob %v, DeadlineProb says %v", rep.DeadlineProb, want)
+	}
+}
+
+// TestUnreachableTargetReportEncodes pins the report for a target no task
+// ratio reaches: infeasible, with no prescription, and encodable as JSON —
+// the CLI's -json output and the HTTP service both marshal it.
+func TestUnreachableTargetReportEncodes(t *testing.T) {
+	for name, envelope := range map[string]string{
+		"homogeneous": `{"kind":"report","scenario":{"j":1000,"w":4,"o":10,"util":0.2,"target_eff":1}}`,
+		"fleet": `{"kind":"report","scenario":{"j":1000,"o":10,"target_eff":0.99,
+			"stations":[{"p":0.01,"count":2},{"p":0.01,"speed":0.5,"count":2}]}}`,
+	} {
+		q, err := feasim.ParseQuery([]byte(envelope))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		ans, err := feasim.NewAnalyticSolver().Answer(context.Background(), q)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		rep := ans.(feasim.ReportAnswer).Report
+		if rep.Feasible == nil || *rep.Feasible || rep.MinRatio != 0 || rep.MinJobDemand != 0 {
+			t.Errorf("%s: feasible %v, prescription (%d, %g); want infeasible with none",
+				name, rep.Feasible, rep.MinRatio, rep.MinJobDemand)
+		}
+		data, err := json.Marshal(ans)
+		if err != nil {
+			t.Fatalf("%s: report does not encode: %v", name, err)
+		}
+		if bytes.Contains(data, []byte("min_ratio")) || bytes.Contains(data, []byte("min_job_demand")) {
+			t.Errorf("%s: encoded report carries a prescription: %s", name, data)
+		}
+	}
+}
+
+// TestDedicatedSlowFleetReportAgreesWithThreshold: a fleet with no owner
+// activity is capped at its slowest station's speed at every task ratio, so
+// the report must not prescribe a ratio the threshold search refuses.
+func TestDedicatedSlowFleetReportAgreesWithThreshold(t *testing.T) {
+	ctx := context.Background()
+	analytic := feasim.NewAnalyticSolver()
+	stations := []feasim.StationSpec{{Speed: 0.5, Count: 2}, {Speed: 1, Count: 2}}
+	for _, target := range []float64{0.4, 0.8} {
+		ans, err := analytic.Answer(ctx, feasim.ReportQuery{Scenario: feasim.Scenario{
+			J: 1000, O: 10, TargetEff: target, Stations: stations,
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := ans.(feasim.ReportAnswer).Report
+		thr, thrErr := analytic.Answer(ctx, feasim.ThresholdQuery{W: 4, O: 10, TargetEff: target, Stations: stations})
+		if thrErr != nil {
+			if rep.MinRatio != 0 || rep.MinJobDemand != 0 {
+				t.Errorf("target %v: threshold refuses (%v) but the report prescribes ratio %d, demand %g",
+					target, thrErr, rep.MinRatio, rep.MinJobDemand)
+			}
+			if rep.Feasible == nil || *rep.Feasible {
+				t.Errorf("target %v: threshold refuses but the report says feasible", target)
+			}
+			continue
+		}
+		ta := thr.(feasim.ThresholdAnswer)
+		if rep.MinRatio != ta.MinRatio || rep.MinJobDemand != ta.MinJobDemand {
+			t.Errorf("target %v: report prescribes (%d, %g), threshold answers (%d, %g)",
+				target, rep.MinRatio, rep.MinJobDemand, ta.MinRatio, ta.MinJobDemand)
+		}
 	}
 }
 
