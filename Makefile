@@ -1,7 +1,7 @@
 # Development targets. CI runs build/test/race/serve-smoke/cluster-smoke/
 # chaos-smoke/frontier-smoke blocking and bench/fuzz non-blocking.
 
-.PHONY: all build test race vet fmt bench fuzz serve-smoke cluster-smoke chaos-smoke frontier-smoke
+.PHONY: all build test race vet fmt bench bench-ab fuzz serve-smoke cluster-smoke chaos-smoke frontier-smoke
 
 all: build test
 
@@ -32,6 +32,19 @@ fmt:
 bench:
 	go run ./cmd/feasim bench -out BENCH_10.json
 	@if [ -f BENCH_9.json ]; then go run ./cmd/feasim benchdiff BENCH_9.json BENCH_10.json; fi
+
+# bench-ab runs the repository benchmark (bench/run.sh) in PAIRS alternated
+# pairs of REF against the working tree, REF checked out into a temporary
+# git worktree, on the same seeds with the order swapped every other pair,
+# and ends with its `compare` verdicts (bench/README.md):
+#
+#	make bench-ab REF=main WORKLOAD=serve_cold PAIRS=10
+REF ?= HEAD
+WORKLOAD ?= serve_cold
+PAIRS ?= 10
+
+bench-ab:
+	bash scripts/bench-ab.sh '$(REF)' '$(WORKLOAD)' '$(PAIRS)'
 
 # fuzz gives each JSON-envelope fuzz target a short budget; CI runs this
 # non-blocking. Failures drop reproducers under testdata/fuzz/.

@@ -99,6 +99,37 @@ func BenchmarkAnalyzeLargeT(b *testing.B) {
 	}
 }
 
+// BenchmarkAnalyzeFleet is the heterogeneous model on a 3-class fleet of 30
+// stations. Cold steps the task demand by 2 through 256 values, so every
+// class's trial count changes each iteration and the 768 table keys cycle
+// through a memo that holds 256: every lookup misses and builds. Warm
+// repeats one fleet against resident tables.
+func BenchmarkAnalyzeFleet(b *testing.B) {
+	stations := []feasim.FleetStation{
+		{P: 0.01, Speed: 1, Count: 10},
+		{P: 0.02, Speed: 1.5, Count: 10},
+		{P: 0.005, Speed: 2, Count: 10},
+	}
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			f := feasim.Fleet{J: 30 * float64(100+2*(i%256)), O: 10, Stations: stations}
+			if _, err := feasim.Analyze(f); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("warm", func(b *testing.B) {
+		b.ReportAllocs()
+		f := feasim.Fleet{J: 30 * 200, O: 10, Stations: stations}
+		for i := 0; i < b.N; i++ {
+			if _, err := feasim.Analyze(f); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 func BenchmarkBinomialExpectedMax(b *testing.B) {
 	bin := core.Binomial{N: 1000, P: 0.01}
 	for i := 0; i < b.N; i++ {

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -253,6 +254,35 @@ func TestCmdQueryBatchGolden(t *testing.T) {
 	}
 	if out != string(want) {
 		t.Errorf("batch golden mismatch:\n--- got ---\n%s--- want ---\n%s", out, want)
+	}
+}
+
+// TestCmdQueryFleetMixGolden answers 64 seeded heterogeneous reports (2–4
+// station classes at speeds {1, 1.5, 2}, some classes sharing a request
+// probability across speeds, some dedicated; a third with a target, a third
+// with a deadline) with the analytic backend. JSON floats print in their
+// shortest round-trip form, so the golden pins every answer to the bit.
+// Regenerate with:
+//
+//	go run ./cmd/feasim query -batch -json cmd/feasim/testdata/query_fleet_mix.json \
+//	    | sed -E 's/"elapsed_ns": [0-9]+/"elapsed_ns": 0/' \
+//	    > cmd/feasim/testdata/query_fleet_mix.golden
+func TestCmdQueryFleetMixGolden(t *testing.T) {
+	in := filepath.Join("testdata", "query_fleet_mix.json")
+	out := captureStdout(t, func() error { return cmdQuery([]string{"-batch", "-json", in}) })
+	got := regexp.MustCompile(`"elapsed_ns": \d+`).ReplaceAllString(out, `"elapsed_ns": 0`)
+	want, err := os.ReadFile(filepath.Join("testdata", "query_fleet_mix.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, w := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := range min(len(g), len(w)) {
+		if g[i] != w[i] {
+			t.Fatalf("fleet mix golden mismatch at line %d:\n got %s\nwant %s", i+1, g[i], w[i])
+		}
+	}
+	if len(g) != len(w) {
+		t.Fatalf("fleet mix golden mismatch: %d lines, want %d", len(g), len(w))
 	}
 }
 

@@ -17,11 +17,13 @@ import (
 //
 // P(M ≤ x) = Π_g F_g(⌊(x−t_g)/O⌋)^c_g over the speed/availability groups,
 // evaluated on the shared BinomialTables windows via the log1p(−tail)
-// product (the same precision trick as ExpectedMax); the fleet's total
-// burst count Σ_i X_i is served by the PoissonBinomialTables kernel. The
-// paper's homogeneous model is the one-group fleet at reference speed
-// (Params.Fleet): every entry point detects it without allocating and
-// answers it with the binomial kernel of model.go.
+// product (the same precision trick as ExpectedMax). The model reads only
+// per-group statistics: the mean of the fleet's total burst count Σ_i X_i
+// is the closed form Σ_g c_g·n_g·p_g, and the distribution of that sum
+// (BurstTables, the PoissonBinomialTables kernel) is a library answer no
+// model path builds. The paper's homogeneous model is the one-group fleet
+// at reference speed (Params.Fleet): every entry point detects it without
+// allocating and answers it with the binomial kernel of model.go.
 
 // FleetStation describes one group of identical stations in a
 // heterogeneous fleet: Count stations whose owners request with
@@ -159,8 +161,9 @@ func (f Fleet) Utilization() float64 {
 }
 
 // BurstTables returns the Poisson-binomial tables of the fleet's total
-// per-job burst count Σ_i Bin(n_i, p_i), the generalized kernel behind
-// EBurstsPerTsk. The boolean is false for a fleet with no interruptible
+// per-job burst count Σ_i Bin(n_i, p_i), for callers that want the whole
+// distribution; Analyze reports its mean over W as EBurstsPerTsk without
+// building it. The boolean is false for a fleet with no interruptible
 // trials (the count is identically zero).
 func (f Fleet) BurstTables() (*PoissonBinomialTables, bool, error) {
 	if err := f.Validate(); err != nil {
@@ -223,11 +226,7 @@ func analyzeFleet(f Fleet) (Result, error) {
 	}
 	res.ETask = etask / float64(w)
 
-	if pb, ok, err := f.BurstTables(); err != nil {
-		return Result{}, err
-	} else if ok {
-		res.EBurstsPerTsk = pb.Mean() / float64(w)
-	}
+	res.EBurstsPerTsk = burstMean(groups) / float64(w)
 
 	times, probs := fleetJobPMF(groups, f.O)
 	for i, p := range probs {
@@ -238,6 +237,23 @@ func analyzeFleet(f Fleet) (Result, error) {
 	}
 	res.Metrics = metricsFor(Params{J: f.J, W: w, O: f.O}, res.U, res.EJob)
 	return res, nil
+}
+
+// burstMean is the mean of the fleet's total per-job burst count,
+// Σ_g c_g·n_g·p_g. It sums in the Poisson-binomial canonical order —
+// ascending p, equal-p trial counts merged before multiplying — so it is
+// bit-identical to BurstTables().Mean() without building the distribution.
+// The canonical fleet groups are sorted by p, so equal-p groups are adjacent.
+func burstMean(groups []fleetGroup) float64 {
+	var mu float64
+	for i := 0; i < len(groups); {
+		p, trials := groups[i].P, 0
+		for ; i < len(groups) && groups[i].P == p; i++ {
+			trials += groups[i].Count * groups[i].n
+		}
+		mu += float64(trials) * p
+	}
+	return mu
 }
 
 // fleetJobPMF builds the exact job completion-time distribution over the
@@ -259,10 +275,22 @@ func fleetJobPMF(groups []fleetGroup, o float64) (times, probs []float64) {
 		}
 		return []float64{deterministic}, []float64{1}
 	}
-	var pts []float64
+	// logCDF holds each group's c_g·log1p(−tail_g(k)) for k in [Lo, Hi),
+	// the groups' windows laid end to end: computed once per window entry
+	// instead of once per (lattice point, group) pair. A tail of 1 gives
+	// −Inf, which exp maps to the zero the product needs.
+	size := 0
+	for _, g := range groups {
+		size += g.tb.Hi - g.tb.Lo + 1
+	}
+	pts := make([]float64, 0, size)
+	logCDF := make([]float64, 0, size-len(groups))
 	for _, g := range groups {
 		for k := g.tb.Lo; k <= g.tb.Hi; k++ {
 			pts = append(pts, g.t+float64(k)*o)
+		}
+		for _, tau := range g.tb.tail[:g.tb.Hi-g.tb.Lo] {
+			logCDF = append(logCDF, float64(g.Count)*math.Log1p(-tau))
 		}
 	}
 	sort.Float64s(pts)
@@ -279,21 +307,17 @@ func fleetJobPMF(groups []fleetGroup, o float64) (times, probs []float64) {
 	for _, x := range dedup {
 		logG := 0.0
 		zero := false
+		off := 0
 		for _, g := range groups {
 			k := int(math.Floor((x-g.t)/o + 1e-9))
 			if k < g.tb.Lo {
 				zero = true
 				break
 			}
-			if k >= g.tb.Hi {
-				continue // tail is 0: this group's factor is 1
+			if k < g.tb.Hi { // at or above Hi the tail is 0: the factor is 1
+				logG += logCDF[off+k-g.tb.Lo]
 			}
-			tau := g.tb.tail[k-g.tb.Lo]
-			if tau >= 1 {
-				zero = true
-				break
-			}
-			logG += float64(g.Count) * math.Log1p(-tau)
+			off += g.tb.Hi - g.tb.Lo
 		}
 		cum := 0.0
 		if !zero {

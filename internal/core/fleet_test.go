@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand/v2"
 	"reflect"
 	"testing"
 )
@@ -415,8 +416,7 @@ func TestAssessFleet(t *testing.T) {
 }
 
 // TestFleetBurstTables: the Poisson-binomial kernel's fleet view — total
-// per-job burst count — matches the closed-form mean and drives
-// EBurstsPerTsk.
+// per-job burst count — has the closed-form mean that EBurstsPerTsk reports.
 func TestFleetBurstTables(t *testing.T) {
 	f := Fleet{J: 400, O: 10, Stations: []FleetStation{
 		{P: 0.03, Count: 2},
@@ -436,5 +436,71 @@ func TestFleetBurstTables(t *testing.T) {
 	}
 	if math.Abs(res.EBurstsPerTsk-22.0/4) > 1e-12 {
 		t.Fatalf("EBurstsPerTsk %v, want %v", res.EBurstsPerTsk, 22.0/4)
+	}
+}
+
+// TestFleetKernelSkipsPoissonBinomial pins what the fleet kernel computes:
+// the model's answers never build the fleet's burst distribution, and
+// EBurstsPerTsk is that distribution's mean over W to the bit. The seeded
+// fleets include equal-p groups at different speeds (merged only in the
+// Poisson-binomial canonical form) and dedicated p = 0 groups.
+func TestFleetKernelSkipsPoissonBinomial(t *testing.T) {
+	f := Fleet{J: 600, O: 10, Stations: []FleetStation{
+		{P: 0.01, Count: 3}, {P: 0.01, Speed: 2, Count: 2}, {P: 0.03, Speed: 1.5, Count: 1},
+	}}
+	h0, m0 := PoissonBinomialCacheStats()
+	if _, err := Analyze(f); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Assess(f, 0.9); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := JobTimeDistribution(f); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DeadlineProb(f, 150); err != nil {
+		t.Fatal(err)
+	}
+	if h1, m1 := PoissonBinomialCacheStats(); h1+m1 != h0+m0 {
+		t.Fatalf("fleet model consulted the Poisson-binomial memo: %d lookups", h1+m1-h0-m0)
+	}
+
+	r := rand.New(rand.NewPCG(7, 11))
+	ps := []float64{0, 0.005, 0.01, 0.02}
+	speeds := []float64{1, 1.5, 2}
+	checked := 0
+	for i := 0; i < 200; i++ {
+		stations := make([]FleetStation, 2+r.IntN(3))
+		for g := range stations {
+			p := 0.002 + 0.03*r.Float64()
+			if r.IntN(2) == 0 {
+				p = ps[r.IntN(len(ps))]
+			}
+			stations[g] = FleetStation{P: p, Speed: speeds[r.IntN(3)], Count: 1 + r.IntN(12)}
+		}
+		f := Fleet{O: 10, Stations: stations}
+		f.J = float64(f.W()) * (20 + 380*r.Float64())
+		if _, ok := f.homogeneous(); ok {
+			continue
+		}
+		res, err := Analyze(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pb, ok, err := f.BurstTables()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0.0
+		if ok {
+			want = pb.Mean() / float64(f.W())
+		}
+		if res.EBurstsPerTsk != want {
+			t.Fatalf("fleet %+v: EBurstsPerTsk %v, burst distribution mean/W %v", f, res.EBurstsPerTsk, want)
+		}
+		checked++
+	}
+	if checked < 150 {
+		t.Fatalf("only %d of 200 seeded fleets were heterogeneous", checked)
 	}
 }

@@ -10,11 +10,13 @@ import (
 	"sync"
 )
 
-// The heterogeneous-fleet kernel: the homogeneous model reduces every
-// quantity to Bin(N, P), but a fleet whose stations differ in availability
-// needs the distribution of S = Σ_g Bin(count_g, p_g) — the Poisson
-// binomial, grouped by equal success probability. The same three tricks
-// that make BinomialTables cheap apply group-wise:
+// The burst-count distribution of a heterogeneous fleet: the homogeneous
+// model reduces every quantity to Bin(N, P), while the total burst count
+// of a fleet whose stations differ in availability is S = Σ_g
+// Bin(count_g, p_g) — the Poisson binomial, grouped by equal success
+// probability. The fleet model reads only its closed-form mean (fleet.go);
+// this library kernel serves callers that want the whole distribution.
+// The same three tricks that make BinomialTables cheap apply group-wise:
 //
 //   - each group's window comes from the shared ratio-recurrence tables of
 //     tables.go (one Lgamma triple per distinct (count, p)),

@@ -45,8 +45,7 @@ import (
 //     distributions;
 //   - model form: per-station availability (P or Util) and Speed inside the
 //     paper's model, making the scenario *heterogeneous* — answered
-//     analytically through the Poisson-binomial fleet kernel and
-//     cross-checked by DES.
+//     analytically through the fleet kernel and cross-checked by DES.
 //
 // A fleet must use one form throughout; mixing is rejected.
 type StationSpec struct {

@@ -257,10 +257,18 @@ func (a Analytic) report(ctx context.Context, s Scenario) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	res, err := core.Analyze(f)
+	// A target runs the model inside Assess; the verdict carries its Result,
+	// so the model runs once either way.
+	var v core.FeasibilityVerdict
+	if s.TargetEff > 0 {
+		v, err = core.Assess(f, s.TargetEff)
+	} else {
+		v.Result, err = core.Analyze(f)
+	}
 	if err != nil {
 		return Report{}, err
 	}
+	res := v.Result
 	r := Report{
 		Scenario:           s,
 		Backend:            BackendAnalytic,
@@ -274,10 +282,6 @@ func (a Analytic) report(ctx context.Context, s Scenario) (Report, error) {
 		WeightedEfficiency: res.WeightedEfficiency,
 	}
 	if s.TargetEff > 0 {
-		v, err := core.Assess(f, s.TargetEff)
-		if err != nil {
-			return Report{}, err
-		}
 		r.Feasible = &v.Feasible
 		r.MinRatio = v.MinRatio
 		r.MinJobDemand = v.MinJobDemand
