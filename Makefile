@@ -36,9 +36,12 @@ bench:
 # bench-ab runs the repository benchmark (bench/run.sh) in PAIRS alternated
 # pairs of REF against the working tree, REF checked out into a temporary
 # git worktree, on the same seeds with the order swapped every other pair,
-# and ends with its `compare` verdicts (bench/README.md):
+# and ends with each workload's `compare` verdicts (bench/README.md).
+# WORKLOAD is one name, a comma-separated list, or all (every workload in
+# BENCHMARK.json):
 #
 #	make bench-ab REF=main WORKLOAD=serve_cold PAIRS=10
+#	make bench-ab REF=main WORKLOAD=all PAIRS=10
 REF ?= HEAD
 WORKLOAD ?= serve_cold
 PAIRS ?= 10

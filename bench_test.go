@@ -187,6 +187,7 @@ func BenchmarkGeneralSimJob(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := g.Run(10); err != nil {
@@ -196,49 +197,37 @@ func BenchmarkGeneralSimJob(b *testing.B) {
 }
 
 func BenchmarkDESEventThroughput(b *testing.B) {
-	// Events executed per benchmark op: two processes ping-ponging holds.
+	// Events executed per benchmark op: four callback chains rescheduling
+	// themselves one time unit ahead.
+	b.ReportAllocs()
 	e := des.NewEngine()
-	defer e.Close()
-	stop := false
 	for p := 0; p < 4; p++ {
-		e.Spawn(fmt.Sprintf("p%d", p), func(pr *des.Proc) {
-			for !stop {
-				pr.Hold(1)
-			}
-		})
+		var tick func()
+		tick = func() { e.Schedule(e.Now()+1, tick) }
+		e.Schedule(0, tick)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Step()
 	}
-	b.StopTimer()
-	stop = true
-	e.RunUntil(e.Now() + 2) // let the loops observe stop and drain
 }
 
 func BenchmarkDESPreemptiveServer(b *testing.B) {
+	// A task class reusing the CPU back-to-back, preempted every two time
+	// units by an owner burst of one unit.
+	b.ReportAllocs()
 	e := des.NewEngine()
-	defer e.Close()
 	s := e.NewPreemptiveServer("cpu")
-	stop := false
-	e.Spawn("task", func(p *des.Proc) {
-		for !stop {
-			s.Use(p, 5, 0)
-		}
-	})
-	e.Spawn("owner", func(p *des.Proc) {
-		for !stop {
-			p.Hold(2)
-			s.Use(p, 1, 1)
-		}
-	})
+	var task, think, burst func()
+	task = func() { s.Use(5, 0, task) }
+	think = func() { e.Schedule(e.Now()+2, burst) }
+	burst = func() { s.Use(1, 1, think) }
+	e.Schedule(0, task)
+	e.Schedule(0, think)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Step()
 	}
-	b.StopTimer()
-	stop = true
-	e.RunUntil(e.Now() + 20)
 }
 
 func BenchmarkStationRunTask(b *testing.B) {

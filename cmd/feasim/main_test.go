@@ -268,21 +268,45 @@ func TestCmdQueryBatchGolden(t *testing.T) {
 //	    | sed -E 's/"elapsed_ns": [0-9]+/"elapsed_ns": 0/' \
 //	    > cmd/feasim/testdata/query_fleet_mix.golden
 func TestCmdQueryFleetMixGolden(t *testing.T) {
-	in := filepath.Join("testdata", "query_fleet_mix.json")
-	out := captureStdout(t, func() error { return cmdQuery([]string{"-batch", "-json", in}) })
+	checkBatchGolden(t, "query_fleet_mix", "-batch", "-json")
+}
+
+// TestCmdQueryDESGolden answers 12 seeded envelopes with the DES backend at
+// protocol 5×100: homogeneous reports (W = 1, 10, 32, a hyperexponential
+// owner, an Erlang task demand), distribution queries, a threshold and a
+// partition bisection, model-form fleets with speeds and with owner_cv2,
+// and distribution-form explicit stations with an exponential task demand.
+// It pins the simulator's event order and RNG draw order to the bit.
+// Regenerate with:
+//
+//	go run ./cmd/feasim query -batch -json -backend des -protocol 5,100 \
+//	    cmd/feasim/testdata/query_des.json \
+//	    | sed -E 's/"elapsed_ns": [0-9]+/"elapsed_ns": 0/' \
+//	    > cmd/feasim/testdata/query_des.golden
+func TestCmdQueryDESGolden(t *testing.T) {
+	checkBatchGolden(t, "query_des", "-batch", "-json", "-backend", "des", "-protocol", "5,100")
+}
+
+// checkBatchGolden runs `feasim query args... testdata/<name>.json`, zeroes
+// elapsed_ns, and compares the output with testdata/<name>.golden line by
+// line.
+func checkBatchGolden(t *testing.T, name string, args ...string) {
+	t.Helper()
+	in := filepath.Join("testdata", name+".json")
+	out := captureStdout(t, func() error { return cmdQuery(append(args, in)) })
 	got := regexp.MustCompile(`"elapsed_ns": \d+`).ReplaceAllString(out, `"elapsed_ns": 0`)
-	want, err := os.ReadFile(filepath.Join("testdata", "query_fleet_mix.golden"))
+	want, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	g, w := strings.Split(got, "\n"), strings.Split(string(want), "\n")
 	for i := range min(len(g), len(w)) {
 		if g[i] != w[i] {
-			t.Fatalf("fleet mix golden mismatch at line %d:\n got %s\nwant %s", i+1, g[i], w[i])
+			t.Fatalf("%s golden mismatch at line %d:\n got %s\nwant %s", name, i+1, g[i], w[i])
 		}
 	}
 	if len(g) != len(w) {
-		t.Fatalf("fleet mix golden mismatch: %d lines, want %d", len(g), len(w))
+		t.Fatalf("%s golden mismatch: %d lines, want %d", name, len(g), len(w))
 	}
 }
 

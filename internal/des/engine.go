@@ -1,21 +1,22 @@
-// Package des is a process-oriented discrete-event simulation engine in the
-// style of CSIM (Schwetman 1986, the paper's reference [8]), which the
-// original study used to validate its analysis.
+// Package des is a discrete-event simulation engine: a single-threaded
+// calendar of callbacks. The original study validated its analysis with
+// CSIM (Schwetman 1986, the paper's reference [8]), whose model processes
+// hold, wait and resume. A process engine in Go runs each process on its
+// own goroutine and hands control over through channels, two handoffs per
+// hold or wake-up; for the paper's workstation model that scheduling cost
+// far exceeds the model's own. Here a model writes each resumption point as
+// a callback scheduled where the process would have scheduled its wake-up.
+// The event order (time, then schedule sequence) is the same, so a model
+// behaves exactly as its process form would.
 //
-// Model processes are goroutines that interact with simulated time through a
-// *Proc handle: Hold advances the process through simulated time, Signal and
-// Mailbox synchronize processes, and PreemptiveServer models a CPU serving
-// prioritized customers with preemptive resume. Exactly one goroutine — the
-// engine or a single process — runs at any instant; control is handed off
-// through channels, so the engine is deterministic given a fixed event
-// schedule and safe under the race detector.
+// Engine.Schedule runs a func() at a simulated time; PreemptiveServer
+// models a CPU serving prioritized customers with preemptive resume and
+// runs each customer's done callback when its service completes. Event and
+// request records are recycled, so a model whose callbacks are allocated
+// once runs without allocating per event.
 package des
 
-import (
-	"container/heap"
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // Time is simulated time. The feasibility model is discrete time; it simply
 // schedules at integral Times.
@@ -23,29 +24,15 @@ type Time = float64
 
 // Engine owns the event calendar and the simulated clock.
 type Engine struct {
-	now    Time
-	events eventHeap
-	seq    uint64
-	procs  map[*Proc]struct{}
-	yield  chan struct{}
-	// running is the process currently executing, nil when the engine is in
-	// control. Used only for misuse diagnostics.
-	running   *Proc
+	now       Time
+	seq       uint64
 	processed uint64
-	// pending counts scheduled, uncancelled, not-yet-executed events. It is
-	// maintained incrementally (push / pop / Cancel) so Pending is O(1)
-	// instead of an O(heap) scan.
-	pending int
-	closed  bool
+	events    []*event // binary min-heap on (t, seq)
+	free      []*event // executed or cancelled records, reused by Schedule
 }
 
 // NewEngine creates an empty simulation.
-func NewEngine() *Engine {
-	return &Engine{
-		procs: make(map[*Proc]struct{}),
-		yield: make(chan struct{}),
-	}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
@@ -54,196 +41,152 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Processed() uint64 { return e.processed }
 
 // Pending returns the number of scheduled, uncancelled events.
-func (e *Engine) Pending() int { return e.pending }
+func (e *Engine) Pending() int { return len(e.events) }
 
-// event is a calendar entry: either an engine-side callback (fn) or the
-// wake-up of a blocked process (proc).
+// event is a calendar entry; index is its heap position, -1 once it has
+// left the calendar.
 type event struct {
-	eng       *Engine
-	t         Time
-	seq       uint64
-	fn        func()
-	proc      *Proc
-	procSeq   uint64 // the blocking episode this wake belongs to
-	cancelled bool
-	popped    bool // executed or skipped; no longer counted as pending
-	index     int
+	t     Time
+	seq   uint64
+	fn    func()
+	index int
 }
 
-// Cancel marks the event so it is skipped when its time comes. Cancelling an
-// event that already fired (or was already cancelled) is a no-op, so the
-// pending count never double-decrements.
-func (ev *event) Cancel() {
-	if ev.cancelled || ev.popped {
+// Handle names a scheduled event for Cancel. Event records are recycled;
+// the handle's sequence number tells a pending event from a later reuse of
+// its record.
+type Handle struct {
+	ev  *event
+	seq uint64
+}
+
+// nextSeq takes the next schedule sequence number.
+func (e *Engine) nextSeq() uint64 {
+	s := e.seq
+	e.seq++
+	return s
+}
+
+// Schedule runs fn at simulated time t (>= Now). Events at the same time
+// run in schedule order. Callbacks run on the caller's goroutine, inside
+// Step or RunUntil, and may schedule further events.
+func (e *Engine) Schedule(t Time, fn func()) Handle {
+	if t < e.now {
+		panic(fmt.Sprintf("des: scheduling into the past (t=%v, now=%v)", t, e.now))
+	}
+	var ev *event
+	if n := len(e.free); n > 0 {
+		ev = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		ev = new(event)
+	}
+	ev.t, ev.seq, ev.fn = t, e.nextSeq(), fn
+	ev.index = len(e.events)
+	e.events = append(e.events, ev)
+	e.up(ev.index)
+	return Handle{ev: ev, seq: ev.seq}
+}
+
+// Cancel removes a pending event from the calendar. Cancelling an event that
+// already ran or was already cancelled is a no-op.
+func (e *Engine) Cancel(h Handle) {
+	ev := h.ev
+	if ev == nil || ev.seq != h.seq || ev.index < 0 {
 		return
 	}
-	ev.cancelled = true
-	ev.eng.pending--
-}
-
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
+	i, last := ev.index, len(e.events)-1
+	e.swap(i, last)
+	e.events = e.events[:last]
+	if i != last {
+		e.down(i)
+		e.up(i)
 	}
-	return h[i].seq < h[j].seq // schedule order breaks ties deterministically
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+	e.release(ev)
 }
 
-// ScheduleFunc runs fn at simulated time t (>= Now). The returned event can
-// be cancelled. Callbacks run in engine context and must not block.
-func (e *Engine) ScheduleFunc(t Time, fn func()) *event {
-	if t < e.now {
-		panic(fmt.Sprintf("des: scheduling into the past (t=%v, now=%v)", t, e.now))
+// release returns a record that has left the calendar to the free list.
+func (e *Engine) release(ev *event) {
+	ev.index = -1
+	ev.fn = nil
+	e.free = append(e.free, ev)
+}
+
+// Step executes exactly one event; it reports false when the calendar is
+// empty.
+func (e *Engine) Step() bool {
+	if len(e.events) == 0 {
+		return false
 	}
-	ev := &event{eng: e, t: t, seq: e.seq, fn: fn}
-	e.seq++
-	e.pending++
-	heap.Push(&e.events, ev)
-	return ev
+	ev := e.events[0]
+	last := len(e.events) - 1
+	e.swap(0, last)
+	e.events = e.events[:last]
+	e.down(0)
+	e.now = ev.t
+	e.processed++
+	fn := ev.fn
+	e.release(ev)
+	fn()
+	return true
 }
 
-// scheduleWake schedules the wake-up of p at time t.
-func (e *Engine) scheduleWake(t Time, p *Proc) *event {
-	if t < e.now {
-		panic(fmt.Sprintf("des: scheduling into the past (t=%v, now=%v)", t, e.now))
-	}
-	ev := &event{eng: e, t: t, seq: e.seq, proc: p, procSeq: p.blockSeq}
-	e.seq++
-	e.pending++
-	heap.Push(&e.events, ev)
-	return ev
-}
-
-// wakeNow schedules p to resume at the current time (after any events
-// already scheduled for this instant).
-func (e *Engine) wakeNow(p *Proc) *event { return e.scheduleWake(e.now, p) }
-
-// Run executes events until the calendar is empty. Processes still blocked
-// on signals, mailboxes or servers when the calendar drains simply remain
-// blocked; call Close to terminate them.
-func (e *Engine) Run() {
-	e.RunUntil(-1)
-}
+// Run executes events until the calendar is empty.
+func (e *Engine) Run() { e.RunUntil(-1) }
 
 // RunUntil executes events with time <= horizon (any horizon < 0 means "run
 // to exhaustion"). The clock is left at the last executed event's time, or
 // at the horizon if it is later.
 func (e *Engine) RunUntil(horizon Time) {
-	if e.closed {
-		panic("des: engine is closed")
-	}
-	for e.events.Len() > 0 {
-		next := e.events[0]
-		if next.cancelled {
-			next.popped = true
-			heap.Pop(&e.events)
-			continue
-		}
-		if horizon >= 0 && next.t > horizon {
-			break
-		}
-		heap.Pop(&e.events)
-		next.popped = true
-		e.pending--
-		e.now = next.t
-		e.processed++
-		if next.fn != nil {
-			next.fn()
-			continue
-		}
-		p := next.proc
-		if p.terminated || !p.blocked || next.procSeq != p.blockSeq {
-			continue // terminated target or stale duplicate wake
-		}
-		e.dispatch(p)
+	for len(e.events) > 0 && (horizon < 0 || e.events[0].t <= horizon) {
+		e.Step()
 	}
 	if horizon >= 0 && e.now < horizon {
 		e.now = horizon
 	}
 }
 
-// Step executes exactly one event; it reports false when the calendar is
-// empty.
-func (e *Engine) Step() bool {
-	if e.closed {
-		panic("des: engine is closed")
+// less orders the calendar by time, breaking ties by schedule order.
+func (e *Engine) less(i, j int) bool {
+	a, b := e.events[i], e.events[j]
+	if a.t != b.t {
+		return a.t < b.t
 	}
-	for e.events.Len() > 0 {
-		next := heap.Pop(&e.events).(*event)
-		if next.cancelled {
-			next.popped = true
-			continue
-		}
-		next.popped = true
-		e.pending--
-		e.now = next.t
-		e.processed++
-		if next.fn != nil {
-			next.fn()
-			return true
-		}
-		if next.proc.terminated || !next.proc.blocked || next.procSeq != next.proc.blockSeq {
-			continue
-		}
-		e.dispatch(next.proc)
-		return true
-	}
-	return false
+	return a.seq < b.seq
 }
 
-// dispatch hands control to p and blocks until p yields back.
-func (e *Engine) dispatch(p *Proc) {
-	e.running = p
-	p.wake <- wakeRun
-	<-e.yield
-	e.running = nil
+func (e *Engine) swap(i, j int) {
+	h := e.events
+	h[i], h[j] = h[j], h[i]
+	h[i].index = i
+	h[j].index = j
 }
 
-// Live returns the number of processes that have been spawned and have not
-// yet terminated.
-func (e *Engine) Live() int { return len(e.procs) }
-
-// Close terminates every live process by unwinding its goroutine, then marks
-// the engine unusable. It is safe to call after Run/RunUntil; it must not be
-// called from inside a process.
-func (e *Engine) Close() {
-	if e.closed {
-		return
-	}
-	if e.running != nil {
-		panic("des: Close called from inside a process")
-	}
-	e.closed = true
-	for p := range e.procs {
-		if p.started && !p.terminated && p.blocked {
-			e.running = p
-			p.wake <- wakeKill
-			<-e.yield
-			e.running = nil
+func (e *Engine) up(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.less(i, p) {
+			return
 		}
-		delete(e.procs, p)
+		e.swap(i, p)
+		i = p
 	}
 }
 
-// errKilled unwinds a process goroutine during Close.
-var errKilled = errors.New("des: process killed")
+func (e *Engine) down(i int) {
+	n := len(e.events)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			return
+		}
+		if r := c + 1; r < n && e.less(r, c) {
+			c = r
+		}
+		if !e.less(c, i) {
+			return
+		}
+		e.swap(i, c)
+		i = c
+	}
+}

@@ -2,7 +2,7 @@ package des
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"feasim/internal/stats"
 )
@@ -17,8 +17,11 @@ type PreemptiveServer struct {
 	eng  *Engine
 	name string
 
-	occupant *request
-	queue    []*request // waiting requests, kept sorted by (prio desc, seq asc)
+	occupant   *request
+	completion Handle     // the occupant's completion event
+	queue      []*request // waiting requests, kept sorted by (prio desc, seq asc)
+	free       []*request // finished requests, reused by Use
+	completeFn func()     // s.complete, bound once
 
 	// busyBy accumulates service time delivered to each priority class.
 	busyBy     map[int]Time
@@ -31,13 +34,11 @@ type PreemptiveServer struct {
 }
 
 type request struct {
-	proc       *Proc
-	prio       int
-	remaining  Time
-	seq        uint64 // arrival order, preserved across preemptions
-	done       bool
-	startedAt  Time
-	completion *event
+	prio      int
+	remaining Time
+	seq       uint64 // arrival order, preserved across preemptions
+	startedAt Time
+	done      func()
 }
 
 // NewPreemptiveServer creates a named server on e.
@@ -48,6 +49,7 @@ func (e *Engine) NewPreemptiveServer(name string) *PreemptiveServer {
 		busyBy:    make(map[int]Time),
 		createdAt: e.now,
 	}
+	srv.completeFn = srv.complete
 	srv.qlen.Observe(e.now, 0)
 	return srv
 }
@@ -55,44 +57,43 @@ func (e *Engine) NewPreemptiveServer(name string) *PreemptiveServer {
 // Name returns the server's name.
 func (s *PreemptiveServer) Name() string { return s.name }
 
-// Use consumes demand units of service at the given priority (larger is more
-// important), blocking p until the service completes. The call may stretch
-// far beyond demand when higher-priority customers preempt.
-func (s *PreemptiveServer) Use(p *Proc, demand Time, prio int) {
+// Use requests demand units of service at the given priority (larger is more
+// important) and runs done as an event at the instant the service
+// completes, which may be far beyond Now+demand when higher-priority
+// customers preempt. A zero demand needs no service: done runs at once,
+// before Use returns.
+func (s *PreemptiveServer) Use(demand Time, prio int, done func()) {
 	if demand < 0 {
 		panic(fmt.Sprintf("des: negative service demand %v on %q", demand, s.name))
 	}
 	if demand == 0 {
+		done()
 		return
 	}
-	req := &request{proc: p, prio: prio, remaining: demand, seq: s.eng.seq}
-	s.eng.seq++
-	s.arrive(req)
-	for !req.done {
-		p.block()
+	var req *request
+	if n := len(s.free); n > 0 {
+		req = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		req = new(request)
 	}
-}
-
-func (s *PreemptiveServer) arrive(req *request) {
-	if s.occupant == nil {
+	*req = request{prio: prio, remaining: demand, seq: s.eng.nextSeq(), done: done}
+	switch {
+	case s.occupant == nil:
 		s.begin(req)
-		return
-	}
-	if req.prio > s.occupant.prio {
+	case req.prio > s.occupant.prio:
 		s.suspendOccupant()
 		s.begin(req)
-		return
+	default:
+		s.enqueue(req)
 	}
-	s.enqueue(req)
 }
 
 // begin puts req into service and schedules its completion.
 func (s *PreemptiveServer) begin(req *request) {
 	s.occupant = req
 	req.startedAt = s.eng.now
-	req.completion = s.eng.ScheduleFunc(s.eng.now+req.remaining, func() {
-		s.complete(req)
-	})
+	s.completion = s.eng.Schedule(s.eng.now+req.remaining, s.completeFn)
 }
 
 // suspendOccupant preempts the customer in service, crediting the service it
@@ -100,8 +101,7 @@ func (s *PreemptiveServer) begin(req *request) {
 func (s *PreemptiveServer) suspendOccupant() {
 	occ := s.occupant
 	s.occupant = nil
-	occ.completion.Cancel()
-	occ.completion = nil
+	s.eng.Cancel(s.completion)
 	served := s.eng.now - occ.startedAt
 	occ.remaining -= served
 	s.busyBy[occ.prio] += served
@@ -113,35 +113,31 @@ func (s *PreemptiveServer) suspendOccupant() {
 }
 
 func (s *PreemptiveServer) enqueue(req *request) {
-	defer s.observeQueue()
-	i := sort.Search(len(s.queue), func(i int) bool {
-		q := s.queue[i]
-		if q.prio != req.prio {
-			return q.prio < req.prio
+	i := len(s.queue)
+	for i > 0 {
+		q := s.queue[i-1]
+		if q.prio > req.prio || (q.prio == req.prio && q.seq < req.seq) {
+			break
 		}
-		return q.seq > req.seq
-	})
-	s.queue = append(s.queue, nil)
-	copy(s.queue[i+1:], s.queue[i:])
-	s.queue[i] = req
+		i--
+	}
+	s.queue = slices.Insert(s.queue, i, req)
+	s.observeQueue()
 }
 
-// complete finishes the occupant's service, wakes its process, and starts
-// the next queued request.
-func (s *PreemptiveServer) complete(req *request) {
-	if s.occupant != req {
-		panic("des: completion for a request not in service")
-	}
+// complete finishes the occupant's service, schedules its done callback,
+// and starts the next queued request.
+func (s *PreemptiveServer) complete() {
+	req := s.occupant
 	s.occupant = nil
 	s.busyBy[req.prio] += s.eng.now - req.startedAt
-	req.remaining = 0
-	req.done = true
-	req.completion = nil
 	s.servedCnt++
-	s.eng.wakeNow(req.proc)
+	s.eng.Schedule(s.eng.now, req.done)
+	req.done = nil
+	s.free = append(s.free, req)
 	if len(s.queue) > 0 {
 		next := s.queue[0]
-		s.queue = s.queue[1:]
+		s.queue = slices.Delete(s.queue, 0, 1)
 		s.observeQueue()
 		s.begin(next)
 	}

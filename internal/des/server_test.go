@@ -6,14 +6,19 @@ import (
 	"testing"
 )
 
+// useAt requests demand at prio from s at time t and records the completion
+// time in *done.
+func useAt(e *Engine, s *PreemptiveServer, t, demand Time, prio int, done *Time) {
+	e.Schedule(t, func() {
+		s.Use(demand, prio, func() { *done = e.Now() })
+	})
+}
+
 func TestServerUncontendedServiceTime(t *testing.T) {
 	e := NewEngine()
 	s := e.NewPreemptiveServer("cpu")
 	var done Time
-	e.Spawn("task", func(p *Proc) {
-		s.Use(p, 10, 0)
-		done = p.Now()
-	})
+	useAt(e, s, 0, 10, 0, &done)
 	e.Run()
 	if done != 10 {
 		t.Errorf("uncontended service finished at %v, want 10", done)
@@ -33,15 +38,8 @@ func TestPreemptionStretchesLowPriority(t *testing.T) {
 	e := NewEngine()
 	s := e.NewPreemptiveServer("ws")
 	var taskDone, ownerDone Time
-	e.Spawn("task", func(p *Proc) {
-		s.Use(p, 10, 0)
-		taskDone = p.Now()
-	})
-	e.Spawn("owner", func(p *Proc) {
-		p.Hold(3)
-		s.Use(p, 5, 1)
-		ownerDone = p.Now()
-	})
+	useAt(e, s, 0, 10, 0, &taskDone)
+	useAt(e, s, 3, 5, 1, &ownerDone)
 	e.Run()
 	if ownerDone != 8 {
 		t.Errorf("owner finished at %v, want 8", ownerDone)
@@ -58,15 +56,8 @@ func TestEqualPriorityDoesNotPreempt(t *testing.T) {
 	e := NewEngine()
 	s := e.NewPreemptiveServer("cpu")
 	var aDone, bDone Time
-	e.Spawn("a", func(p *Proc) {
-		s.Use(p, 10, 1)
-		aDone = p.Now()
-	})
-	e.Spawn("b", func(p *Proc) {
-		p.Hold(2)
-		s.Use(p, 10, 1)
-		bDone = p.Now()
-	})
+	useAt(e, s, 0, 10, 1, &aDone)
+	useAt(e, s, 2, 10, 1, &bDone)
 	e.Run()
 	if aDone != 10 || bDone != 20 {
 		t.Errorf("a/b done at %v/%v, want 10/20 (FIFO within class)", aDone, bDone)
@@ -77,23 +68,16 @@ func TestFIFOWithinPriorityClass(t *testing.T) {
 	e := NewEngine()
 	s := e.NewPreemptiveServer("cpu")
 	var order []string
-	// Occupy the server, then queue three same-priority requests.
-	e.Spawn("holder", func(p *Proc) {
-		s.Use(p, 5, 0)
-	})
-	for _, name := range []string{"first", "second", "third"} {
-		name := name
-		e.Spawn(name, func(p *Proc) {
-			switch name {
-			case "first":
-				p.Hold(1)
-			case "second":
-				p.Hold(2)
-			case "third":
-				p.Hold(3)
-			}
-			s.Use(p, 1, 0)
-			order = append(order, name)
+	// Occupy the server, then queue three same-priority requests, the
+	// later arrivals scheduled first.
+	var holder Time
+	useAt(e, s, 0, 5, 0, &holder)
+	for _, c := range []struct {
+		name string
+		at   Time
+	}{{"third", 3}, {"second", 2}, {"first", 1}} {
+		e.Schedule(c.at, func() {
+			s.Use(1, 0, func() { order = append(order, c.name) })
 		})
 	}
 	e.Run()
@@ -109,18 +93,13 @@ func TestPreemptedResumesBeforeLaterArrivalsOfSameClass(t *testing.T) {
 	e := NewEngine()
 	s := e.NewPreemptiveServer("cpu")
 	var order []string
-	e.Spawn("victim", func(p *Proc) {
-		s.Use(p, 10, 0) // preempted at t=2
-		order = append(order, "victim")
+	e.Schedule(0, func() {
+		s.Use(10, 0, func() { order = append(order, "victim") }) // preempted at t=2
 	})
-	e.Spawn("owner", func(p *Proc) {
-		p.Hold(2)
-		s.Use(p, 5, 1)
-	})
-	e.Spawn("later", func(p *Proc) {
-		p.Hold(3) // arrives while owner running, same class as victim
-		s.Use(p, 1, 0)
-		order = append(order, "later")
+	var owner Time
+	useAt(e, s, 2, 5, 1, &owner)
+	e.Schedule(3, func() { // arrives while owner runs, same class as victim
+		s.Use(1, 0, func() { order = append(order, "later") })
 	})
 	e.Run()
 	// Victim arrived first; it must resume (and finish) before "later".
@@ -132,31 +111,20 @@ func TestPreemptedResumesBeforeLaterArrivalsOfSameClass(t *testing.T) {
 func TestNestedPreemptionThreeLevels(t *testing.T) {
 	e := NewEngine()
 	s := e.NewPreemptiveServer("cpu")
-	var done = map[string]Time{}
-	e.Spawn("low", func(p *Proc) {
-		s.Use(p, 10, 0)
-		done["low"] = p.Now()
-	})
-	e.Spawn("mid", func(p *Proc) {
-		p.Hold(2)
-		s.Use(p, 4, 1)
-		done["mid"] = p.Now()
-	})
-	e.Spawn("high", func(p *Proc) {
-		p.Hold(3)
-		s.Use(p, 2, 2)
-		done["high"] = p.Now()
-	})
+	var low, mid, high Time
+	useAt(e, s, 0, 10, 0, &low)
+	useAt(e, s, 2, 4, 1, &mid)
+	useAt(e, s, 3, 2, 2, &high)
 	e.Run()
 	// high: 3..5; mid: 2..3 then 5..8; low: 0..2 then 8..16.
-	if done["high"] != 5 {
-		t.Errorf("high done at %v, want 5", done["high"])
+	if high != 5 {
+		t.Errorf("high done at %v, want 5", high)
 	}
-	if done["mid"] != 8 {
-		t.Errorf("mid done at %v, want 8", done["mid"])
+	if mid != 8 {
+		t.Errorf("mid done at %v, want 8", mid)
 	}
-	if done["low"] != 16 {
-		t.Errorf("low done at %v, want 16", done["low"])
+	if low != 16 {
+		t.Errorf("low done at %v, want 16", low)
 	}
 	if s.Preemptions() != 2 {
 		t.Errorf("Preemptions = %d, want 2", s.Preemptions())
@@ -164,16 +132,22 @@ func TestNestedPreemptionThreeLevels(t *testing.T) {
 }
 
 func TestZeroDemandReturnsImmediately(t *testing.T) {
+	// A zero demand needs no service: done runs inline, before Use
+	// returns, without scheduling an event.
 	e := NewEngine()
 	s := e.NewPreemptiveServer("cpu")
-	var at Time
-	e.Spawn("p", func(p *Proc) {
-		s.Use(p, 0, 0)
-		at = p.Now()
+	ran := false
+	var at Time = -1
+	e.Schedule(0, func() {
+		s.Use(0, 0, func() { at = e.Now() })
+		ran = at == 0
 	})
 	e.Run()
-	if at != 0 {
-		t.Errorf("zero demand took time: %v", at)
+	if !ran {
+		t.Errorf("zero demand did not complete inline (done at %v)", at)
+	}
+	if e.Processed() != 1 {
+		t.Errorf("Processed = %d, want 1 (no completion event)", e.Processed())
 	}
 	if s.Served() != 0 {
 		t.Errorf("zero demand should not count as served")
@@ -183,27 +157,20 @@ func TestZeroDemandReturnsImmediately(t *testing.T) {
 func TestNegativeDemandPanics(t *testing.T) {
 	e := NewEngine()
 	s := e.NewPreemptiveServer("cpu")
-	panicked := false
-	e.Spawn("p", func(p *Proc) {
-		defer func() { panicked = recover() != nil }()
-		s.Use(p, -1, 0)
-	})
-	e.Run()
-	if !panicked {
-		t.Error("negative demand should panic")
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("negative demand should panic")
+		}
+	}()
+	s.Use(-1, 0, func() {})
 }
 
 func TestBusyTimeAccounting(t *testing.T) {
 	e := NewEngine()
 	s := e.NewPreemptiveServer("ws")
-	e.Spawn("task", func(p *Proc) {
-		s.Use(p, 10, 0)
-	})
-	e.Spawn("owner", func(p *Proc) {
-		p.Hold(3)
-		s.Use(p, 5, 1)
-	})
+	var task, owner Time
+	useAt(e, s, 0, 10, 0, &task)
+	useAt(e, s, 3, 5, 1, &owner)
 	e.Run()
 	if bt := s.BusyTime(0); bt != 10 {
 		t.Errorf("task-class busy time %v, want 10", bt)
@@ -222,11 +189,9 @@ func TestBusyTimeAccounting(t *testing.T) {
 
 func TestBusyTimeIncludesInProgressSlice(t *testing.T) {
 	e := NewEngine()
-	defer e.Close()
 	s := e.NewPreemptiveServer("ws")
-	e.Spawn("task", func(p *Proc) {
-		s.Use(p, 10, 0)
-	})
+	var done Time
+	useAt(e, s, 0, 10, 0, &done)
 	e.RunUntil(4)
 	if bt := s.BusyTime(0); bt != 4 {
 		t.Errorf("in-progress busy time %v, want 4", bt)
@@ -249,17 +214,10 @@ func TestWorkConservation(t *testing.T) {
 		var recs []*rec
 		n := 2 + r.IntN(30)
 		for i := 0; i < n; i++ {
-			arrive := r.Float64() * 50
-			demand := 0.1 + r.Float64()*10
-			prio := r.IntN(3)
-			totalDemand += demand
-			rc := &rec{arrive: arrive, demand: demand}
+			rc := &rec{arrive: r.Float64() * 50, demand: 0.1 + r.Float64()*10}
+			totalDemand += rc.demand
 			recs = append(recs, rc)
-			e.Spawn("c", func(p *Proc) {
-				p.Hold(arrive)
-				s.Use(p, demand, prio)
-				rc.done = p.Now()
-			})
+			useAt(e, s, rc.arrive, rc.demand, r.IntN(3), &rc.done)
 		}
 		e.Run()
 		if got := s.TotalBusyTime(); math.Abs(got-totalDemand) > 1e-6 {
@@ -287,22 +245,40 @@ func TestHighPriorityUnaffectedByLow(t *testing.T) {
 	e := NewEngine()
 	s := e.NewPreemptiveServer("ws")
 	// A parallel task hogging the CPU from t=0.
-	e.Spawn("task", func(p *Proc) {
-		s.Use(p, 1e6, 0)
-	})
+	var task Time
+	useAt(e, s, 0, 1e6, 0, &task)
 	// Sparse owner bursts must each take exactly their demand.
 	for i := 0; i < 20; i++ {
 		arrive := 10 + float64(i)*100 + r.Float64()*10
 		demand := 1 + r.Float64()*5
-		e.Spawn("owner", func(p *Proc) {
-			p.Hold(arrive)
-			s.Use(p, demand, 1)
-			if got := p.Now() - arrive; math.Abs(got-demand) > 1e-9 {
-				t.Errorf("owner burst took %v, want %v", got, demand)
-			}
+		e.Schedule(arrive, func() {
+			s.Use(demand, 1, func() {
+				if got := e.Now() - arrive; math.Abs(got-demand) > 1e-9 {
+					t.Errorf("owner burst took %v, want %v", got, demand)
+				}
+			})
 		})
 	}
 	e.Run()
+}
+
+func TestServerQueueLengthStats(t *testing.T) {
+	e := NewEngine()
+	s := e.NewPreemptiveServer("cpu")
+	// Occupant 0..10; three arrivals at t=0 queue behind it, draining one
+	// every 10: queue length 3 on [0,10), 2 on [10,20), 1 on [20,30), 0 after.
+	var done Time
+	for i := 0; i < 4; i++ {
+		useAt(e, s, 0, 10, 0, &done)
+	}
+	e.Run()
+	// Mean over [0,40): (3+2+1+0)*10/40 = 1.5.
+	if got := s.MeanQueueLen(); got < 1.45 || got > 1.55 {
+		t.Errorf("mean queue length %v, want 1.5", got)
+	}
+	if s.MaxQueueLen() != 3 {
+		t.Errorf("max queue length %d, want 3", s.MaxQueueLen())
+	}
 }
 
 func TestServerName(t *testing.T) {

@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -110,6 +112,41 @@ func TestEveryExperimentRunsAndPasses(t *testing.T) {
 				if !c.Pass() {
 					t.Errorf("%s: %s", d.ID, c)
 				}
+			}
+		})
+	}
+}
+
+// TestDESFiguresGolden pins the CSV bytes of the DES-backed extension
+// figures under TestConfig: ext01 and ext03 run the general simulator,
+// ext02 the multi-job one. CSV cells print in %g, so every value is pinned
+// to the bit. Regenerate with:
+//
+//	go run ./cmd/figures -fast -id ext01 -out /tmp/ext && cp /tmp/ext/ext01.csv internal/experiment/testdata/
+//
+// (likewise ext02 and ext03).
+func TestDESFiguresGolden(t *testing.T) {
+	cfg := TestConfig()
+	for _, id := range []string{"ext01", "ext02", "ext03"} {
+		t.Run(id, func(t *testing.T) {
+			d, ok := ByID(id)
+			if !ok {
+				t.Fatalf("no experiment %s", id)
+			}
+			out, err := d.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := plot.CSV(*out.Figure)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", id+".csv"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != string(want) {
+				t.Errorf("%s CSV differs from its golden:\n got:\n%s\nwant:\n%s", id, got, want)
 			}
 		})
 	}

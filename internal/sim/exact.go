@@ -14,7 +14,8 @@
 //     task progress (so the one-unit-progress guarantee disappears), owner
 //     demands and task demands may follow any distribution, and stations may
 //     be heterogeneous. It runs on the des engine with preemptive-priority
-//     workstations.
+//     workstations; its owner processes, job driver and tasks are engine
+//     callbacks, and a warm run allocates nothing per event.
 //
 // Output analysis follows the paper: batch means with 20 batches of 1000
 // samples and 90% confidence intervals, targeting ≤1% relative half-width.

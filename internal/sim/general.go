@@ -106,6 +106,10 @@ func (c GeneralConfig) MeanUtilization() float64 {
 
 // General is the des-based simulator. Each Run constructs a fresh engine;
 // jobs execute back-to-back against continuously running owner processes.
+// The owner processes, the job driver and the tasks are written as engine
+// callbacks (see package des): each callback is scheduled where the process
+// would have scheduled its wake-up, so event order and random-number draw
+// order are those of the process model.
 type General struct {
 	cfg GeneralConfig
 }
@@ -141,7 +145,6 @@ func (g *General) RunCtx(ctx context.Context, n int) (GeneralStats, error) {
 		return GeneralStats{}, fmt.Errorf("sim: need at least one sample, got %d", n)
 	}
 	run := g.Start()
-	defer run.Close()
 	if err := run.Extend(ctx, n); err != nil {
 		return GeneralStats{}, err
 	}
@@ -149,76 +152,55 @@ func (g *General) RunCtx(ctx context.Context, n int) (GeneralStats, error) {
 }
 
 // GeneralRun is an in-progress general-model simulation that can be extended
-// incrementally: the owner processes and the job driver keep running between
-// Extend calls, so a precision-driven protocol (sim.RunGeneralCtx) grows the
-// sample set without discarding earlier work or breaking owner-process
-// continuity. Close must be called to release the engine's goroutines.
+// incrementally: the owner processes and the job driver keep their state
+// between Extend calls, so a precision-driven protocol (sim.RunGeneralCtx)
+// grows the sample set without discarding earlier work or breaking
+// owner-process continuity. A run holds no goroutines; dropping it releases
+// everything.
 type GeneralRun struct {
-	g       *General
-	eng     *des.Engine
-	servers []*des.PreemptiveServer
-	samples []JobSample
+	g          *General
+	eng        *des.Engine
+	servers    []*des.PreemptiveServer
+	samples    []JobSample
+	job        *forkJoin
+	taskStream *rng.Stream
+	jobs       int // jobs started so far, warmup included
 }
 
-// Start spins up the engine: owner processes on every station and a driver
-// that executes jobs back-to-back indefinitely (discarding WarmupJobs first).
-// No simulated time elapses until the first Extend.
+// Start sets up the engine: owner processes on every station and a driver
+// that executes jobs back-to-back indefinitely (discarding WarmupJobs
+// first). No simulated time elapses until the first Extend.
 func (g *General) Start() *GeneralRun {
-	w := len(g.cfg.Stations)
 	r := &GeneralRun{g: g, eng: des.NewEngine()}
-
 	root := rng.NewStream(g.cfg.Seed)
-	taskStream := root.Split(0)
-
-	r.servers = make([]*des.PreemptiveServer, w)
-	for i := range r.servers {
-		r.servers[i] = r.eng.NewPreemptiveServer(fmt.Sprintf("ws%d", i))
-	}
-
-	// Owner processes: run forever; Close unwinds them at the end.
+	r.taskStream = root.Split(0)
+	r.servers = startOwners(r.eng, g.cfg.Stations, root)
+	speeds := make([]float64, len(g.cfg.Stations))
 	for i, st := range g.cfg.Stations {
-		i, st := i, st
-		ostream := root.Split(uint64(1 + i))
-		r.eng.Spawn(fmt.Sprintf("owner%d", i), func(p *des.Proc) {
-			for {
-				p.Hold(st.OwnerThink.Sample(ostream))
-				r.servers[i].Use(p, st.OwnerDemand.Sample(ostream), PrioOwner)
-			}
+		// Per-station speed scales the sampled demand into effective CPU
+		// time; owner bursts stay wall-clock.
+		speeds[i] = st.speed()
+	}
+	r.job = newForkJoin(r.eng, r.servers, speeds, r.jobDone)
+	r.eng.Schedule(r.eng.Now(), r.nextJob)
+	return r
+}
+
+// nextJob forks the next job's tasks.
+func (r *GeneralRun) nextJob() {
+	r.jobs++
+	r.job.fork(r.g.cfg.TaskDemand, r.taskStream)
+}
+
+// jobDone records the finished job (past warmup) and starts the next.
+func (r *GeneralRun) jobDone() {
+	if r.jobs > r.g.cfg.WarmupJobs {
+		r.samples = append(r.samples, JobSample{
+			JobTime:  r.eng.Now() - r.job.start,
+			MeanTask: r.job.sum / float64(len(r.servers)),
 		})
 	}
-
-	doneMB := r.eng.NewMailbox("taskdone")
-	r.eng.Spawn("driver", func(p *des.Proc) {
-		for job := 0; ; job++ {
-			jobStart := p.Now()
-			var sumTask, maxTask float64
-			for t := 0; t < w; t++ {
-				t := t
-				// Per-station speed scales the sampled demand into
-				// effective CPU time; owner bursts stay wall-clock.
-				demand := g.cfg.TaskDemand.Sample(taskStream) / g.cfg.Stations[t].speed()
-				r.eng.Spawn(fmt.Sprintf("task%d", t), func(tp *des.Proc) {
-					start := tp.Now()
-					r.servers[t].Use(tp, demand, PrioTask)
-					doneMB.Send(tp.Now() - start)
-				})
-			}
-			for t := 0; t < w; t++ {
-				d := doneMB.Recv(p).(float64)
-				sumTask += d
-				if d > maxTask {
-					maxTask = d
-				}
-			}
-			if job >= g.cfg.WarmupJobs {
-				r.samples = append(r.samples, JobSample{
-					JobTime:  p.Now() - jobStart,
-					MeanTask: sumTask / float64(w),
-				})
-			}
-		}
-	})
-	return r
+	r.nextJob()
 }
 
 // Extend steps the simulation until n more measured samples exist, checking
@@ -263,5 +245,104 @@ func (r *GeneralRun) Stats() GeneralStats {
 	return stats
 }
 
-// Close terminates the engine's processes. The run is unusable afterwards.
-func (r *GeneralRun) Close() { r.eng.Close() }
+// startOwners creates one preemptive server per station and starts its
+// owner process. Station i draws from root.Split(1+i).
+func startOwners(eng *des.Engine, stations []StationConfig, root *rng.Stream) []*des.PreemptiveServer {
+	servers := make([]*des.PreemptiveServer, len(stations))
+	for i, st := range stations {
+		servers[i] = eng.NewPreemptiveServer(fmt.Sprintf("ws%d", i))
+		o := &owner{eng: eng, srv: servers[i], cfg: st, stream: root.Split(uint64(1 + i))}
+		o.think, o.burst = o.doThink, o.doBurst
+		eng.Schedule(eng.Now(), o.think)
+	}
+	return servers
+}
+
+// owner is a station's owner process: think for a sampled wall-clock time,
+// then a burst of sampled demand at owner priority, forever.
+type owner struct {
+	eng          *des.Engine
+	srv          *des.PreemptiveServer
+	cfg          StationConfig
+	stream       *rng.Stream
+	think, burst func() // doThink and doBurst, bound once
+}
+
+func (o *owner) doThink() { o.eng.Schedule(o.eng.Now()+o.cfg.OwnerThink.Sample(o.stream), o.burst) }
+
+func (o *owner) doBurst() { o.srv.Use(o.cfg.OwnerDemand.Sample(o.stream), PrioOwner, o.think) }
+
+// forkJoin is a parallel job: one task per station at task priority, and a
+// driver that resumes once every task has finished. The first completion
+// after the driver blocks schedules one wake-up, and a wake-up that finds
+// tasks outstanding blocks it again — the wake-ups of a driver process
+// receiving W completion messages, so the event sequence, and with it every
+// pinned answer, is that of the process formulation.
+type forkJoin struct {
+	eng     *des.Engine
+	tasks   []task
+	joined  func() // runs when every task of the current fork has finished
+	wake    func() // f.resume, bound once
+	start   des.Time
+	sum     float64 // task times of the current fork, in completion order
+	arrived int
+	blocked bool
+}
+
+// task is one parallel task: its demand is the sampled demand divided by
+// its station's speed.
+type task struct {
+	srv           *des.PreemptiveServer
+	speed         float64
+	demand, start des.Time
+	begin, finish func()
+}
+
+// newForkJoin builds a job over servers; speeds scales each task's demand,
+// nil leaves it unscaled.
+func newForkJoin(eng *des.Engine, servers []*des.PreemptiveServer, speeds []float64, joined func()) *forkJoin {
+	f := &forkJoin{eng: eng, tasks: make([]task, len(servers)), joined: joined}
+	f.wake = f.resume
+	for i := range f.tasks {
+		t := &f.tasks[i]
+		*t = task{srv: servers[i], speed: 1}
+		if speeds != nil {
+			t.speed = speeds[i]
+		}
+		t.begin = func() {
+			t.start = eng.Now()
+			t.srv.Use(t.demand, PrioTask, t.finish)
+		}
+		t.finish = func() { f.taskDone(eng.Now() - t.start) }
+	}
+	return f
+}
+
+// fork samples every task's demand from d in station order and starts the
+// tasks at the current instant.
+func (f *forkJoin) fork(d rng.Dist, s *rng.Stream) {
+	f.start, f.sum, f.arrived = f.eng.Now(), 0, 0
+	for i := range f.tasks {
+		t := &f.tasks[i]
+		t.demand = d.Sample(s) / t.speed
+		f.eng.Schedule(f.start, t.begin)
+	}
+	f.blocked = true
+}
+
+func (f *forkJoin) taskDone(d float64) {
+	f.sum += d
+	f.arrived++
+	if f.blocked {
+		f.blocked = false
+		f.eng.Schedule(f.eng.Now(), f.wake)
+	}
+}
+
+func (f *forkJoin) resume() {
+	if f.arrived < len(f.tasks) {
+		f.blocked = true
+		return
+	}
+	f.joined()
+}

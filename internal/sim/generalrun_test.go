@@ -18,7 +18,6 @@ func TestGeneralRunExtendMatchesOneShot(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := g1.Start()
-	defer run.Close()
 	ctx := context.Background()
 	if err := run.Extend(ctx, 30); err != nil {
 		t.Fatal(err)
@@ -59,7 +58,6 @@ func TestGeneralRunExtendRejectsBadCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := g.Start()
-	defer run.Close()
 	if err := run.Extend(context.Background(), 0); err == nil {
 		t.Error("Extend(0) should error")
 	}
@@ -71,7 +69,6 @@ func TestGeneralRunExtendHonorsCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := g.Start()
-	defer run.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if err := run.Extend(ctx, 1000); err != context.Canceled {

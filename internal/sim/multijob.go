@@ -79,63 +79,45 @@ func RunMultiJob(cfg MultiJobConfig, n int) (MultiJobStats, error) {
 	if n < 1 {
 		return MultiJobStats{}, fmt.Errorf("sim: need at least one measured execution per job")
 	}
-	w := len(cfg.Stations)
 	eng := des.NewEngine()
-	defer eng.Close()
 	root := rng.NewStream(cfg.Seed)
-
-	servers := make([]*des.PreemptiveServer, w)
-	for i := range servers {
-		servers[i] = eng.NewPreemptiveServer(fmt.Sprintf("ws%d", i))
-	}
-	for i, st := range cfg.Stations {
-		i, st := i, st
-		ostream := root.Split(uint64(1 + i))
-		eng.Spawn(fmt.Sprintf("owner%d", i), func(p *des.Proc) {
-			for {
-				p.Hold(st.OwnerThink.Sample(ostream))
-				servers[i].Use(p, st.OwnerDemand.Sample(ostream), PrioOwner)
-			}
-		})
-	}
+	servers := startOwners(eng, cfg.Stations, root)
 
 	out := MultiJobStats{PerJob: make([]stats.Summary, cfg.Jobs)}
 	remaining := cfg.Jobs // jobs that have not finished their quota
 	var measureStart float64
 	measuring := false
 
+	// Each job cycles: fork its tasks (their demand unscaled by station
+	// speed), join, record the response, think, resubmit — WarmupPerJob+n
+	// executions, then it leaves the loop.
 	for j := 0; j < cfg.Jobs; j++ {
-		j := j
 		jstream := root.Split(uint64(1000 + j))
-		eng.Spawn(fmt.Sprintf("job%d", j), func(p *des.Proc) {
-			done := eng.NewMailbox(fmt.Sprintf("job%d.done", j))
-			for exec := 0; exec < cfg.WarmupPerJob+n; exec++ {
-				start := p.Now()
-				for t := 0; t < w; t++ {
-					t := t
-					demand := cfg.TaskDemand.Sample(jstream)
-					eng.Spawn(fmt.Sprintf("job%d.task%d", j, t), func(tp *des.Proc) {
-						servers[t].Use(tp, demand, PrioTask)
-						done.Send(struct{}{})
-					})
-				}
-				for t := 0; t < w; t++ {
-					done.Recv(p)
-				}
-				resp := p.Now() - start
-				if exec >= cfg.WarmupPerJob {
-					if !measuring {
-						measuring = true
-						measureStart = start
-					}
-					out.Response.Add(resp)
-					out.PerJob[j].Add(resp)
-					out.Completed++
-				}
-				p.Hold(cfg.JobThink.Sample(jstream))
+		exec := 0
+		var f *forkJoin
+		var submit func()
+		submit = func() {
+			if exec == cfg.WarmupPerJob+n {
+				remaining--
+				return
 			}
-			remaining--
+			f.fork(cfg.TaskDemand, jstream)
+		}
+		f = newForkJoin(eng, servers, nil, func() {
+			resp := eng.Now() - f.start
+			if exec >= cfg.WarmupPerJob {
+				if !measuring {
+					measuring = true
+					measureStart = f.start
+				}
+				out.Response.Add(resp)
+				out.PerJob[j].Add(resp)
+				out.Completed++
+			}
+			exec++
+			eng.Schedule(eng.Now()+cfg.JobThink.Sample(jstream), submit)
 		})
+		eng.Schedule(eng.Now(), submit)
 	}
 
 	for remaining > 0 && eng.Step() {
@@ -153,7 +135,7 @@ func RunMultiJob(cfg MultiJobConfig, n int) (MultiJobStats, error) {
 		busy += s.BusyTime(PrioOwner)
 	}
 	if eng.Now() > 0 {
-		out.ObservedUtil = busy / (eng.Now() * float64(w))
+		out.ObservedUtil = busy / (eng.Now() * float64(len(servers)))
 	}
 	return out, nil
 }

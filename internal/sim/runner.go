@@ -79,7 +79,6 @@ func RunGeneralCtx(ctx context.Context, g *General, pr Protocol) (RunResult, err
 	// so nothing is re-simulated and owner-process continuity is preserved
 	// by construction (the owners never stop between slabs).
 	run := g.Start()
-	defer run.Close()
 	job := stats.NewBatchMeans(pr.BatchSize)
 	task := stats.NewBatchMeans(pr.BatchSize)
 	fed := 0
