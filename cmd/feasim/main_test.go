@@ -180,8 +180,9 @@ func TestCmdSweepFrontier(t *testing.T) {
 func TestCmdQueryGoldens(t *testing.T) {
 	// "fleet" and "fleet_threshold" are heterogeneous spellings of the
 	// report and threshold kinds: per-station availability/speed instead of
-	// the aggregate util.
-	for _, kind := range []string{"report", "threshold", "partition", "distribution", "scaled", "timeline", "fleet", "fleet_threshold"} {
+	// the aggregate util. "threshold_small_o" has O < 1, where ratio 1 is
+	// below one time unit of task demand and the search starts at r_min.
+	for _, kind := range []string{"report", "threshold", "threshold_small_o", "partition", "distribution", "scaled", "timeline", "fleet", "fleet_threshold"} {
 		t.Run(kind, func(t *testing.T) {
 			in := filepath.Join("testdata", "query_"+kind+".json")
 			out := captureStdout(t, func() error { return cmdQuery([]string{in}) })

@@ -148,7 +148,9 @@ func (b Binomial) ExpectedMaxOfIID(w int) float64 {
 	if b.P == 1 {
 		return float64(b.N)
 	}
-	return Tables(b.N, b.P).ExpectedMax(w)
+	t := borrowTables(b.N, b.P)
+	defer t.release()
+	return t.ExpectedMax(w)
 }
 
 // MaxPMFTable returns the paper's Max[W, n] for n in {0, ..., N}: the
@@ -158,7 +160,8 @@ func (b Binomial) MaxPMFTable(w int) []float64 {
 	if w < 1 {
 		panic("core: MaxPMFTable requires w >= 1")
 	}
-	t := Tables(b.N, b.P)
+	t := borrowTables(b.N, b.P)
+	defer t.release()
 	out := make([]float64, b.N+1)
 	copy(out[t.Lo:t.Hi+1], t.MaxPMFWindow(w))
 	return out

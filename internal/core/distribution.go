@@ -103,7 +103,8 @@ func TaskTimeDistribution(p Params) (TimeDistribution, error) {
 	if p.O == 0 || p.P == 0 || n == 0 {
 		return TimeDistribution{Times: []float64{t}, Probs: []float64{1}}, nil
 	}
-	tb := Tables(n, p.P)
+	tb := borrowTables(n, p.P)
+	defer tb.release()
 	return burstCountToTimes(t, p.O, tb.Lo, tb.PMFWindow()), nil
 }
 
@@ -118,7 +119,9 @@ func JobTimeDistribution(f Fleet) (TimeDistribution, error) {
 		if err := f.Validate(); err != nil {
 			return TimeDistribution{}, err
 		}
-		times, probs := fleetJobPMF(resolveFleetGroups(f), f.O)
+		groups := resolveFleetGroups(f)
+		defer releaseGroups(groups)
+		times, probs := fleetJobPMF(groups, f.O)
 		return TimeDistribution{Times: times, Probs: probs}, nil
 	}
 	if err := p.Validate(); err != nil {
@@ -129,7 +132,8 @@ func JobTimeDistribution(f Fleet) (TimeDistribution, error) {
 	if p.O == 0 || p.P == 0 || n == 0 {
 		return TimeDistribution{Times: []float64{t}, Probs: []float64{1}}, nil
 	}
-	tb := Tables(n, p.P)
+	tb := borrowTables(n, p.P)
+	defer tb.release()
 	return burstCountToTimes(t, p.O, tb.Lo, tb.MaxPMFWindow(p.W)), nil
 }
 
@@ -201,15 +205,7 @@ func AnalyzeGumbel(p Params) (Result, error) {
 	default:
 		mu := bin.Mean()
 		sigma := math.Sqrt(bin.Variance())
-		w := float64(p.W)
-		l := math.Log(w)
-		const gamma = 0.5772156649015329 // Euler–Mascheroni
-		var aW float64
-		if l > 0.5 {
-			s := math.Sqrt(2 * l)
-			aW = s - (math.Log(l)+math.Log(4*math.Pi))/(2*s) + gamma/s
-		}
-		em := mu + sigma*aW
+		em := mu + sigma*gumbelShift(p.W)
 		if em > float64(n) {
 			em = float64(n)
 		}
@@ -221,4 +217,17 @@ func AnalyzeGumbel(p Params) (Result, error) {
 	}
 	r.Metrics = metricsFor(p, u, r.EJob)
 	return r, nil
+}
+
+// gumbelShift is a_W + γ/sqrt(2 ln W): the expected maximum of w iid
+// standard normals in the extreme-value asymptotic, 0 for w too small for
+// the asymptotic to apply.
+func gumbelShift(w int) float64 {
+	l := math.Log(float64(w))
+	if l <= 0.5 {
+		return 0
+	}
+	const gamma = 0.5772156649015329 // Euler–Mascheroni
+	s := math.Sqrt(2 * l)
+	return s - (math.Log(l)+math.Log(4*math.Pi))/(2*s) + gamma/s
 }

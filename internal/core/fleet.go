@@ -188,7 +188,8 @@ func (f Fleet) BurstTables() (*PoissonBinomialTables, bool, error) {
 }
 
 // fleetGroup is one canonical group resolved against the job: effective
-// demand, trial count and the shared binomial window.
+// demand, trial count and the binomial window, borrowed for the call
+// (releaseGroups hands the windows back).
 type fleetGroup struct {
 	FleetStation
 	t  float64
@@ -203,10 +204,17 @@ func resolveFleetGroups(f Fleet) []fleetGroup {
 	for _, s := range canon {
 		g := fleetGroup{FleetStation: s, t: t / s.Speed}
 		g.n = int(math.Round(g.t))
-		g.tb = Tables(g.n, s.P)
+		g.tb = borrowTables(g.n, s.P)
 		out = append(out, g)
 	}
 	return out
+}
+
+// releaseGroups hands back the tables resolveFleetGroups borrowed.
+func releaseGroups(groups []fleetGroup) {
+	for _, g := range groups {
+		g.tb.release()
+	}
 }
 
 // analyzeFleet is the fleet kernel behind Analyze for a validated fleet
@@ -215,6 +223,7 @@ func analyzeFleet(f Fleet) (Result, error) {
 	w := f.W()
 	res := Result{Fleet: f, W: w, T: f.TaskDemand(), U: f.Utilization()}
 	groups := resolveFleetGroups(f)
+	defer releaseGroups(groups)
 
 	var etask float64
 	sameOffset := true

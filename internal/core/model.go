@@ -244,7 +244,9 @@ func (r *Result) binomial(p Params, n int) {
 	if p.O == 0 || p.P == 0 || n == 0 {
 		r.EJob = t
 	} else {
-		r.EMaxBursts = Tables(n, p.P).ExpectedMax(p.W)
+		tb := borrowTables(n, p.P)
+		r.EMaxBursts = tb.ExpectedMax(p.W)
+		tb.release()
 		r.EJob = t + p.O*r.EMaxBursts
 	}
 	r.Metrics = metricsFor(p, u, r.EJob)

@@ -22,10 +22,23 @@ import (
 //   - a process-wide memo keyed by (N, P), shared by every consumer —
 //     Analyze, the distributions, the threshold/optimize/scaled searches and
 //     all sweep workers — so a W-grid or a bisection at fixed (T, P) pays
-//     for one table total.
+//     for one table total, and
+//   - admission on the second sighting, the "doorkeeper" of TinyLFU
+//     (Einziger, Friedman & Manes, ACM TOS 2017). Every core consumer that
+//     reads a table within one call — the homogeneous ExpectedMax, the fleet
+//     groups, the distributions — goes through one scoped lookup,
+//     borrowTables, paired with release. On a key's first sighting the table
+//     is built into a sync.Pool buffer, answered from and handed back, and
+//     only the key's fingerprint is recorded in a small ring per shard; the
+//     second sighting builds the table and inserts it. A frontier or sweep
+//     point at a fresh (T, P) therefore allocates nothing and evicts no hot
+//     entry, while keys that repeat become resident. The arithmetic is the
+//     same either way, so answers do not depend on residency.
 //
-// Tables are immutable after construction and therefore safe to share
-// across goroutines without locking; only the memo map itself is locked.
+// Resident tables are immutable after construction and therefore safe to
+// share across goroutines without locking; only the memo map itself is
+// locked. A borrowed scratch table is private to its borrower until
+// released.
 
 const (
 	// tablesFullSupportMax is the largest N whose tables keep the exact full
@@ -65,13 +78,45 @@ type BinomialTables struct {
 	// (N, P, W) solves take this lock, to skip the order-statistic fold.
 	emMu   sync.Mutex
 	emMemo map[int]float64
+
+	// scratch marks a pooled table lent for one call (borrowTables): it
+	// keeps no ExpectedMax memo and goes back to the pool on release.
+	scratch bool
 }
 
-// Tables returns the (memoized) tables for Bin(n, p). The returned value is
-// shared and must not be modified.
-func Tables(n int, p float64) *BinomialTables {
+// Tables returns the (memoized) tables for Bin(n, p). The table is made
+// resident on first use — the caller holds a long-lived pointer — so it
+// skips the doorkeeper that the scoped lookup (borrowTables) applies. The
+// returned value is shared and must not be modified.
+func Tables(n int, p float64) *BinomialTables { return lookupTables(n, p, false) }
+
+// borrowTables is the scoped lookup behind every core consumer that reads a
+// table within one call: the homogeneous ExpectedMax, the fleet groups and
+// the distributions. A resident table is returned as is. On a key's first
+// sighting the table is built into a pooled scratch buffer and only the
+// key's fingerprint is recorded; the second sighting builds the table and
+// inserts it. The caller must not retain the table past its call and must
+// hand it back with release.
+func borrowTables(n int, p float64) *BinomialTables { return lookupTables(n, p, true) }
+
+// release returns a borrowed scratch table to the pool; a resident table is
+// left alone.
+func (t *BinomialTables) release() {
+	if t.scratch {
+		tablesPool.Put(t)
+	}
+}
+
+// tablesPool recycles the scratch tables of first sightings, so a key the
+// memo never sees again costs no allocation.
+var tablesPool = sync.Pool{New: func() any { return &BinomialTables{scratch: true} }}
+
+// lookupTables serves Tables (admit on first use) and borrowTables (admit
+// on the second sighting).
+func lookupTables(n int, p float64, doorkeeper bool) *BinomialTables {
 	key := tableKey{n: n, p: p}
-	s := tableShardFor(key)
+	h := key.hash()
+	s := tableShards[h&(tableShardCount-1)]
 	s.mu.Lock()
 	if el, ok := s.entries[key]; ok {
 		s.order.MoveToFront(el)
@@ -81,8 +126,14 @@ func Tables(n int, p float64) *BinomialTables {
 		return t
 	}
 	s.misses++
+	admit := !doorkeeper || s.seenBefore(h)
 	s.mu.Unlock()
 
+	if !admit {
+		t := tablesPool.Get().(*BinomialTables)
+		t.build(n, p)
+		return t
+	}
 	// Build outside the lock: tables are deterministic, so two goroutines
 	// racing on the same key waste one build, never correctness.
 	t := newBinomialTables(n, p)
@@ -108,6 +159,21 @@ func Tables(n int, p float64) *BinomialTables {
 	}
 	s.mu.Unlock()
 	return t
+}
+
+// seenBefore is the doorkeeper: it reports whether the key hashed to h was
+// sighted among the shard's last tableSeenSlots first sightings, and
+// records it if not. The caller holds s.mu.
+func (s *tableShard) seenBefore(h uint64) bool {
+	fp := h | 1 // 0 marks an empty slot
+	for _, v := range s.seen {
+		if v == fp {
+			return true
+		}
+	}
+	s.seen[s.seenNext] = fp
+	s.seenNext = (s.seenNext + 1) % tableSeenSlots
+	return false
 }
 
 type tableKey struct {
@@ -136,6 +202,10 @@ const (
 	tableShardCount = 8
 	// tableShardCap is each shard's recency-eviction bound.
 	tableShardCap = tableCacheCap / tableShardCount
+	// tableSeenSlots is the length of each shard's doorkeeper ring: a key
+	// is admitted when it comes back before this many other keys are first
+	// sighted on its shard — as many as the shard can hold resident.
+	tableSeenSlots = tableShardCap
 )
 
 // tableShard is one slice of the memo: its own lock, map and recency list
@@ -148,6 +218,10 @@ type tableShard struct {
 	misses  uint64
 	// evictions counts entries dropped by the recency bound.
 	evictions uint64
+	// seen is the doorkeeper's ring of the fingerprints of the last
+	// tableSeenSlots first sightings; seenNext is the slot written next.
+	seen     [tableSeenSlots]uint64
+	seenNext int
 }
 
 var tableShards = func() [tableShardCount]*tableShard {
@@ -158,19 +232,24 @@ var tableShards = func() [tableShardCount]*tableShard {
 	return out
 }()
 
-// tableShardFor hashes (n, p) onto a shard with a 64-bit finalizer mix; the
-// same key always lands on the same shard.
-func tableShardFor(key tableKey) *tableShard {
+// hash mixes both n and p through a 64-bit finalizer. Its low bits pick the
+// shard and the whole value is the doorkeeper's fingerprint, so keys that
+// share p — every W-point of a sweep at one utilization — stay apart.
+func (key tableKey) hash() uint64 {
 	h := math.Float64bits(key.p) ^ uint64(key.n)*0x9e3779b97f4a7c15
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33
-	return tableShards[h&(tableShardCount-1)]
+	return h
 }
 
 // TablesCacheStats reports the cumulative hit/miss counts of the shared
 // table memo (summed across shards), for benchmarks and tests of
-// cross-worker sharing.
+// cross-worker sharing. A hit is a lookup answered by a resident table;
+// every other lookup is a miss, including a key's first sighting, which
+// the doorkeeper answers from a scratch table without inserting it. The
+// hit ratio — the benchmark's core.tables_hit_ratio — therefore reads lower
+// than under insert-on-first-use while fewer table bytes are built.
 func TablesCacheStats() (hits, misses uint64) {
 	for _, s := range tableShards {
 		s.mu.Lock()
@@ -214,15 +293,24 @@ func modeAnchor(n int, p float64) (mode int, pmfMode float64) {
 	return mode, math.Exp(Binomial{N: n, P: p}.LogPMF(mode))
 }
 
-// newBinomialTables builds the tables for Bin(n, p).
+// newBinomialTables builds the tables for Bin(n, p) into a fresh value.
 func newBinomialTables(n int, p float64) *BinomialTables {
-	t := &BinomialTables{N: n, P: p}
+	t := &BinomialTables{}
+	t.build(n, p)
+	return t
+}
+
+// build fills t with the tables for Bin(n, p), reusing t's buffers where
+// they are large enough: a scratch table from the pool allocates nothing
+// once warm, and a fresh table allocates exactly its window.
+func (t *BinomialTables) build(n int, p float64) {
+	t.N, t.P = n, p
 	if at, ok := pointMass(n, p); ok {
 		t.Lo, t.Hi = at, at
-		t.pmf = []float64{1}
-		t.cdf = []float64{1}
-		t.tail = []float64{0}
-		return t
+		t.pmf = append(t.pmf[:0], 1)
+		t.cdf = append(t.cdf[:0], 1)
+		t.tail = append(t.tail[:0], 0)
+		return
 	}
 	mode, pmfMode := modeAnchor(n, p)
 
@@ -231,7 +319,8 @@ func newBinomialTables(n int, p float64) *BinomialTables {
 		lo, hi = windowBounds(n, p, mode, pmfMode)
 	}
 	t.Lo, t.Hi = lo, hi
-	t.pmf = ratioPMF(n, p, lo, hi, mode, pmfMode)
+	size := hi - lo + 1
+	t.pmf = ratioPMF(resize(t.pmf, size), n, p, lo, hi, mode, pmfMode)
 
 	// Renormalize: the log-domain anchor carries ~1 ulp of Lgamma error,
 	// which scales the whole table uniformly (the window misses at most
@@ -246,7 +335,7 @@ func newBinomialTables(n int, p float64) *BinomialTables {
 		t.pmf[i] /= mass
 	}
 
-	t.cdf = make([]float64, len(t.pmf))
+	t.cdf = resize(t.cdf, size)
 	run := 0.0
 	for i, v := range t.pmf {
 		run += v
@@ -260,7 +349,7 @@ func newBinomialTables(n int, p float64) *BinomialTables {
 		// built on the cdf are proper distributions.
 		t.cdf[len(t.cdf)-1] = 1
 	}
-	t.tail = make([]float64, len(t.pmf))
+	t.tail = resize(t.tail, size)
 	down := 0.0
 	for i := len(t.pmf) - 1; i >= 0; i-- {
 		t.tail[i] = down // P(X > Lo+i) excludes pmf[i] itself
@@ -269,7 +358,15 @@ func newBinomialTables(n int, p float64) *BinomialTables {
 			down = 1 // accumulation rounding must not push a tail above 1
 		}
 	}
-	return t
+}
+
+// resize returns buf resliced to n entries, or a new slice when buf is too
+// small. Callers overwrite every entry.
+func resize(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
 }
 
 // windowBounds walks outward from the mode until the pmf drops below
@@ -295,10 +392,10 @@ func windowBounds(n int, p float64, mode int, pmfMode float64) (lo, hi int) {
 	return lo, hi
 }
 
-// ratioPMF fills pmf values for k in [lo, hi] by the two-sided ratio
-// recurrence anchored at the mode. mode must lie in [lo, hi].
-func ratioPMF(n int, p float64, lo, hi, mode int, pmfMode float64) []float64 {
-	out := make([]float64, hi-lo+1)
+// ratioPMF fills out (len hi−lo+1) with the pmf values for k in [lo, hi]
+// by the two-sided ratio recurrence anchored at the mode, and returns it.
+// mode must lie in [lo, hi].
+func ratioPMF(out []float64, n int, p float64, lo, hi, mode int, pmfMode float64) []float64 {
 	out[mode-lo] = pmfMode
 	r := p / (1 - p)
 	v := pmfMode
@@ -323,7 +420,7 @@ func fullPMFTable(n int, p float64) []float64 {
 		return out
 	}
 	mode, pmfMode := modeAnchor(n, p)
-	return ratioPMF(n, p, 0, n, mode, pmfMode)
+	return ratioPMF(make([]float64, n+1), n, p, 0, n, mode, pmfMode)
 }
 
 // Mean is N·P.
@@ -375,6 +472,9 @@ func (t *BinomialTables) ExpectedMax(w int) float64 {
 	if t.P == 1 {
 		return float64(t.N)
 	}
+	if t.scratch {
+		return t.foldMax(w)
+	}
 	// Memoize per W: a sweep grid or bisection that revisits the same
 	// (N, P, W) point — and every cache-missed re-solve behind it — pays
 	// the O(window) fold once per table lifetime.
@@ -384,6 +484,21 @@ func (t *BinomialTables) ExpectedMax(w int) float64 {
 		return v
 	}
 	t.emMu.Unlock()
+	sum := t.foldMax(w)
+	t.emMu.Lock()
+	if t.emMemo == nil {
+		t.emMemo = make(map[int]float64)
+	}
+	if len(t.emMemo) < expectedMaxMemoCap {
+		t.emMemo[w] = sum
+	}
+	t.emMu.Unlock()
+	return sum
+}
+
+// foldMax is ExpectedMax's tail-sum fold over the window, for w >= 1 on a
+// non-degenerate table.
+func (t *BinomialTables) foldMax(w int) float64 {
 	fw := float64(w)
 	sum := float64(t.Lo)
 	hi := t.Hi
@@ -399,14 +514,6 @@ func (t *BinomialTables) ExpectedMax(w int) float64 {
 		}
 		sum += -math.Expm1(fw * math.Log1p(-tau))
 	}
-	t.emMu.Lock()
-	if t.emMemo == nil {
-		t.emMemo = make(map[int]float64)
-	}
-	if len(t.emMemo) < expectedMaxMemoCap {
-		t.emMemo[w] = sum
-	}
-	t.emMu.Unlock()
 	return sum
 }
 

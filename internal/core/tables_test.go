@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/big"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -332,6 +333,144 @@ func TestTablesCacheBounded(t *testing.T) {
 	}
 	if n := tablesCacheEntries(); n > tableCacheCap {
 		t.Errorf("cache grew to %d entries, cap is %d", n, tableCacheCap)
+	}
+}
+
+// tableResident reports whether (n, p) is in the memo, without touching
+// its recency or counters.
+func tableResident(n int, p float64) bool {
+	key := tableKey{n: n, p: p}
+	s := tableShards[key.hash()&(tableShardCount-1)]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ok := s.entries[key]
+	return ok
+}
+
+// freshKeys makes every call of unseenP distinct within the process.
+var freshKeys atomic.Int64
+
+// unseenP returns a probability near base that no earlier lookup in this
+// process used, so a test can sight a key for the first time however often
+// it runs.
+func unseenP(base float64) float64 {
+	return base * (1 + 1e-9*float64(freshKeys.Add(1)))
+}
+
+// TestTablesDoorkeeper: the scoped lookup answers a key's first sighting
+// from a pooled scratch table and leaves the memo as it was; the second
+// sighting makes the key resident. Both sightings count as misses.
+func TestTablesDoorkeeper(t *testing.T) {
+	n, p := 4321, unseenP(0.0173)
+	entries := tablesCacheEntries()
+	h0, m0 := TablesCacheStats()
+	ref := newBinomialTables(n, p)
+
+	first := borrowTables(n, p)
+	if !first.scratch || tableResident(n, p) || tablesCacheEntries() != entries {
+		t.Fatalf("first sighting: scratch=%v resident=%v entries %d -> %d", first.scratch, tableResident(n, p), entries, tablesCacheEntries())
+	}
+	if got, want := first.ExpectedMax(60), ref.ExpectedMax(60); got != want {
+		t.Errorf("scratch table ExpectedMax %v, fresh table %v", got, want)
+	}
+	first.release()
+
+	second := borrowTables(n, p)
+	if second.scratch || !tableResident(n, p) {
+		t.Fatalf("second sighting: scratch=%v resident=%v", second.scratch, tableResident(n, p))
+	}
+	second.release() // a resident table stays put
+	if third := borrowTables(n, p); third != second {
+		t.Error("third sighting should share the resident table")
+	}
+	if h1, m1 := TablesCacheStats(); h1-h0 != 1 || m1-m0 != 2 {
+		t.Errorf("stats moved by %d hits, %d misses; want 1 hit, 2 misses", h1-h0, m1-m0)
+	}
+}
+
+// TestTablesDoorkeeperMixesN: keys that share p — the W-points of a sweep
+// at one utilization — each need their own second sighting. A fingerprint
+// that ignored n would let one admit the rest on their first sighting.
+func TestTablesDoorkeeperMixesN(t *testing.T) {
+	p := unseenP(0.0311)
+	for n := 3000; n < 3000+tableSeenSlots; n++ {
+		borrowTables(n, p).release()
+		if tableResident(n, p) {
+			t.Fatalf("(%d, %v) resident after one sighting", n, p)
+		}
+	}
+	for n := 3000; n < 3000+tableSeenSlots; n += 7 {
+		borrowTables(n, p).release()
+		if !tableResident(n, p) {
+			t.Fatalf("(%d, %v) not resident after two sightings", n, p)
+		}
+	}
+}
+
+// TestTablesScratchReuse: a scratch table refilled for a smaller key is
+// exact, with no stale entries from the larger one it held before.
+func TestTablesScratchReuse(t *testing.T) {
+	tb := &BinomialTables{scratch: true}
+	tb.build(5000, 0.3)
+	tb.build(40, 0.05)
+	ref := newBinomialTables(40, 0.05)
+	if tb.Lo != ref.Lo || tb.Hi != ref.Hi || len(tb.pmf) != len(ref.pmf) {
+		t.Fatalf("window [%d, %d] len %d, want [%d, %d] len %d", tb.Lo, tb.Hi, len(tb.pmf), ref.Lo, ref.Hi, len(ref.pmf))
+	}
+	for i := range ref.pmf {
+		if tb.pmf[i] != ref.pmf[i] || tb.cdf[i] != ref.cdf[i] || tb.tail[i] != ref.tail[i] {
+			t.Fatalf("entry %d differs after reuse", i)
+		}
+	}
+	if tb.ExpectedMax(8) != ref.ExpectedMax(8) {
+		t.Error("ExpectedMax differs after reuse")
+	}
+}
+
+func TestTablesDoorkeeperBounded(t *testing.T) {
+	for i := 0; i < 3*tableCacheCap; i++ {
+		for range 2 {
+			borrowTables(100+i, 0.43).release()
+		}
+	}
+	if n := tablesCacheEntries(); n > tableCacheCap {
+		t.Errorf("cache grew to %d entries, cap is %d", n, tableCacheCap)
+	}
+}
+
+// TestTablesConcurrentFirstSightings: goroutines sighting the same fresh
+// keys at once share the doorkeeper ring and the scratch pool; under -race
+// every borrowed table must be exact and private until released.
+func TestTablesConcurrentFirstSightings(t *testing.T) {
+	const workers = 8
+	p := unseenP(0.021)
+	want := make(map[int]float64)
+	for n := 7000; n < 7050; n++ {
+		want[n] = newBinomialTables(n, p).ExpectedMax(16)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				n := 7000 + i%25 + w%2*25
+				tb := borrowTables(n, p)
+				got := tb.ExpectedMax(16)
+				if tb.N != n || tb.CDF(tb.Hi) < 0.999999 {
+					t.Errorf("borrowed table (%d, %v) for key %d", tb.N, tb.P, n)
+				}
+				tb.release()
+				if want := want[n]; got != want {
+					t.Errorf("key %d: borrowed ExpectedMax %v, resident %v", n, got, want)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if n := tablesCacheEntries(); n > tableCacheCap {
+		t.Errorf("cache grew to %d entries under concurrency, cap is %d", n, tableCacheCap)
 	}
 }
 

@@ -10,10 +10,10 @@ import (
 
 // Empirical search: the simulation backends answer threshold and partition
 // queries by bisecting a monotone metric measured by simulation. Weighted
-// efficiency is nondecreasing in the task ratio (larger tasks amortize each
-// owner burst over more useful work) and nonincreasing in W at fixed J
-// (each task shrinks) — the same monotonicity the analytic solvers in
-// core/threshold.go and core/optimize.go rely on, property-tested there.
+// efficiency is nondecreasing in the task ratio where trial counts are
+// integral (larger tasks amortize each owner burst over more useful work)
+// and nonincreasing in W at fixed J (each task shrinks) — the monotonicity
+// the analytic solvers in core rely on, property-tested there.
 // Decisions use the point estimate; the answer carries the boundary probe's
 // confidence interval so callers can judge how sharp the cut is. Each probe
 // gets a seed split from the query seed by its probed value (ratio or W),
@@ -39,19 +39,14 @@ func analyticThresholdGuess(q ThresholdQuery, maxRatio int) int {
 	if err != nil {
 		return 0
 	}
-	g, _, err := cq.MinTaskRatio(maxRatio)
-	if err != nil || g < 1 {
-		return 0
-	}
+	g, _, _ := cq.MinTaskRatio(maxRatio) // 0 on error
 	return g
 }
 
-// bisectThreshold finds the smallest integer task ratio in [1, maxRatio]
-// whose simulated weighted efficiency meets the target. With a warmStart
-// guess it confirms the guessed boundary in two probes (guess meets the
-// target, guess−1 misses) and only falls back to bracketing plus binary
-// search when the empirical boundary disagrees; without one it runs the cold
-// exponential-then-binary search.
+// bisectThreshold runs core.LeastMeeting over [r_min, maxRatio] (r_min from
+// core.ThresholdQuery.MinValidRatio) on simulated weighted efficiency. With
+// a warmStart guess it confirms the guessed boundary in two probes (guess
+// meets the target, guess−1 misses); without one it gallops up from r_min.
 func bisectThreshold(ctx context.Context, backend string, q ThresholdQuery, maxRatio, warmStart int, probe reportFn) (Answer, error) {
 	if q.Util == 0 && len(q.Stations) == 0 {
 		// Dedicated system: weighted efficiency is 1 at any ratio. (A station
@@ -64,16 +59,22 @@ func bisectThreshold(ctx context.Context, backend string, q ThresholdQuery, maxR
 			AchievedWeff: 1,
 		}, nil
 	}
+	cq, err := q.search()
+	if err != nil {
+		return nil, err
+	}
 	var tiled []StationSpec
 	if len(q.Stations) > 0 {
-		var err error
 		if tiled, err = tiledSpecs(q.Stations, q.O, q.W); err != nil {
 			return nil, err
 		}
 	}
 	root := rng.NewStream(q.Seed)
 	probes, samples := 0, int64(0)
-	eval := func(ratio int) (Report, error) {
+	// last is the latest report; boundary the latest that met the target,
+	// which LeastMeeting guarantees is the report at the returned ratio.
+	var last, boundary Report
+	meets := func(ratio int) (bool, error) {
 		sc := Scenario{
 			Name:     fmt.Sprintf("threshold/r%d", ratio),
 			J:        float64(ratio) * q.O * float64(q.W),
@@ -85,103 +86,38 @@ func bisectThreshold(ctx context.Context, backend string, q ThresholdQuery, maxR
 		}
 		r, err := probe(ctx, sc)
 		if err != nil {
-			return Report{}, fmt.Errorf("solve: threshold probe at ratio %d: %w", ratio, err)
+			return false, fmt.Errorf("solve: threshold probe at ratio %d: %w", ratio, err)
 		}
 		probes++
 		samples += r.Samples
-		return r, nil
-	}
-	answer := func(ratio int, boundary Report) (Answer, error) {
-		return ThresholdAnswer{
-			Backend:      backend,
-			MinRatio:     ratio,
-			MinJobDemand: core.RequiredJobDemand(ratio, q.O, q.W),
-			AchievedWeff: boundary.WeightedEfficiency,
-			WeffCI:       boundary.WeffCI,
-			Probes:       probes,
-			Samples:      samples,
-		}, nil
-	}
-
-	// Bracket invariant for the binary phase: weff(hi) >= target with
-	// boundary holding the report at hi; lo == 0 or weff(lo) < target.
-	var lo, hi int
-	var boundary Report
-
-	// bracketUp establishes the invariant by exponential search upward from
-	// `from`, whose report `below` is known to miss the target.
-	bracketUp := func(from int, below Report) error {
-		for {
-			if from >= maxRatio {
-				return fmt.Errorf("solve: %s backend: target weighted efficiency %.3f unreachable within task ratio %d (best %.4f)",
-					backend, q.TargetEff, maxRatio, below.WeightedEfficiency)
-			}
-			lo = from
-			hi = from * 2
-			if hi > maxRatio {
-				hi = maxRatio
-			}
-			r, err := eval(hi)
-			if err != nil {
-				return err
-			}
-			if r.WeightedEfficiency >= q.TargetEff {
-				boundary = r
-				return nil
-			}
-			from, below = hi, r
-		}
-	}
-
-	if g := min(warmStart, maxRatio); g >= 1 {
-		r, err := eval(g)
-		if err != nil {
-			return nil, err
-		}
-		switch {
-		case r.WeightedEfficiency < q.TargetEff:
-			// Empirical boundary above the analytic guess.
-			if err := bracketUp(g, r); err != nil {
-				return nil, err
-			}
-		case g == 1:
-			return answer(1, r)
-		default:
-			below, err := eval(g - 1)
-			if err != nil {
-				return nil, err
-			}
-			if below.WeightedEfficiency < q.TargetEff {
-				return answer(g, r) // the hot case: two probes confirm
-			}
-			// Empirical boundary below the analytic guess: bisect (0, g-1].
-			lo, hi, boundary = 0, g-1, below
-		}
-	} else {
-		r, err := eval(1)
-		if err != nil {
-			return nil, err
-		}
+		last = r
 		if r.WeightedEfficiency >= q.TargetEff {
-			return answer(1, r)
+			boundary = r
+			return true, nil
 		}
-		if err := bracketUp(1, r); err != nil {
-			return nil, err
-		}
+		return false, nil
 	}
-	for lo+1 < hi {
-		mid := (lo + hi) / 2
-		r, err := eval(mid)
-		if err != nil {
-			return nil, err
-		}
-		if r.WeightedEfficiency >= q.TargetEff {
-			hi, boundary = mid, r
-		} else {
-			lo = mid
-		}
+	lo, err := cq.MinValidRatio(maxRatio)
+	if err != nil {
+		return nil, err
 	}
-	return answer(hi, boundary)
+	ratio, ok, err := core.LeastMeeting(lo, warmStart, maxRatio, meets)
+	if err != nil {
+		return nil, err
+	}
+	if !ok {
+		return nil, fmt.Errorf("solve: %s backend: target weighted efficiency %.3f unreachable within task ratio %d (best %.4f)",
+			backend, q.TargetEff, maxRatio, last.WeightedEfficiency)
+	}
+	return ThresholdAnswer{
+		Backend:      backend,
+		MinRatio:     ratio,
+		MinJobDemand: core.RequiredJobDemand(ratio, q.O, q.W),
+		AchievedWeff: boundary.WeightedEfficiency,
+		WeffCI:       boundary.WeffCI,
+		Probes:       probes,
+		Samples:      samples,
+	}, nil
 }
 
 // analyticPartitionGuess warm-starts the empirical partition bisection from
@@ -204,10 +140,10 @@ func analyticPartitionGuess(q PartitionQuery) int {
 }
 
 // bisectPartition finds the largest W in [1, maxW] whose simulated weighted
-// efficiency still meets the target for the fixed job q.J. With a warmStart
-// guess it confirms the guessed boundary in two probes (guess meets the
-// target, guess+1 misses) and only falls back to the full bracket plus
-// binary search when the empirical boundary disagrees.
+// efficiency still meets the target for the fixed job q.J, bisecting after
+// it probes g, g+1 and maxW while they meet the target (W = 1 if g misses)
+// for a warmStart guess g, or W = 1 and maxW without one. A right guess
+// costs two probes: g meets the target and g+1 misses.
 func bisectPartition(ctx context.Context, backend string, q PartitionQuery, warmStart int, probe reportFn) (Answer, error) {
 	// The model's fleet-size cap, shared with the analytic search.
 	template, err := stationTemplate(q.Stations, q.O, q.Util)
@@ -220,106 +156,53 @@ func bisectPartition(ctx context.Context, backend string, q PartitionQuery, warm
 	}
 	root := rng.NewStream(q.Seed)
 	probes, samples := 0, int64(0)
-	eval := func(w int) (Report, error) {
-		sc, err := q.scenario(fmt.Sprintf("partition/w%d", w), w)
-		if err != nil {
-			return Report{}, err
+	// Bracket: lo is the largest probed W meeting the target (0: none yet)
+	// and best its report; hi the least probed W missing it (maxW+1: none
+	// yet) and missed its report. Each probe lands inside the bracket.
+	lo, hi := 0, maxW+1
+	var best, missed Report
+	// chain probes ws in order while they meet the target, stopping at a W
+	// already known to meet it or past maxW.
+	chain := func(ws ...int) error {
+		for _, w := range ws {
+			if w > maxW || w <= lo {
+				return nil
+			}
+			sc, err := q.scenario(fmt.Sprintf("partition/w%d", w), w)
+			if err != nil {
+				return err
+			}
+			sc.Seed = root.Split(uint64(w)).Uint64()
+			r, err := probe(ctx, sc)
+			if err != nil {
+				return fmt.Errorf("solve: partition probe at W=%d: %w", w, err)
+			}
+			probes++
+			samples += r.Samples
+			if r.WeightedEfficiency < q.TargetEff {
+				hi, missed = w, r
+				return nil
+			}
+			lo, best = w, r
 		}
-		sc.Seed = root.Split(uint64(w)).Uint64()
-		r, err := probe(ctx, sc)
-		if err != nil {
-			return Report{}, fmt.Errorf("solve: partition probe at W=%d: %w", w, err)
-		}
-		probes++
-		samples += r.Samples
-		return r, nil
+		return nil
 	}
-	answer := func(best Report) (Answer, error) {
-		return PartitionAnswer{Backend: backend, W: best.W, Report: best, Probes: probes, Samples: samples}, nil
-	}
-	infeasibleAtOne := func(one Report) error {
-		return fmt.Errorf("solve: %s backend: even one workstation reaches only %.4f weighted efficiency (target %.4f)",
-			backend, one.WeightedEfficiency, q.TargetEff)
-	}
-
-	// Binary-phase invariant: weff(lo) >= target with best the report at lo;
-	// weff(hi) < target.
-	var lo, hi int
-	var best Report
-
 	if g := min(warmStart, maxW); g >= 1 {
-		r, err := eval(g)
-		if err != nil {
-			return nil, err
-		}
-		switch {
-		case r.WeightedEfficiency < q.TargetEff:
-			// Empirical boundary below the analytic guess: bisect [1, g).
-			if g == 1 {
-				return nil, infeasibleAtOne(r)
-			}
-			one, err := eval(1)
-			if err != nil {
-				return nil, err
-			}
-			if one.WeightedEfficiency < q.TargetEff {
-				return nil, infeasibleAtOne(one)
-			}
-			lo, hi, best = 1, g, one
-		case g == maxW:
-			return answer(r)
-		default:
-			above, err := eval(g + 1)
-			if err != nil {
-				return nil, err
-			}
-			if above.WeightedEfficiency < q.TargetEff {
-				return answer(r) // the hot case: two probes confirm
-			}
-			// Empirical boundary above the analytic guess: bisect (g, maxW].
-			if g+1 == maxW {
-				return answer(above)
-			}
-			top, err := eval(maxW)
-			if err != nil {
-				return nil, err
-			}
-			if top.WeightedEfficiency >= q.TargetEff {
-				return answer(top)
-			}
-			lo, hi, best = g+1, maxW, above
+		if err = chain(g, g+1, maxW); err == nil && lo == 0 && g > 1 {
+			err = chain(1)
 		}
 	} else {
-		one, err := eval(1)
-		if err != nil {
-			return nil, err
-		}
-		if one.WeightedEfficiency < q.TargetEff {
-			return nil, infeasibleAtOne(one)
-		}
-		if maxW == 1 {
-			return answer(one)
-		}
-		top, err := eval(maxW)
-		if err != nil {
-			return nil, err
-		}
-		if top.WeightedEfficiency >= q.TargetEff {
-			return answer(top)
-		}
-		lo, hi, best = 1, maxW, one
+		err = chain(1, maxW)
 	}
-	for lo+1 < hi {
-		mid := (lo + hi) / 2
-		r, err := eval(mid)
-		if err != nil {
-			return nil, err
-		}
-		if r.WeightedEfficiency >= q.TargetEff {
-			lo, best = mid, r
-		} else {
-			hi = mid
-		}
+	for err == nil && lo > 0 && lo+1 < hi {
+		err = chain((lo + hi) / 2)
 	}
-	return answer(best)
+	switch {
+	case err != nil:
+		return nil, err
+	case lo == 0: // hi = 1
+		return nil, fmt.Errorf("solve: %s backend: even one workstation reaches only %.4f weighted efficiency (target %.4f)",
+			backend, missed.WeightedEfficiency, q.TargetEff)
+	}
+	return PartitionAnswer{Backend: backend, W: best.W, Report: best, Probes: probes, Samples: samples}, nil
 }

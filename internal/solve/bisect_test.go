@@ -2,7 +2,9 @@ package solve
 
 import (
 	"context"
+	"strings"
 	"testing"
+	"time"
 )
 
 // TestThresholdWarmStartCutsProbes pins the ROADMAP perf item: warm-starting
@@ -183,6 +185,35 @@ func TestPartitionWarmStartInfeasible(t *testing.T) {
 		_, warmErr := bisectPartition(ctx, BackendDES, q, guess, probe)
 		if warmErr == nil || warmErr.Error() != coldErr.Error() {
 			t.Errorf("guess %d: error %v, want %v", guess, warmErr, coldErr)
+		}
+	}
+}
+
+// TestThresholdRMinBeyondMax: the simulation backends' threshold search
+// starts at r_min = max_g ⌈s_g/O⌉; when that exceeds maxRatio (O tiny, or a
+// station vastly faster than O) it fails at once, before any probe.
+func TestThresholdRMinBeyondMax(t *testing.T) {
+	ctx := context.Background()
+	probe := func(context.Context, Scenario) (Report, error) {
+		t.Error("no ratio should be probed")
+		return Report{}, nil
+	}
+	for _, q := range []ThresholdQuery{
+		{W: 4, O: 1e-20, Util: 0.1, TargetEff: 0.5},
+		{W: 4, O: 1, TargetEff: 0.5, Stations: []StationSpec{{P: 0.5, Speed: 1e15}}},
+	} {
+		done := make(chan error)
+		go func() {
+			_, err := bisectThreshold(ctx, BackendDES, q, q.maxRatio(DefaultSimMaxRatio), 0, probe)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "unreachable within task ratio") {
+				t.Errorf("%+v: error %v, want unreachable", q, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%+v: threshold search did not return", q)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"feasim"
+	"feasim/internal/benchgrid"
 	"feasim/internal/core"
 )
 
@@ -196,6 +197,29 @@ func TestSweepRejectsUnknownBackend(t *testing.T) {
 	}
 	if _, err := feasim.CollectSweep(context.Background(), spec); err == nil {
 		t.Error("unknown backend should fail the sweep up front")
+	}
+}
+
+// TestSweepAnalyticGridThirdPassAllHits sweeps the canonical analytic grid
+// (25 W-points × 4 utilizations, one fresh (T, P) key per point) three
+// times. The first pass sights every key once, the second admits it to the
+// table memo, and the third must be served entirely from the memo: the
+// doorkeeper must remember a whole grid pass, not only the last few keys
+// on each shard (a four-slot ring fails here). TestTablesDoorkeeperMixesN
+// pins the other half, that keys sharing P do not share a fingerprint.
+func TestSweepAnalyticGridThirdPassAllHits(t *testing.T) {
+	spec := benchgrid.AnalyticGrid()
+	spec.Workers = 1
+	for pass := 1; pass <= 3; pass++ {
+		h0, m0 := core.TablesCacheStats()
+		res, err := feasim.CollectSweep(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h1, m1 := core.TablesCacheStats()
+		if pass == 3 && (m1 != m0 || h1-h0 != uint64(len(res))) {
+			t.Errorf("third pass: %d hits, %d misses over %d points; want all hits", h1-h0, m1-m0, len(res))
+		}
 	}
 }
 
