@@ -177,15 +177,32 @@ func TestCmdSweepFrontier(t *testing.T) {
 //
 //	go run ./cmd/feasim query cmd/feasim/testdata/query_<kind>.json \
 //	    > cmd/feasim/testdata/query_<kind>.golden
+//
+// A case with flags passes them first; the "_des" timeline cases replay
+// the seeded DES and pin its answer to the bit through -json (elapsed_ns
+// zeroed as in checkBatchGolden).
 func TestCmdQueryGoldens(t *testing.T) {
 	// "fleet" and "fleet_threshold" are heterogeneous spellings of the
 	// report and threshold kinds: per-station availability/speed instead of
 	// the aggregate util. "threshold_small_o" has O < 1, where ratio 1 is
 	// below one time unit of task demand and the search starts at r_min.
-	for _, kind := range []string{"report", "threshold", "threshold_small_o", "partition", "distribution", "scaled", "timeline", "fleet", "fleet_threshold"} {
+	des := []string{"-backend", "des", "-json"}
+	cases := []struct {
+		kind string
+		args []string
+	}{
+		{"report", nil}, {"threshold", nil}, {"threshold_small_o", nil},
+		{"partition", nil}, {"distribution", nil}, {"scaled", nil},
+		{"timeline", nil}, {"timeline_des", des},
+		{"fleet", nil}, {"fleet_threshold", nil},
+	}
+	elapsed := regexp.MustCompile(`"elapsed_ns": \d+`)
+	for _, c := range cases {
+		kind := c.kind
 		t.Run(kind, func(t *testing.T) {
 			in := filepath.Join("testdata", "query_"+kind+".json")
-			out := captureStdout(t, func() error { return cmdQuery([]string{in}) })
+			out := captureStdout(t, func() error { return cmdQuery(append(c.args, in)) })
+			out = elapsed.ReplaceAllString(out, `"elapsed_ns": 0`)
 			want, err := os.ReadFile(filepath.Join("testdata", "query_"+kind+".golden"))
 			if err != nil {
 				t.Fatal(err)
