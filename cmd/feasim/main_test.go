@@ -178,15 +178,18 @@ func TestCmdSweepFrontier(t *testing.T) {
 //	go run ./cmd/feasim query cmd/feasim/testdata/query_<kind>.json \
 //	    > cmd/feasim/testdata/query_<kind>.golden
 //
-// A case with flags passes them first; the "_des" timeline cases replay
-// the seeded DES and pin its answer to the bit through -json (elapsed_ns
-// zeroed as in checkBatchGolden).
+// A case with flags passes them first; the "_des" timeline case replays
+// the seeded DES and pins its answer to the bit through -json (elapsed_ns
+// zeroed as in checkBatchGolden). The "fractional" cases answer a cyclic
+// workday of 0.1/0.2/0.3-long phases on every backend: by a launch horizon
+// (boundaries at fractional offsets) and by an epoch count.
 func TestCmdQueryGoldens(t *testing.T) {
 	// "fleet" and "fleet_threshold" are heterogeneous spellings of the
 	// report and threshold kinds: per-station availability/speed instead of
 	// the aggregate util. "threshold_small_o" has O < 1, where ratio 1 is
 	// below one time unit of task demand and the search starts at r_min.
 	des := []string{"-backend", "des", "-json"}
+	all := []string{"-backend", "all"}
 	cases := []struct {
 		kind string
 		args []string
@@ -194,6 +197,7 @@ func TestCmdQueryGoldens(t *testing.T) {
 		{"report", nil}, {"threshold", nil}, {"threshold_small_o", nil},
 		{"partition", nil}, {"distribution", nil}, {"scaled", nil},
 		{"timeline", nil}, {"timeline_des", des},
+		{"timeline_fractional", all}, {"timeline_fractional_epochs", all},
 		{"fleet", nil}, {"fleet_threshold", nil},
 	}
 	elapsed := regexp.MustCompile(`"elapsed_ns": \d+`)

@@ -23,7 +23,7 @@ func main() {
 		runs       = 400
 	)
 
-	sched, err := feasim.Workday(dayUtil, nightUtil, ownerBurst, dayLen, nightLen)
+	sched, err := feasim.Workday(dayUtil, nightUtil, dayLen, nightLen)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func main() {
 
 	// Sweep launch times through the day (hour 0 = office opening).
 	fmt.Printf("%-12s %-16s %-14s\n", "launch", "mean task (h)", "stretch")
-	st, err := feasim.NewPhasedStation("ws", sched, feasim.NewStream(42))
+	st, err := feasim.NewPhasedStation("ws", sched, ownerBurst, feasim.NewStream(42))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -67,6 +67,7 @@ import (
 	"feasim/internal/rng"
 	"feasim/internal/sim"
 	"feasim/internal/stats"
+	"feasim/internal/timeline"
 )
 
 // ---- Analytical model (the paper's primary contribution) ----
@@ -283,25 +284,29 @@ type ExecutionTrace = cluster.Trace
 // NewExecutionTrace creates an empty trace; attach with Station.SetTrace.
 func NewExecutionTrace() *ExecutionTrace { return cluster.NewTrace() }
 
-// OwnerSchedule is a repeating sequence of owner-workload phases (e.g. a
-// busy day and a quiet night) for nonstationary-owner studies.
-type OwnerSchedule = cluster.Schedule
-
-// OwnerPhase is one segment of an OwnerSchedule.
-type OwnerPhase = cluster.Phase
+// OwnerSchedule is a piecewise-constant owner-utilization timeline (e.g. a
+// busy day and a quiet night) for nonstationary-owner studies: a repeating
+// schedule, or a recorded trace that holds its last level.
+type OwnerSchedule = timeline.Profile
 
 // PhasedStation is a workstation whose owner follows an OwnerSchedule.
-type PhasedStation = cluster.PhasedStation
+type PhasedStation = timeline.PhasedStation
 
 // Workday builds the canonical two-phase schedule: a busy day and a quiet
-// night with the given owner utilizations and burst demand.
-func Workday(dayUtil, nightUtil, o, dayLen, nightLen float64) (OwnerSchedule, error) {
-	return cluster.Workday(dayUtil, nightUtil, o, dayLen, nightLen)
+// night with the given owner utilizations.
+func Workday(dayUtil, nightUtil, dayLen, nightLen float64) (OwnerSchedule, error) {
+	s := OwnerSchedule{Cyclic: true, Segments: []timeline.Segment{
+		{Name: "day", Duration: dayLen, Util: dayUtil},
+		{Name: "night", Duration: nightLen, Util: nightUtil},
+	}}
+	return s, s.Validate()
 }
 
-// NewPhasedStation builds a workstation with a nonstationary owner.
-func NewPhasedStation(name string, schedule OwnerSchedule, stream *Stream) (*PhasedStation, error) {
-	return cluster.NewPhasedStation(name, schedule, stream)
+// NewPhasedStation builds a workstation with a nonstationary owner whose
+// bursts have demand o (the paper's Sun-ELC workload at each phase's
+// utilization).
+func NewPhasedStation(name string, schedule OwnerSchedule, o float64, stream *Stream) (*PhasedStation, error) {
+	return timeline.NewPhasedStation(name, schedule, o, stream)
 }
 
 // ---- Statistics ----

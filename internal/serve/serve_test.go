@@ -226,6 +226,18 @@ func TestQueryErrorTaxonomy(t *testing.T) {
 		t.Errorf("domain failure: status %d", status)
 	}
 
+	// A timeline asking for more launch offsets than the cap, by count or
+	// by a long horizon at epochs 0: refused, never allocated.
+	for _, env := range []string{
+		`{"kind": "timeline", "scenario": {"j": 400, "w": 4, "o": 10, "schedule": [{"duration": 480, "util": 0.2}, {"duration": 960, "util": 0.01}]}, "epochs": 1000000000}`,
+		`{"kind": "timeline", "scenario": {"j": 400, "w": 4, "o": 10, "schedule": [{"duration": 480, "util": 0.2}, {"duration": 960, "util": 0.01}]}, "horizon": 1e12}`,
+	} {
+		status, payload = post(t, ts.URL+"/v1/query", env)
+		if msg, _ := payload["error"].(string); status != http.StatusUnprocessableEntity || !strings.Contains(msg, "65536") {
+			t.Errorf("over-long timeline: status %d error %q", status, msg)
+		}
+	}
+
 	resp, err := http.Get(ts.URL + "/v1/query")
 	if err != nil {
 		t.Fatal(err)

@@ -55,6 +55,10 @@ func FuzzQueryUnmarshal(f *testing.F) {
 		`{"kind": "timeline", "scenario": {"j": 1, "w": 1, "o": 1, "util": 0.1}}`,
 		`{"kind": "timeline", "scenario": {"j": 1, "w": 1, "o": 1, "schedule": [{"duration": -5, "util": 0}], "trace": [{"duration": 0, "util": 2}]}, "start": -1e309, "horizon": 1e309}`,
 		`{"kind": "timeline", "scenario": {"j": 1, "w": 1, "o": 1, "schedule": []}}`,
+		// Fractional phase durations, by horizon and by epoch count: both
+		// hung or failed before the segment cursor.
+		`{"kind": "timeline", "scenario": {"j": 400, "w": 4, "o": 10, "schedule": [{"duration": 0.1, "util": 0.1}, {"duration": 0.2, "util": 0.3}, {"duration": 0.3, "util": 0.5}]}, "horizon": 1.2}`,
+		`{"kind": "timeline", "scenario": {"j": 400, "w": 4, "o": 10, "schedule": [{"duration": 0.1, "util": 0.1}, {"duration": 0.2, "util": 0.3}, {"duration": 0.3, "util": 0.5}]}, "epochs": 3}`,
 		// Heterogeneous fleets: model-form scenarios and station templates,
 		// valid and hostile (p out of range, template with aggregate util,
 		// distribution form where the model form is required).

@@ -148,7 +148,7 @@ type Scenario struct {
 
 	// Schedule, when non-empty, replaces the stationary owner description
 	// with a repeating owner-utilization timeline (a workday: phases of
-	// Duration at Util, the cluster.Schedule shape in aggregate terms).
+	// Duration at Util, lowered onto a cyclic timeline.Profile).
 	// Phased scenarios are answerable only by timeline queries; Util and P
 	// must stay zero — the phases define the owner activity.
 	Schedule []PhaseSpec `json:"schedule,omitempty"`

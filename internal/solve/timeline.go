@@ -12,7 +12,7 @@ import (
 // internal/timeline: the analytic backend walks the quasi-static
 // approximation (each epoch solved by the stationary kernel, spliced across
 // phase boundaries), the DES backend replays every launch offset with
-// independent cluster.PhasedStation replications. Both iterate the same
+// independent timeline.PhasedStation replications. Both iterate the same
 // EpochStarts, so the two answers line up epoch-for-epoch and the parity
 // tests can compare them directly.
 
@@ -27,9 +27,17 @@ func (s Scenario) timelineProfile() (timeline.Profile, error) {
 	return p, p.Validate()
 }
 
-// timelineEpochMetrics derives the ratio metrics and feasibility verdict
-// shared by both backends from the epoch's E[job] and span-mean utilization.
-func timelineEpochMetrics(sc Scenario, ep *TimelineEpoch) {
+// timelineEpoch converts one walked or replayed launch offset and derives
+// the ratio metrics and feasibility verdict shared by both backends from
+// its E[job] and span-mean utilization.
+func timelineEpoch(sc Scenario, e timeline.Epoch) TimelineEpoch {
+	ep := TimelineEpoch{
+		Start:    e.Start,
+		Phase:    e.Segment,
+		Util:     e.LaunchUtil,
+		MeanUtil: e.MeanUtil,
+		EJob:     e.EJob,
+	}
 	if ep.EJob > 0 {
 		ep.Speedup = sc.J / ep.EJob
 		ep.Efficiency = ep.Speedup / float64(sc.W)
@@ -39,13 +47,32 @@ func timelineEpochMetrics(sc Scenario, ep *TimelineEpoch) {
 		ok := ep.WeightedEfficiency >= sc.TargetEff
 		ep.Feasible = &ok
 	}
+	return ep
+}
+
+// timelineStarts lowers the query onto its profile and launch offsets and
+// opens the answer both backends fill.
+func timelineStarts(backend string, q TimelineQuery) (timeline.Profile, []float64, TimelineAnswer, error) {
+	sc := q.Scenario
+	prof, err := sc.timelineProfile()
+	if err != nil {
+		return prof, nil, TimelineAnswer{}, err
+	}
+	starts, err := prof.EpochStarts(q.Start, q.Horizon, q.Epochs)
+	ans := TimelineAnswer{
+		Backend:     backend,
+		Scenario:    sc,
+		CycleLength: prof.Length(),
+		MeanUtil:    prof.MeanUtilization(),
+	}
+	return prof, starts, ans, err
 }
 
 // timeline answers a TimelineQuery with the quasi-static approximation.
 func (Analytic) timeline(ctx context.Context, q TimelineQuery) (Answer, error) {
 	start := time.Now()
 	sc := q.Scenario
-	prof, err := sc.timelineProfile()
+	prof, starts, ans, err := timelineStarts(BackendAnalytic, q)
 	if err != nil {
 		return nil, err
 	}
@@ -53,13 +80,7 @@ func (Analytic) timeline(ctx context.Context, q TimelineQuery) (Answer, error) {
 	if err != nil {
 		return nil, err
 	}
-	ans := TimelineAnswer{
-		Backend:     BackendAnalytic,
-		Scenario:    sc,
-		CycleLength: prof.Length(),
-		MeanUtil:    prof.MeanUtilization(),
-	}
-	for _, t0 := range prof.EpochStarts(q.Start, q.Horizon, q.Epochs) {
+	for _, t0 := range starts {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -67,15 +88,7 @@ func (Analytic) timeline(ctx context.Context, q TimelineQuery) (Answer, error) {
 		if err != nil {
 			return nil, err
 		}
-		ep := TimelineEpoch{
-			Start:    e.Start,
-			Phase:    e.Segment,
-			Util:     e.LaunchUtil,
-			MeanUtil: e.MeanUtil,
-			EJob:     e.EJob,
-		}
-		timelineEpochMetrics(sc, &ep)
-		ans.Epochs = append(ans.Epochs, ep)
+		ans.Epochs = append(ans.Epochs, timelineEpoch(sc, e))
 	}
 	ans.Elapsed = time.Since(start)
 	return ans, nil
@@ -85,45 +98,27 @@ func (Analytic) timeline(ctx context.Context, q TimelineQuery) (Answer, error) {
 func (d DES) timeline(ctx context.Context, q TimelineQuery) (Answer, error) {
 	start := time.Now()
 	sc := q.Scenario
-	prof, err := sc.timelineProfile()
-	if err != nil {
-		return nil, err
-	}
-	sched, err := prof.ClusterSchedule(sc.O)
+	prof, starts, ans, err := timelineStarts(BackendDES, q)
 	if err != nil {
 		return nil, err
 	}
 	level := protocolOrDefault(d.Protocol).Level
 	root := rng.NewStream(sc.Seed)
-	ans := TimelineAnswer{
-		Backend:     BackendDES,
-		Scenario:    sc,
-		CycleLength: prof.Length(),
-		MeanUtil:    prof.MeanUtilization(),
-	}
 	demand := sc.J / float64(sc.W)
-	for i, t0 := range prof.EpochStarts(q.Start, q.Horizon, q.Epochs) {
+	for i, t0 := range starts {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		// Each epoch's replications draw from a stream split by epoch index,
 		// so adding or reordering epochs never changes another epoch's
 		// samples.
-		res, err := timeline.Replay(sched, sc.W, demand, t0, q.samples(), level, root.Split(uint64(i)))
+		res, err := timeline.Replay(prof, sc.O, sc.W, demand, t0, q.samples(), level, root.Split(uint64(i)))
 		if err != nil {
 			return nil, err
 		}
-		seg, _ := prof.SegmentAt(t0)
-		ep := TimelineEpoch{
-			Start:    t0,
-			Phase:    seg.Name,
-			Util:     seg.Util,
-			MeanUtil: prof.MeanUtilizationOver(t0, t0+res.Mean),
-			EJob:     res.Mean,
-			EJobCI:   intervalFromCI(res.CI),
-			Samples:  res.Samples,
-		}
-		timelineEpochMetrics(sc, &ep)
+		ep := timelineEpoch(sc, res.Epoch)
+		ep.EJobCI = intervalFromCI(res.CI)
+		ep.Samples = res.Samples
 		ans.Epochs = append(ans.Epochs, ep)
 	}
 	ans.Elapsed = time.Since(start)

@@ -3,12 +3,14 @@ package solve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
 
 	"feasim/internal/sim"
+	"feasim/internal/timeline"
 )
 
 func phasedScenario(phases ...PhaseSpec) Scenario {
@@ -273,6 +275,44 @@ func TestTimelineQueryValidation(t *testing.T) {
 		if err := q.Validate(); err == nil {
 			t.Errorf("%s: expected error", c.name)
 		}
+	}
+}
+
+// TestTimelineEpochCap: a timeline answer covers at most
+// timeline.MaxEpochs launch offsets, whether asked for by count or implied
+// by a long horizon at epochs 0, and both backends refuse before
+// allocating them. Before the cap a billion epochs attempted an 8 GB
+// allocation that no recovery can catch.
+func TestTimelineEpochCap(t *testing.T) {
+	ctx := context.Background()
+	base := TimelineQuery{Scenario: phasedScenario(
+		PhaseSpec{Name: "day", Duration: 480, Util: 0.2},
+		PhaseSpec{Name: "night", Duration: 960, Util: 0.01},
+	)}
+	byCount := base
+	byCount.Epochs = 1_000_000_000
+	byHorizon := base
+	byHorizon.Horizon = 1440 * timeline.MaxEpochs // two boundaries per cycle
+	for _, q := range []TimelineQuery{byCount, byHorizon} {
+		if err := q.Validate(); err != nil {
+			t.Fatalf("the envelope itself is valid: %v", err)
+		}
+		for _, s := range []Solver{Analytic{}, DES{}} {
+			ans, err := s.Answer(ctx, q)
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprint(timeline.MaxEpochs)) {
+				t.Errorf("%s, epochs %d horizon %v: got %v, %v; want the cap error", s.Name(), q.Epochs, q.Horizon, ans, err)
+			}
+		}
+	}
+	// Right at the cap the answer is whole.
+	atCap := base
+	atCap.Epochs = timeline.MaxEpochs
+	ans, err := Analytic{}.Answer(ctx, atCap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(ans.(TimelineAnswer).Epochs); n != timeline.MaxEpochs {
+		t.Fatalf("%d epochs at the cap", n)
 	}
 }
 

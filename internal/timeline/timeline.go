@@ -1,10 +1,10 @@
-// Package timeline promotes the workday machinery of internal/cluster to a
-// query-answerable subsystem. The paper calibrated its model from uptime
-// measured "over two working days" — a single stationary utilization — but
-// owner activity at 2pm is nothing like 2am. A Profile is a
-// piecewise-constant owner-utilization timeline (a repeating workday
-// schedule, or a recorded trace that holds its final level); the package
-// answers "how long does a job launched at offset t take?" two ways:
+// Package timeline answers launch-time questions over a nonstationary
+// owner workload. The paper calibrated its model from uptime measured "over
+// two working days" — a single stationary utilization — but owner activity
+// at 2pm is nothing like 2am. A Profile is a piecewise-constant
+// owner-utilization timeline (a repeating workday schedule, or a recorded
+// trace that holds its final level); the package answers "how long does a
+// job launched at offset t take?" two ways:
 //
 //   - QuasiStatic: the analytic approximation. Within each segment the job
 //     completes at the stationary rate 1/E[job | util] of the paper's
@@ -13,8 +13,12 @@
 //     profile whose segments all share one utilization never changes rate,
 //     so the answer reduces to the stationary analysis exactly.
 //   - Replay: the empirical check. Each launch offset is replayed by
-//     independent cluster.PhasedStation replications, whose owners switch
-//     behaviour as the task crosses phase boundaries.
+//     independent PhasedStation replications, whose owners run the paper's
+//     Sun-ELC workload at each segment's utilization and switch behaviour
+//     as the task crosses segment boundaries.
+//
+// Every walk over the segments goes through one cursor, which advances by
+// index and so never stalls at a fractional boundary.
 //
 // internal/solve lowers phased Scenarios onto this package to answer the
 // "timeline" query kind; keeping the mechanics here keeps solve free of
@@ -24,11 +28,9 @@ package timeline
 import (
 	"fmt"
 	"math"
+	"sort"
 
-	"feasim/internal/cluster"
 	"feasim/internal/core"
-	"feasim/internal/rng"
-	"feasim/internal/stats"
 )
 
 // Segment is one span of a utilization profile: the owners run at Util for
@@ -87,63 +89,124 @@ func (p Profile) MeanUtilization() float64 {
 	return sum / total
 }
 
-// SegmentAt returns the segment active at absolute time t >= 0 and the time
-// it ends. Cyclic profiles wrap modulo the cycle; past the end of a trace
-// the last segment holds with an infinite end.
-func (p Profile) SegmentAt(t float64) (Segment, float64) {
-	total := p.Length()
-	if !p.Cyclic && t >= total {
-		return p.Segments[len(p.Segments)-1], math.Inf(1)
+// prefixSums returns the segment durations summed left to right: prefix[i]
+// is where segment i starts within a cycle and prefix[len(Segments)] is
+// Length.
+func (p Profile) prefixSums() []float64 {
+	prefix := make([]float64, len(p.Segments)+1)
+	for i, seg := range p.Segments {
+		prefix[i+1] = prefix[i] + seg.Duration
 	}
-	var base float64
-	pos := t
-	if p.Cyclic {
-		base = math.Floor(t/total) * total
-		pos = t - base
-	}
-	var acc float64
-	for _, seg := range p.Segments {
-		acc += seg.Duration
-		if pos < acc {
-			return seg, base + acc
+	return prefix
+}
+
+// maxCycles bounds the cycle index a cursor seeks to. Below it k+1 is exact
+// and consecutive cycles start about a cycle length apart in floating
+// point, so every cursor step moves forward.
+const maxCycles = 1 << 50
+
+// A cursor walks a profile's segments in time order: segment i of cycle k
+// ends at k·total + prefix[i+1]. It advances by index, never recomputing
+// its position from a float time, which at a fractional boundary can round
+// back into the segment that just ended (end == t, a walk that never
+// moves). A trace ends in a hold segment: the last one, ending at +Inf.
+type cursor struct {
+	prefix []float64 // Profile.prefixSums
+	cyclic bool
+	k      float64 // cycle index; always 0 for a trace
+	i      int     // segment index; len(prefix)-1 is a trace's hold segment
+	end    float64 // when segment i ends
+}
+
+// seek returns the cursor at the segment active at time t, the first whose
+// end lies after t. A cyclic t must lie within maxCycles cycles (EpochStarts
+// checks the offsets it hands out).
+func seek(prefix []float64, cyclic bool, t float64) cursor {
+	n := len(prefix) - 1
+	c := cursor{prefix: prefix, cyclic: cyclic}
+	if cyclic {
+		if c.k = math.Floor(t / prefix[n]); !(c.k < maxCycles) {
+			panic(fmt.Sprintf("timeline: offset %v lies beyond 2^50 cycles of the profile", t))
 		}
 	}
-	// Floating-point boundary: wrap (cyclic) or hold the last segment.
-	if p.Cyclic {
-		return p.Segments[0], base + total + p.Segments[0].Duration
+	base := c.k * prefix[n]
+	c.at(sort.Search(n, func(i int) bool { return base+prefix[i+1] > t }))
+	// Rounding may leave t on or past the found end: step forward.
+	for c.end <= t && c.i < n {
+		c.next()
 	}
-	return p.Segments[len(p.Segments)-1], math.Inf(1)
+	return c
 }
+
+// at moves the cursor to segment i of its cycle; i == n wraps a cyclic
+// profile into the next cycle and holds a trace.
+func (c *cursor) at(i int) {
+	n := len(c.prefix) - 1
+	switch {
+	case i < n:
+		c.i, c.end = i, c.k*c.prefix[n]+c.prefix[i+1]
+	case c.cyclic:
+		c.k++
+		c.i, c.end = 0, c.k*c.prefix[n]+c.prefix[1]
+	default:
+		c.i, c.end = n, math.Inf(1)
+	}
+}
+
+// next steps to the following segment, and past any segment too short to
+// resolve this far into the profile, so every step moves forward. It
+// leaves the hold segment in place.
+func (c *cursor) next() {
+	n := len(c.prefix) - 1
+	for prev := c.end; c.end <= prev && c.i < n; {
+		c.at(c.i + 1)
+	}
+}
+
+// seg is the index of the active segment; the hold segment is the last.
+func (c *cursor) seg() int { return min(c.i, len(c.prefix)-2) }
 
 // MeanUtilizationOver is the duration-weighted utilization over [t0, t1] —
 // the value a weighted-efficiency metric for a job spanning that window
 // should divide by.
 func (p Profile) MeanUtilizationOver(t0, t1 float64) float64 {
+	c := seek(p.prefixSums(), p.Cyclic, t0)
 	if !(t1 > t0) {
-		seg, _ := p.SegmentAt(t0)
-		return seg.Util
+		return p.Segments[c.seg()].Util
 	}
 	var area float64
-	t := t0
-	for t < t1 {
-		seg, end := p.SegmentAt(t)
-		stop := math.Min(end, t1)
-		if !(stop > t) {
-			break
-		}
-		area += seg.Util * (stop - t)
+	for t := t0; t < t1; c.next() {
+		stop := math.Min(c.end, t1)
+		area += p.Segments[c.seg()].Util * (stop - t)
 		t = stop
 	}
 	return area / (t1 - t0)
 }
 
+// MaxEpochs caps the launch offsets one timeline answer covers. A request
+// body small enough to serve cannot list a trace with more boundaries, and
+// the cap bounds both a large epoch count and epochs == 0 over a long
+// horizon.
+const MaxEpochs = 1 << 16
+
 // EpochStarts returns the launch offsets a timeline answer covers. With
 // epochs > 0 the horizon is divided evenly; with epochs == 0 there is one
 // launch at start plus one at every segment boundary inside the horizon. A
-// zero horizon means one full cycle (or the recorded trace length).
-func (p Profile) EpochStarts(start, horizon float64, epochs int) []float64 {
+// zero horizon means one full cycle (or the recorded trace length). More
+// than MaxEpochs offsets, or a cyclic horizon ending beyond 2^50 cycles, is
+// an error.
+func (p Profile) EpochStarts(start, horizon float64, epochs int) ([]float64, error) {
+	if epochs > MaxEpochs {
+		return nil, fmt.Errorf("timeline: %d epochs exceed the cap of %d launch offsets", epochs, MaxEpochs)
+	}
+	prefix := p.prefixSums()
+	total := prefix[len(prefix)-1]
 	if horizon <= 0 {
-		horizon = p.Length()
+		horizon = total
+	}
+	stop := start + horizon
+	if p.Cyclic && !(stop/total < maxCycles) {
+		return nil, fmt.Errorf("timeline: launch offsets up to %v lie beyond 2^50 cycles of the profile", stop)
 	}
 	if epochs > 0 {
 		out := make([]float64, epochs)
@@ -151,19 +214,21 @@ func (p Profile) EpochStarts(start, horizon float64, epochs int) []float64 {
 		for i := range out {
 			out[i] = start + float64(i)*step
 		}
-		return out
+		return out, nil
 	}
-	out := []float64{start}
-	t := start
-	for {
-		_, end := p.SegmentAt(t)
-		if math.IsInf(end, 1) || end >= start+horizon {
-			break
+	// Count the boundaries first, so an over-long walk allocates nothing.
+	n := 1
+	for c := seek(prefix, p.Cyclic, start); c.end < stop; c.next() {
+		if n++; n > MaxEpochs {
+			return nil, fmt.Errorf("timeline: horizon %v crosses too many segment boundaries for the cap of %d launch offsets; set epochs", horizon, MaxEpochs)
 		}
-		out = append(out, end)
-		t = end
 	}
-	return out
+	out := make([]float64, 1, n)
+	out[0] = start
+	for c := seek(prefix, p.Cyclic, start); len(out) < n; c.next() {
+		out = append(out, c.end)
+	}
+	return out, nil
 }
 
 // QuasiStatic answers launch-time questions analytically under the
@@ -175,6 +240,8 @@ type QuasiStatic struct {
 	J       float64
 	W       int
 	O       float64
+
+	prefix []float64 // Profile.prefixSums
 
 	// uniform marks a profile whose segments all share one utilization: the
 	// rate never changes, so the walk is skipped and the stationary E[job]
@@ -199,7 +266,7 @@ func NewQuasiStatic(p Profile, j float64, w int, o float64) (*QuasiStatic, error
 			break
 		}
 	}
-	return &QuasiStatic{Profile: p, J: j, W: w, O: o, uniform: uniform, memo: make(map[float64]float64)}, nil
+	return &QuasiStatic{Profile: p, J: j, W: w, O: o, prefix: p.prefixSums(), uniform: uniform, memo: make(map[float64]float64)}, nil
 }
 
 // stationaryEJob is the discrete model's E[job] at utilization u.
@@ -232,14 +299,13 @@ type Epoch struct {
 	EJob float64
 }
 
-// maxWalkSegments bounds the boundary-splicing walk; a job that crosses a
-// million segments without finishing signals a degenerate profile (e.g.
-// microscopic durations against a huge job), not a real workday.
-const maxWalkSegments = 1 << 20
-
-// At computes the quasi-static completion of a job launched at offset t0.
+// At computes the quasi-static completion of a job launched at offset t0,
+// which for a cyclic profile must lie within 2^50 cycles (EpochStarts
+// hands out only such offsets).
 func (qs *QuasiStatic) At(t0 float64) (Epoch, error) {
-	seg0, _ := qs.Profile.SegmentAt(t0)
+	segs := qs.Profile.Segments
+	c := seek(qs.prefix, qs.Profile.Cyclic, t0)
+	seg0 := segs[c.seg()]
 	ep := Epoch{Start: t0, Segment: seg0.Name, LaunchUtil: seg0.Util}
 	if qs.uniform {
 		e, err := qs.stationaryEJob(seg0.Util)
@@ -253,13 +319,38 @@ func (qs *QuasiStatic) At(t0 float64) (Epoch, error) {
 	t := t0
 	frac := 1.0 // unfinished fraction of the job
 	var utilArea float64
-	for i := 0; i < maxWalkSegments; i++ {
-		seg, end := qs.Profile.SegmentAt(t)
+	for walked := 0; ; walked++ {
+		if walked == len(segs) && qs.Profile.Cyclic {
+			// Every further whole cycle consumes the same fraction of
+			// the job: skip all but the last one or two by cycle index,
+			// so the walk crosses about 3n boundaries at most and takes
+			// no rounding per cycle skipped.
+			var perCycle, areaPerCycle float64
+			for _, seg := range segs {
+				e, err := qs.stationaryEJob(seg.Util)
+				if err != nil {
+					return Epoch{}, err
+				}
+				perCycle += seg.Duration / e
+				areaPerCycle += seg.Util * seg.Duration
+			}
+			if m := math.Floor(frac/perCycle) - 1; m > 0 {
+				if !(c.k+m < maxCycles) {
+					return Epoch{}, fmt.Errorf("timeline: job launched at %v does not finish within 2^50 cycles", t0)
+				}
+				c.k += m
+				c.at(c.i)
+				t += m * qs.prefix[len(segs)]
+				frac -= m * perCycle
+				utilArea += m * areaPerCycle
+			}
+		}
+		seg := segs[c.seg()]
 		e, err := qs.stationaryEJob(seg.Util)
 		if err != nil {
 			return Epoch{}, err
 		}
-		if need := frac * e; need <= end-t {
+		if need := frac * e; need <= c.end-t {
 			ep.EJob = t + need - t0
 			utilArea += seg.Util * need
 			if ep.EJob > 0 {
@@ -269,81 +360,10 @@ func (qs *QuasiStatic) At(t0 float64) (Epoch, error) {
 			}
 			return ep, nil
 		}
-		span := end - t
+		span := c.end - t
 		frac -= span / e
 		utilArea += seg.Util * span
-		t = end
+		t = c.end
+		c.next()
 	}
-	return Epoch{}, fmt.Errorf("timeline: job launched at %v does not finish within %d segments", t0, maxWalkSegments)
-}
-
-// traceHoldTail is the duration of the hold phase appended when lowering a
-// trace onto the cyclic cluster.Schedule: long enough that no finite job
-// ever wraps back into the recording.
-const traceHoldTail = 1e15
-
-// ClusterSchedule lowers the profile onto the cluster package's phase
-// machinery: one phase per segment carrying the paper's Sun-ELC owner
-// workload at the segment's utilization. A trace gets a final hold phase
-// (the last segment's utilization, traceHoldTail long) so the cyclic phase
-// arithmetic never replays the recording.
-func (p Profile) ClusterSchedule(o float64) (cluster.Schedule, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	segs := p.Segments
-	if !p.Cyclic {
-		hold := segs[len(segs)-1]
-		hold.Name = "hold"
-		hold.Duration = traceHoldTail
-		segs = append(append([]Segment(nil), segs...), hold)
-	}
-	sched := make(cluster.Schedule, 0, len(segs))
-	for i, seg := range segs {
-		params, err := cluster.SunELCParams(o, seg.Util)
-		if err != nil {
-			return nil, fmt.Errorf("timeline: segment %d (%s): %w", i, seg.Name, err)
-		}
-		sched = append(sched, cluster.Phase{Name: seg.Name, Duration: seg.Duration, Params: params})
-	}
-	return sched, sched.Validate()
-}
-
-// ReplayResult summarizes one launch offset's DES replications.
-type ReplayResult struct {
-	// Mean is the empirical mean job time; CI its confidence interval.
-	Mean    float64
-	CI      stats.CI
-	Samples int64
-}
-
-// Replay measures the empirical job time at one launch offset: reps
-// independent replications, each running one task of the given demand on w
-// phased stations starting at offset t0; the replication's job time is the
-// slowest station's. Station streams are split from root by (replication,
-// station), so the result is a pure function of (sched, w, demand, t0,
-// reps, root seed).
-func Replay(sched cluster.Schedule, w int, demand, t0 float64, reps int, level float64, root *rng.Stream) (ReplayResult, error) {
-	if w < 1 {
-		return ReplayResult{}, fmt.Errorf("timeline: replay needs at least one station, got %d", w)
-	}
-	if reps < 2 {
-		return ReplayResult{}, fmt.Errorf("timeline: replay needs at least 2 replications, got %d", reps)
-	}
-	var sum stats.Summary
-	for r := 0; r < reps; r++ {
-		rs := root.Split(uint64(r))
-		var jobTime float64
-		for i := 0; i < w; i++ {
-			st, err := cluster.NewPhasedStation(fmt.Sprintf("w%d", i), sched, rs.Split(uint64(i)))
-			if err != nil {
-				return ReplayResult{}, err
-			}
-			if rec := st.RunTaskAt(t0, demand); rec.Elapsed > jobTime {
-				jobTime = rec.Elapsed
-			}
-		}
-		sum.Add(jobTime)
-	}
-	return ReplayResult{Mean: sum.Mean(), CI: sum.MeanCI(level), Samples: sum.N()}, nil
 }

@@ -2,6 +2,7 @@ package timeline
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"feasim/internal/core"
@@ -40,27 +41,89 @@ func TestProfileValidate(t *testing.T) {
 	}
 }
 
+// segmentAt seeks a cursor to t and returns the active segment and its end.
+func segmentAt(p Profile, t float64) (Segment, float64) {
+	c := seek(p.prefixSums(), p.Cyclic, t)
+	return p.Segments[c.seg()], c.end
+}
+
 func TestSegmentAtCyclicAndTrace(t *testing.T) {
 	p := workday()
-	seg, end := p.SegmentAt(0)
+	seg, end := segmentAt(p, 0)
 	if seg.Name != "morning" || end != 480 {
 		t.Fatalf("t=0: got %q end %v", seg.Name, end)
 	}
-	seg, end = p.SegmentAt(500)
+	seg, end = segmentAt(p, 500)
 	if seg.Name != "afternoon" || end != 960 {
 		t.Fatalf("t=500: got %q end %v", seg.Name, end)
 	}
+	// A boundary belongs to the segment it starts.
+	seg, end = segmentAt(p, 1440)
+	if seg.Name != "morning" || end != 1440+480 {
+		t.Fatalf("t=1440: got %q end %v", seg.Name, end)
+	}
 	// One full cycle later the same segment is active, ending a cycle later.
-	seg, end = p.SegmentAt(500 + 1440)
+	seg, end = segmentAt(p, 500+1440)
 	if seg.Name != "afternoon" || end != 960+1440 {
 		t.Fatalf("t=1940: got %q end %v", seg.Name, end)
 	}
 
 	tr := workday()
 	tr.Cyclic = false
-	seg, end = tr.SegmentAt(2000) // past the recorded 1440: last segment holds
+	seg, end = segmentAt(tr, 2000) // past the recorded 1440: last segment holds
 	if seg.Name != "night" || !math.IsInf(end, 1) {
 		t.Fatalf("trace past end: got %q end %v", seg.Name, end)
+	}
+	// Crossing into the hold segment is a step with an infinite end; the
+	// hold is the last segment.
+	c := seek(tr.prefixSums(), false, 1000)
+	if c.seg() != 2 || c.end != 1440 {
+		t.Fatalf("trace at 1000: segment %d end %v", c.seg(), c.end)
+	}
+	c.next()
+	if c.seg() != 2 || !math.IsInf(c.end, 1) {
+		t.Fatalf("trace hold: segment %d end %v", c.seg(), c.end)
+	}
+	c.next()
+	if !math.IsInf(c.end, 1) {
+		t.Fatalf("hold must stay put, end %v", c.end)
+	}
+}
+
+// TestCursorFractionalBoundaries pins the stall the cursor removes: at
+// 0.1/0.2/0.3 the float position recomputed from t rounds to just below a
+// boundary, so a lookup by time can return the segment that just ended.
+// The cursor seeks past such an end and then steps by index.
+func TestCursorFractionalBoundaries(t *testing.T) {
+	p := Profile{Cyclic: true, Segments: []Segment{
+		{Name: "a", Duration: 0.1, Util: 0.1},
+		{Name: "b", Duration: 0.2, Util: 0.3},
+		{Name: "c", Duration: 0.3, Util: 0.5},
+	}}
+	prefix := p.prefixSums()
+	c := seek(prefix, true, 0)
+	names := ""
+	for i := 0; i < 3000; i++ {
+		prev := c.end
+		c.next()
+		if !(c.end > prev) {
+			t.Fatalf("step %d: end %v after %v", i, c.end, prev)
+		}
+		// Seeking to a boundary lands on the segment that starts there.
+		if s := seek(prefix, true, prev); s.k != c.k || s.i != c.i || s.end != c.end {
+			t.Fatalf("seek(%v) = cycle %v segment %d end %v, stepped to cycle %v segment %d end %v", prev, s.k, s.i, s.end, c.k, c.i, c.end)
+		}
+		if i < 6 {
+			names += p.Segments[c.seg()].Name
+		}
+	}
+	if names != "bcabca" {
+		t.Fatalf("segment order %q", names)
+	}
+	// The offset the old lookup stalled on: segment a of the second cycle
+	// ends after it, not at it.
+	if c := seek(prefix, true, 0.70000000000000007); !(c.end > 0.70000000000000007) {
+		t.Fatalf("seek(0.7): segment %d ends at %v", c.i, c.end)
 	}
 }
 
@@ -83,7 +146,10 @@ func TestMeanUtilization(t *testing.T) {
 func TestEpochStarts(t *testing.T) {
 	p := workday()
 	// Evenly spaced epochs.
-	got := p.EpochStarts(0, 0, 4)
+	got, err := p.EpochStarts(0, 0, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := []float64{0, 360, 720, 1080}
 	if len(got) != len(want) {
 		t.Fatalf("epochs %v", got)
@@ -94,7 +160,10 @@ func TestEpochStarts(t *testing.T) {
 		}
 	}
 	// Default: one launch per segment boundary within one cycle.
-	got = p.EpochStarts(0, 0, 0)
+	got, err = p.EpochStarts(0, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want = []float64{0, 480, 960}
 	if len(got) != len(want) {
 		t.Fatalf("boundary epochs %v", got)
@@ -103,6 +172,40 @@ func TestEpochStarts(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("boundary epochs %v, want %v", got, want)
 		}
+	}
+}
+
+// TestEpochStartsCap: more than MaxEpochs launch offsets is an error in
+// either form, before the offsets are allocated.
+func TestEpochStartsCap(t *testing.T) {
+	p := workday()
+	if got, err := p.EpochStarts(0, 0, MaxEpochs); err != nil || len(got) != MaxEpochs {
+		t.Fatalf("epochs at the cap: %d offsets, %v", len(got), err)
+	}
+	if _, err := p.EpochStarts(0, 0, 1_000_000_000); err == nil {
+		t.Fatal("a billion epochs should be refused")
+	}
+	// 480 units per boundary: a horizon of MaxEpochs-1 boundaries fits, one
+	// more does not.
+	if got, err := p.EpochStarts(0, 480*(MaxEpochs-1)+1, 0); err != nil || len(got) != MaxEpochs {
+		t.Fatalf("boundaries at the cap: %d offsets, %v", len(got), err)
+	}
+	if _, err := p.EpochStarts(0, 480*MaxEpochs+1, 0); err == nil {
+		t.Fatal("a horizon past the cap should be refused")
+	}
+	// The refusal allocates the prefix sums and the error, never offsets.
+	if allocs := testing.AllocsPerRun(10, func() { p.EpochStarts(0, 1e9, 0) }); allocs > 4 {
+		t.Fatalf("a refused walk allocated %v times", allocs)
+	}
+	if _, err := p.EpochStarts(1e300, 0, 1); err == nil {
+		t.Fatal("an offset beyond 2^50 cycles should be refused")
+	}
+	// A trace holds its last level: the recording's end is its last
+	// boundary.
+	tr := workday()
+	tr.Cyclic = false
+	if got, err := tr.EpochStarts(0, 1e300, 0); err != nil || len(got) != 4 || got[3] != 1440 {
+		t.Fatalf("trace boundaries %v, %v", got, err)
 	}
 }
 
@@ -183,100 +286,81 @@ func (qs *QuasiStatic) mustEJob(t *testing.T, u float64) float64 {
 	return e
 }
 
-// TestQuasiStaticDegenerateProfile exercises the walk bound: a microscopic
-// cycle against a huge job crosses segments forever without the job ever
-// finishing a segment's worth — the walk must still terminate (the rates
-// repeat, so it finishes) or error, never hang.
+// TestQuasiStaticManyBoundaries: a job crossing many short cycles walks
+// one cycle and skips the rest by cycle index, so even a job that crosses
+// more than a million boundaries answers, at the fast-switching limit.
 func TestQuasiStaticManyBoundaries(t *testing.T) {
-	p := Profile{Cyclic: true, Segments: []Segment{
-		{Name: "a", Duration: 1, Util: 0.2},
-		{Name: "b", Duration: 1, Util: 0.05},
-	}}
-	qs, err := NewQuasiStatic(p, 4000, 4, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ep, err := qs.At(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The job takes ~1000+ time units, crossing ~1000 boundaries; its mean
-	// util must sit between the two segment levels.
-	if ep.EJob <= 1000 || ep.MeanUtil <= 0.05 || ep.MeanUtil >= 0.2 {
-		t.Fatalf("many-boundary walk: E[job] %v mean util %v", ep.EJob, ep.MeanUtil)
-	}
-}
-
-func TestClusterScheduleLowering(t *testing.T) {
-	p := workday()
-	sched, err := p.ClusterSchedule(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sched) != 3 || sched[0].Name != "morning" || sched[2].Duration != 480 {
-		t.Fatalf("schedule %+v", sched)
-	}
-	if got := sched.MeanUtilization(); math.Abs(got-p.MeanUtilization()) > 1e-9 {
-		t.Fatalf("lowered mean util %v, want %v", got, p.MeanUtilization())
-	}
-	// A trace grows a hold tail so the cyclic arithmetic never replays it.
-	tr := workday()
-	tr.Cyclic = false
-	sched, err = tr.ClusterSchedule(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sched) != 4 || sched[3].Name != "hold" || sched[3].Duration != traceHoldTail {
-		t.Fatalf("trace schedule %+v", sched)
+	for _, dur := range []float64{1, 1e-3} {
+		p := Profile{Cyclic: true, Segments: []Segment{
+			{Name: "a", Duration: dur, Util: 0.2},
+			{Name: "b", Duration: dur, Util: 0.05},
+		}}
+		qs, err := NewQuasiStatic(p, 4000, 4, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ep, err := qs.At(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The job takes ~1000+ time units; its mean util must sit between
+		// the two segment levels, and its time within a cycle of the
+		// fast-switching rate 2·dur / (dur/E_a + dur/E_b).
+		if ep.EJob <= 1000 || ep.MeanUtil <= 0.05 || ep.MeanUtil >= 0.2 {
+			t.Fatalf("dur %v: E[job] %v mean util %v", dur, ep.EJob, ep.MeanUtil)
+		}
+		limit := 2 / (1/qs.mustEJob(t, 0.2) + 1/qs.mustEJob(t, 0.05))
+		if math.Abs(ep.EJob-limit) > 2*dur {
+			t.Fatalf("dur %v: E[job] %v, fast-switching limit %v", dur, ep.EJob, limit)
+		}
 	}
 }
 
 func TestReplayDeterministicAndDedicated(t *testing.T) {
 	p := workday()
-	sched, err := p.ClusterSchedule(10)
+	a, err := Replay(p, 10, 4, 100, 480, 50, 0.9, rng.NewStream(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Replay(sched, 4, 100, 480, 50, 0.9, rng.NewStream(7))
+	b, err := Replay(p, 10, 4, 100, 480, 50, 0.9, rng.NewStream(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Replay(sched, 4, 100, 480, 50, 0.9, rng.NewStream(7))
-	if err != nil {
-		t.Fatal(err)
+	if a.EJob != b.EJob || a.Samples != 50 {
+		t.Fatalf("replay not deterministic: %v vs %v (n=%d)", a.EJob, b.EJob, a.Samples)
 	}
-	if a.Mean != b.Mean || a.Samples != 50 {
-		t.Fatalf("replay not deterministic: %v vs %v (n=%d)", a.Mean, b.Mean, a.Samples)
+	if a.EJob < 100 {
+		t.Fatalf("mean job time %v below the dedicated bound", a.EJob)
 	}
-	if a.Mean < 100 {
-		t.Fatalf("mean job time %v below the dedicated bound", a.Mean)
+	if a.Segment != "afternoon" || a.LaunchUtil != 0.3 || a.Start != 480 {
+		t.Fatalf("launch segment %q util %v start %v", a.Segment, a.LaunchUtil, a.Start)
+	}
+	if want := p.MeanUtilizationOver(480, 480+a.EJob); a.MeanUtil != want {
+		t.Fatalf("span mean util %v, want %v", a.MeanUtil, want)
 	}
 
 	// An all-idle profile is exactly the dedicated system: every
 	// replication's job time is the task demand.
 	idle := Profile{Cyclic: true, Segments: []Segment{{Name: "idle", Duration: 100, Util: 0}}}
-	ds, err := idle.ClusterSchedule(10)
+	r, err := Replay(idle, 10, 4, 100, 0, 10, 0.9, rng.NewStream(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Replay(ds, 4, 100, 0, 10, 0.9, rng.NewStream(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Mean != 100 || r.CI.HalfWidth != 0 {
-		t.Fatalf("dedicated replay: mean %v halfwidth %v", r.Mean, r.CI.HalfWidth)
+	if r.EJob != 100 || r.CI.HalfWidth != 0 {
+		t.Fatalf("dedicated replay: mean %v halfwidth %v", r.EJob, r.CI.HalfWidth)
 	}
 }
 
 func TestReplayRejectsBadArgs(t *testing.T) {
-	sched, err := workday().ClusterSchedule(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Replay(sched, 0, 100, 0, 10, 0.9, rng.NewStream(1)); err == nil {
+	p := workday()
+	if _, err := Replay(p, 10, 0, 100, 0, 10, 0.9, rng.NewStream(1)); err == nil {
 		t.Error("w=0 should error")
 	}
-	if _, err := Replay(sched, 4, 100, 0, 1, 0.9, rng.NewStream(1)); err == nil {
+	if _, err := Replay(p, 10, 4, 100, 0, 1, 0.9, rng.NewStream(1)); err == nil {
 		t.Error("reps=1 should error")
+	}
+	// At o = 0.3 a 30% owner would need a request probability above one.
+	if _, err := Replay(p, 0.3, 4, 100, 0, 10, 0.9, rng.NewStream(1)); err == nil || !strings.Contains(err.Error(), "segment 1 (afternoon)") {
+		t.Errorf("unreachable utilization should name its segment, got %v", err)
 	}
 }
