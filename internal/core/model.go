@@ -160,44 +160,6 @@ func metricsFor(p Params, u, ejob float64) Metrics {
 	return m
 }
 
-// ETaskDirect evaluates equation (3) by direct summation,
-//
-//	E_t = T + Σ_{i=0}^{T} O·i·Bin(T,i,P),
-//
-// rather than through the closed form T + O·T·P. It exists so tests can
-// confirm the two agree; Analyze uses the closed form.
-func ETaskDirect(p Params) (float64, error) {
-	if err := p.Validate(); err != nil {
-		return 0, err
-	}
-	n := p.trials()
-	bin := Binomial{N: n, P: p.P}
-	var sum float64
-	for i := 0; i <= n; i++ {
-		sum += float64(i) * bin.PMF(i)
-	}
-	return p.TaskDemand() + p.O*sum, nil
-}
-
-// EJobDirect evaluates equation (7) through the paper's own Max[W,n]
-// construction (equations (4)-(6)) instead of the tail-sum identity.
-// Tests confirm agreement with Analyze.
-func EJobDirect(p Params) (float64, error) {
-	if err := p.Validate(); err != nil {
-		return 0, err
-	}
-	n := p.trials()
-	if p.O == 0 || p.P == 0 || n == 0 {
-		return p.TaskDemand(), nil
-	}
-	max := Binomial{N: n, P: p.P}.MaxPMFTable(p.W)
-	var sum float64
-	for i, prob := range max {
-		sum += float64(i) * prob
-	}
-	return p.TaskDemand() + p.O*sum, nil
-}
-
 // TaskTimeBound returns the model's worst case T + T·O (the guarantee the
 // discrete model provides: at most one owner burst per unit of progress).
 func TaskTimeBound(p Params) float64 {
@@ -207,7 +169,8 @@ func TaskTimeBound(p Params) float64 {
 
 // AnalyzeInterpolated is the ablation convention for non-integral T: it
 // analyzes at floor(T) and ceil(T) trials and blends linearly. Figures use
-// Analyze (rounded trials); benchmarks compare the two conventions.
+// Analyze (rounded trials); BenchmarkAblationTrialsConvention compares the
+// two conventions.
 func AnalyzeInterpolated(p Params) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err

@@ -16,6 +16,44 @@ func paperParams(t *testing.T, j float64, w int, util float64) Params {
 	return p
 }
 
+// ETaskDirect evaluates equation (3) by direct summation,
+//
+//	E_t = T + Σ_{i=0}^{T} O·i·Bin(T,i,P),
+//
+// rather than through the closed form T + O·T·P, so tests can confirm the
+// two agree; Analyze uses the closed form.
+func ETaskDirect(p Params) (float64, error) {
+	if err := p.Validate(); err != nil {
+		return 0, err
+	}
+	n := p.trials()
+	bin := Binomial{N: n, P: p.P}
+	var sum float64
+	for i := 0; i <= n; i++ {
+		sum += float64(i) * bin.PMF(i)
+	}
+	return p.TaskDemand() + p.O*sum, nil
+}
+
+// EJobDirect evaluates equation (7) through the paper's own Max[W,n]
+// construction (equations (4)-(6)) instead of the tail-sum identity, so
+// tests can confirm agreement with Analyze.
+func EJobDirect(p Params) (float64, error) {
+	if err := p.Validate(); err != nil {
+		return 0, err
+	}
+	n := p.trials()
+	if p.O == 0 || p.P == 0 || n == 0 {
+		return p.TaskDemand(), nil
+	}
+	max := Binomial{N: n, P: p.P}.MaxPMFTable(p.W)
+	var sum float64
+	for i, prob := range max {
+		sum += float64(i) * prob
+	}
+	return p.TaskDemand() + p.O*sum, nil
+}
+
 func TestUtilizationInversionRoundTrips(t *testing.T) {
 	for _, util := range []float64{0.01, 0.03, 0.05, 0.1, 0.2, 0.65} {
 		p := paperParams(t, 1000, 10, util)
