@@ -17,9 +17,6 @@
 //     Sun-ELC workload at each segment's utilization and switch behaviour
 //     as the task crosses segment boundaries.
 //
-// Every walk over the segments goes through one cursor, which advances by
-// index and so never stalls at a fractional boundary.
-//
 // internal/solve lowers phased Scenarios onto this package to answer the
 // "timeline" query kind; keeping the mechanics here keeps solve free of
 // cluster/DES plumbing and this package free of the query envelope.
