@@ -8,16 +8,17 @@ package main
 // POST /v1/batch.
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
-	"sync"
 	"time"
 
 	"feasim"
+	"feasim/internal/solve"
 )
 
 // cmdQuery answers one query envelope file with the selected backend(s).
@@ -115,32 +116,16 @@ func runBatchQuery(path, backend string, opts feasim.SolverOptions, timeout time
 	defer cancel()
 
 	results := make([]batchResult, len(envs))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(envs) {
-		workers = len(envs)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				q, err := feasim.ParseQuery(envs[i])
-				if err != nil {
-					results[i] = batchResult{err: err}
-					continue
-				}
-				a, cached, err := solver.AnswerCached(ctx, q)
-				results[i] = batchResult{ans: a, cached: cached, err: err}
-			}
-		}()
-	}
-	for i := range envs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	// WithoutCancel: after ctx ends each item still gets its own deadline error.
+	solve.ForEach(context.WithoutCancel(ctx), len(envs), runtime.GOMAXPROCS(0), func(i int) {
+		q, err := feasim.ParseQuery(envs[i])
+		if err != nil {
+			results[i] = batchResult{err: err}
+			return
+		}
+		a, cached, err := solver.AnswerCached(ctx, q)
+		results[i] = batchResult{ans: a, cached: cached, err: err}
+	})
 
 	failed := 0
 	if asJSON {

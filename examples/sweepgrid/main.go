@@ -3,9 +3,9 @@
 // owner-burst variance) across the analytic and DES backends on a
 // context-cancellable worker pool; results stream in as each point
 // completes. The analytic model sees only the mean owner demand, so its
-// half of the grid repeats across the OwnerCV2 axis and is deduplicated by
-// the in-memory cache, while the DES backend shows what CV²=16 bursts do
-// to the weighted efficiency the analysis promises.
+// half of the grid repeats across the OwnerCV2 axis, and each repeat copies
+// the answer solved at its lowest grid index, while the DES backend shows
+// what CV²=16 bursts do to the weighted efficiency the analysis promises.
 package main
 
 import (

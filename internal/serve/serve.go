@@ -733,33 +733,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			Answer:    answerPayload(a, enc, cached),
 		}
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(todo) {
-		workers = len(todo)
-	}
-	if workers <= 1 {
-		// A single worker is this goroutine: no pool, no channel hops.
-		for _, i := range todo {
-			answerItem(i)
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for n := 0; n < workers; n++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					answerItem(i)
-				}
-			}()
-		}
-		for _, i := range todo {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
+	// WithoutCancel: after ctx ends each item still gets its own deadline error.
+	solve.ForEach(context.WithoutCancel(ctx), len(todo), runtime.GOMAXPROCS(0), func(j int) { answerItem(todo[j]) })
 
 	resp := batchResponse{Backend: sv.Name(), Items: items}
 	for _, it := range items {

@@ -387,6 +387,23 @@ func TestBatchPartialFailure(t *testing.T) {
 	}
 }
 
+// TestBatchDeadlineFailsEveryItem: items still unclaimed when the request
+// deadline passes are answered with their own 504, never left blank.
+func TestBatchDeadlineFailsEveryItem(t *testing.T) {
+	_, ts := newTestServer(t, serve.Config{RequestTimeout: 100 * time.Millisecond})
+	item := `{"kind": "report", "scenario": {"j": 100000, "w": 10, "o": 10, "util": 0.1, "seed": 2}}`
+	batch := "[" + strings.Repeat(item+",", 7) + item + "]"
+	status, payload := post(t, ts.URL+"/v1/batch?backend=des", batch)
+	if status != http.StatusOK {
+		t.Fatalf("status %d (%v), want 200 with per-item failures", status, payload)
+	}
+	for i, raw := range payload["items"].([]any) {
+		if st := raw.(map[string]any)["status"]; st != float64(http.StatusGatewayTimeout) {
+			t.Errorf("item %d: status %v, want 504", i, st)
+		}
+	}
+}
+
 // TestBatchDeduplicates: identical envelopes inside one batch ride the
 // shared answer layer — the backend executes exactly once whether the items
 // coalesce in flight or hit the freshly stored answer.

@@ -21,10 +21,10 @@ var ErrPanicked = errors.New("solve: answer execution panicked")
 
 // The answer layer sits between callers and backends: a size-bounded LRU of
 // previously computed answers plus single-flight coalescing of concurrent
-// identical queries. It generalizes the sweep engine's analytic dedup cache
-// (which it now backs) to any caller-facing surface — the HTTP service of
-// internal/serve is the heavy-traffic consumer, but the CLI and library
-// callers can wrap any Solver the same way.
+// identical queries. It generalizes the sweep engines' analytic dedup (it
+// backs the frontier's corner memo) to any caller-facing surface — the HTTP
+// service of internal/serve is the heavy-traffic consumer, but the CLI and
+// library callers can wrap any Solver the same way.
 //
 // Cache identity. An answer is keyed by {backend, kind, scenario core,
 // extra}. For the analytic backend the scenario core is the comparable

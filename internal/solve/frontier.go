@@ -26,7 +26,7 @@ import (
 // Every corner probe goes through the same per-point query path as a dense
 // sweep — the same axis application, the same deterministic seed split (the
 // seed is a pure function of the corner's finest-grid coordinate, not of
-// visit order or refinement level), and the same analytic dedup cache — so a
+// visit order or refinement level), and an analytic dedup cache — so a
 // frontier run answers exactly the sub-grid of the equivalent dense sweep
 // that it touches, and repeated refinement levels hit the memo instead of
 // re-solving shared corners.
@@ -361,10 +361,11 @@ type FrontierResult struct {
 	Stats FrontierStats  `json:"stats"`
 }
 
-// frontierNode is one evaluated corner of the refinement lattice.
+// frontierNode is one evaluated corner of the refinement lattice; probed: it
+// went to the solver, cached: the dedup cache answered it.
 type frontierNode struct {
-	feasible bool
-	err      error
+	feasible, probed, cached bool
+	err                      error
 }
 
 // frontierCellRef is one unresolved cell in the refinement queue.
@@ -402,7 +403,7 @@ func (fr *frontierRun) nodeQuery(ix, iy int) (Query, error) {
 	return q.withSeed(fr.seed.Split(uint64(idx)).Uint64()), nil
 }
 
-// evalNode classifies one corner, recording the result in the node memo.
+// evalNode classifies one corner.
 func (fr *frontierRun) evalNode(ctx context.Context, ix, iy int) frontierNode {
 	q, err := fr.nodeQuery(ix, iy)
 	if err != nil {
@@ -411,25 +412,14 @@ func (fr *frontierRun) evalNode(ctx context.Context, ix, iy int) frontierNode {
 	if err := q.Validate(); err != nil {
 		return frontierNode{err: &PointDomainError{Err: err}}
 	}
-	fr.mu.Lock()
-	fr.stats.Evaluations++
-	fr.mu.Unlock()
 	res := solveQueryPoint(ctx, fr.solver, fr.cache, QueryPoint{
 		Index: ix*(fr.res+1) + iy, Backend: fr.spec.backend(), Query: q,
 	})
-	if res.Cached {
-		fr.mu.Lock()
-		fr.stats.CacheHits++
-		fr.mu.Unlock()
+	node := frontierNode{probed: true, cached: res.Cached, err: res.Err}
+	if node.err == nil {
+		node.feasible, node.err = frontierVerdict(res.Answer)
 	}
-	if res.Err != nil {
-		return frontierNode{err: res.Err}
-	}
-	feasible, err := frontierVerdict(res.Answer)
-	if err != nil {
-		return frontierNode{err: err}
-	}
-	return frontierNode{feasible: feasible}
+	return node
 }
 
 // frontierVerdict extracts the feasibility verdict from an answer.
@@ -516,8 +506,8 @@ func SweepFrontierSolver(ctx context.Context, spec FrontierSpec, solver Solver) 
 	}, nil
 }
 
-// run drives the refinement loop: evaluate the level's unseen corners on a
-// worker pool, classify its cells in deterministic order, stream resolved
+// run drives the refinement loop: evaluate the level's unseen corners on
+// ForEach, classify its cells in deterministic order, stream resolved
 // cells, queue the straddling cells' children for the next level.
 func (fr *frontierRun) run(ctx context.Context, workers int, out chan<- FrontierCell) {
 	span0 := fr.res / fr.spec.coarse()
@@ -563,8 +553,9 @@ func (fr *frontierRun) run(ctx context.Context, workers int, out chan<- Frontier
 	}
 }
 
-// evalLevel evaluates every not-yet-memoized corner of the queued cells on a
-// bounded worker pool. Returns false when ctx ended mid-level.
+// evalLevel evaluates the queued cells' unmemoized corners on ForEach, one
+// slot each, then merges them into the memo and stats once per level.
+// Returns false when ctx ended mid-level.
 func (fr *frontierRun) evalLevel(ctx context.Context, workers int, queue []frontierCellRef) bool {
 	var todo [][2]int
 	seen := make(map[[2]int]bool)
@@ -579,36 +570,24 @@ func (fr *frontierRun) evalLevel(ctx context.Context, workers int, queue []front
 			}
 		}
 	}
-	if len(todo) == 0 {
-		return ctx.Err() == nil
-	}
-	if workers > len(todo) {
-		workers = len(todo)
-	}
-	in := make(chan [2]int)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for n := range in {
-				node := fr.evalNode(ctx, n[0], n[1])
-				fr.mu.Lock()
-				fr.nodes[n] = node
-				fr.mu.Unlock()
-			}
-		}()
-	}
-feed:
-	for _, n := range todo {
-		select {
-		case in <- n:
-		case <-ctx.Done():
-			break feed
+	nodes := make([]frontierNode, len(todo))
+	ForEach(ctx, len(todo), workers, func(j int) {
+		nodes[j] = fr.evalNode(ctx, todo[j][0], todo[j][1])
+	})
+	fr.mu.Lock()
+	defer fr.mu.Unlock()
+	for j, node := range nodes {
+		if !node.probed && node.err == nil {
+			continue // never claimed: ctx ended first
+		}
+		fr.nodes[todo[j]] = node
+		if node.probed {
+			fr.stats.Evaluations++
+		}
+		if node.cached {
+			fr.stats.CacheHits++
 		}
 	}
-	close(in)
-	wg.Wait()
 	return ctx.Err() == nil
 }
 

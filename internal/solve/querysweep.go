@@ -7,8 +7,8 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sort"
 	"sync"
+	"sync/atomic"
 
 	"feasim/internal/rng"
 	"feasim/internal/sim"
@@ -521,7 +521,7 @@ type QueryResult struct {
 	Err error `json:"-"`
 	// Error mirrors Err for JSON output.
 	Error string `json:"error,omitempty"`
-	// Cached marks analytic points deduplicated by the in-memory cache.
+	// Cached marks an analytic point that copied a lower-index twin's answer.
 	Cached bool `json:"cached,omitempty"`
 }
 
@@ -605,90 +605,156 @@ func SweepQueries(ctx context.Context, spec QuerySweepSpec) (<-chan QueryResult,
 	return sweepChannel(ctx, spec, func(qr QueryResult) QueryResult { return qr })
 }
 
-// sweepChannel is the shared worker-pool engine: convert runs inside the
-// worker, so specialized result shapes (the Report grid's PointReport) pay
-// no extra channel hop.
+// sweepChannel streams a sweep run: convert runs inside the worker, so
+// specialized result shapes (the Report grid's PointReport) pay no extra
+// channel hop. The goroutine that closes the channel is one of the workers.
 func sweepChannel[T any](ctx context.Context, spec QuerySweepSpec, convert func(QueryResult) T) (<-chan T, error) {
-	pts, err := spec.Points()
+	sr, err := newSweepRun(spec)
 	if err != nil {
 		return nil, err
 	}
-	workers := spec.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	out := make(chan T, sr.workers)
+	go func() {
+		defer close(out)
+		sr.run(ctx, func(r QueryResult) {
+			select {
+			case <-ctx.Done():
+			case out <- convert(r):
+			}
+		})
+	}()
+	return out, nil
+}
+
+// ForEach calls fn(i) for every i in [0, n) on up to workers goroutines, the
+// caller's among them, each claiming the next index from one shared counter;
+// fn writes its own output (typically slot i of a slice). workers <= 1 runs
+// the calls in order on the caller's goroutine. Once ctx is done no index is
+// claimed, so at most one more call per worker starts; ForEach returns after
+// every started call has returned.
+func ForEach(ctx context.Context, n, workers int, fn func(i int)) {
+	workers = min(workers, n)
+	if workers <= 1 {
+		for i := 0; i < n && ctx.Err() == nil; i++ {
+			fn(i)
+		}
+		return
 	}
-	if workers > len(pts) {
-		workers = len(pts)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	work := func() {
+		for ctx.Err() == nil {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			fn(i)
+		}
+	}
+	wg.Add(workers - 1)
+	for range workers - 1 {
+		go func() { defer wg.Done(); work() }()
+	}
+	work()
+	wg.Wait()
+}
+
+// sweepRun is one expanded sweep; ForEach workers write point i's result to
+// results[i]. Dedup is planned at expansion: the analytic backend is
+// deterministic, so points sharing an answer key (e.g. one J/W/O/P crossed
+// with several OwnerCV2 values) are solved once, at the key's lowest index,
+// and later points copy that answer — which points read cached depends on
+// the grid alone. Distinct points share kernel tables through core.Tables.
+type sweepRun struct {
+	pts     []QueryPoint
+	solvers map[string]Solver
+	workers int
+	lead    []int           // index whose answer point i copies; i when solved
+	ready   []chan struct{} // closed once results[j] holds leader j; nil if never copied
+	results []QueryResult
+}
+
+func newSweepRun(spec QuerySweepSpec) (*sweepRun, error) {
+	pts, err := spec.Points()
+	if err != nil {
+		return nil, err
 	}
 	var pr sim.Protocol
 	if spec.Protocol != nil {
 		pr = *spec.Protocol
 	}
-	solvers := make(map[string]Solver)
+	sr := &sweepRun{pts: pts, solvers: make(map[string]Solver), workers: spec.Workers,
+		lead: make([]int, len(pts)), ready: make([]chan struct{}, len(pts)), results: make([]QueryResult, len(pts))}
+	if sr.workers <= 0 {
+		sr.workers = runtime.GOMAXPROCS(0)
+	}
 	for _, b := range spec.backends() {
-		s, err := NewSolver(b, Options{Protocol: pr, Warmup: spec.Warmup})
-		if err != nil {
+		if sr.solvers[b], err = NewSolver(b, Options{Protocol: pr, Warmup: spec.Warmup}); err != nil {
 			return nil, err
 		}
-		solvers[b] = s
 	}
-	// The sweep dedup cache is the shared answer layer of cache.go: the
-	// analytic backend is deterministic, so points sharing a key (e.g. the
-	// same J/W/O/P crossed with several OwnerCV2 values or seeds) are solved
-	// once. Points that are not exact repeats still share work one layer
-	// down: the binomial tables are memoized by (N, P) process-wide
-	// (core.Tables), so all workers of a sweep — and concurrent sweeps —
-	// reuse each other's kernel builds.
-	cache := NewAnswerCache(max(len(pts), DefaultAnswerCacheCapacity))
+	first := make(map[answerKey]int)
+	for i, p := range pts {
+		sr.lead[i] = i
+		if p.Err != nil || p.Backend != BackendAnalytic {
+			continue
+		}
+		key, ok := answerCacheKey(BackendAnalytic, p.Query)
+		if !ok {
+			continue
+		}
+		j, seen := first[key]
+		if !seen {
+			first[key] = i
+			continue
+		}
+		sr.lead[i] = j
+		if sr.ready[j] == nil {
+			sr.ready[j] = make(chan struct{})
+		}
+	}
+	return sr, nil
+}
 
-	in := make(chan QueryPoint)
-	out := make(chan T, workers)
-	var wg sync.WaitGroup
-
-	// Feeder: stops handing out points as soon as the context is done.
-	go func() {
-		defer close(in)
-		for _, p := range pts {
-			select {
-			case <-ctx.Done():
-				return
-			case in <- p:
+// run answers every point, handing each result to emit (when non-nil) from
+// the worker that produced it. A copying point waits for its leader, which
+// has a lower index and so was claimed earlier; leaders never wait.
+func (sr *sweepRun) run(ctx context.Context, emit func(QueryResult)) {
+	ForEach(ctx, len(sr.pts), sr.workers, func(i int) {
+		p := sr.pts[i]
+		var res QueryResult
+		if j := sr.lead[i]; j == i {
+			res = solveQueryPoint(ctx, sr.solvers[p.Backend], nil, p)
+		} else {
+			<-sr.ready[j]
+			lead := sr.results[j]
+			res = QueryResult{Point: p, Err: lead.Err, Error: lead.Error}
+			if lead.Err == nil {
+				// Rebind this point's scenario and scrub the leader's Elapsed.
+				res.Answer, res.Cached = cachedAnswer(lead.Answer, p.Query), true
 			}
 		}
-	}()
-
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for p := range in {
-				res := convert(solveQueryPoint(ctx, solvers[p.Backend], cache, p))
-				select {
-				case <-ctx.Done():
-					return
-				case out <- res:
-				}
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(out)
-	}()
-	return out, nil
+		sr.results[i] = res
+		if sr.ready[i] != nil {
+			close(sr.ready[i])
+		}
+		if emit != nil {
+			emit(res)
+		}
+	})
 }
 
 // solveQueryPoint answers one grid point, consulting the analytic cache
-// first. Points carrying an expansion-time domain error are never solved.
+// first when one is given. Points carrying an expansion-time domain error
+// are never solved.
 func solveQueryPoint(ctx context.Context, solver Solver, cache *AnswerCache, p QueryPoint) QueryResult {
 	res := QueryResult{Point: p}
 	if p.Err != nil {
-		res.Err = p.Err
-		res.Error = p.Err.Error()
+		res.Err, res.Error = p.Err, p.Err.Error()
 		return res
 	}
 	key, cacheable := answerKey{}, false
-	if p.Backend == BackendAnalytic {
+	if p.Backend == BackendAnalytic && cache != nil {
 		key, cacheable = answerCacheKey(BackendAnalytic, p.Query)
 	}
 	if cacheable {
@@ -703,8 +769,7 @@ func solveQueryPoint(ctx context.Context, solver Solver, cache *AnswerCache, p Q
 	}
 	a, err := solver.Answer(ctx, p.Query)
 	if err != nil {
-		res.Err = err
-		res.Error = err.Error()
+		res.Err, res.Error = err, err.Error()
 		return res
 	}
 	res.Answer = a
@@ -714,23 +779,25 @@ func solveQueryPoint(ctx context.Context, solver Solver, cache *AnswerCache, p Q
 	return res
 }
 
-// CollectQueries drains a query sweep into a slice sorted by grid index. It
-// returns ctx.Err() when the sweep was cut short by cancellation, along with
-// whatever results completed before the cut.
+// CollectQueries runs a query sweep to completion and returns its results
+// in grid order. When cancellation cuts the sweep short it returns the
+// points that completed, still in grid order, with ctx.Err().
 func CollectQueries(ctx context.Context, spec QuerySweepSpec) ([]QueryResult, error) {
-	ch, err := SweepQueries(ctx, spec)
+	sr, err := newSweepRun(spec)
 	if err != nil {
 		return nil, err
 	}
-	var results []QueryResult
-	for r := range ch {
-		results = append(results, r)
+	sr.run(ctx, nil)
+	if ctx.Err() == nil {
+		return sr.results, nil
 	}
-	sort.Slice(results, func(i, j int) bool { return results[i].Point.Index < results[j].Point.Index })
-	if err := ctx.Err(); err != nil {
-		return results, err
+	var done []QueryResult
+	for _, r := range sr.results {
+		if r.Point.Query != nil { // every expanded point has a Query; a zero slot never ran
+			done = append(done, r)
+		}
 	}
-	return results, nil
+	return done, ctx.Err()
 }
 
 // ParseQuerySweep decodes a query sweep spec from JSON, rejecting unknown

@@ -282,7 +282,9 @@ func (a Analytic) report(ctx context.Context, s Scenario) (Report, error) {
 		WeightedEfficiency: res.WeightedEfficiency,
 	}
 	if s.TargetEff > 0 {
-		r.Feasible = &v.Feasible
+		// A copy: &v.Feasible would keep the whole verdict alive with r.
+		feasible := v.Feasible
+		r.Feasible = &feasible
 		r.MinRatio = v.MinRatio
 		r.MinJobDemand = v.MinJobDemand
 	}

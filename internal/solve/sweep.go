@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"sort"
 
 	"feasim/internal/sim"
 )
@@ -77,7 +76,7 @@ type PointReport struct {
 	Err error `json:"-"`
 	// Error mirrors Err for JSON output.
 	Error string `json:"error,omitempty"`
-	// Cached marks analytic points deduplicated by the in-memory cache.
+	// Cached marks an analytic point that copied a lower-index twin's answer.
 	Cached bool `json:"cached,omitempty"`
 }
 
@@ -124,23 +123,16 @@ func Sweep(ctx context.Context, spec SweepSpec) (<-chan PointReport, error) {
 	return sweepChannel(ctx, spec.querySpec(), toPointReport)
 }
 
-// Collect drains a sweep into a slice sorted by grid index. It returns
-// ctx.Err() when the sweep was cut short by cancellation, along with
-// whatever results completed before the cut.
+// Collect runs a sweep to completion and returns its results in grid order.
+// It returns ctx.Err() when the sweep was cut short by cancellation, along
+// with the points that completed before the cut, still in grid order.
 func Collect(ctx context.Context, spec SweepSpec) ([]PointReport, error) {
-	ch, err := Sweep(ctx, spec)
-	if err != nil {
-		return nil, err
+	res, err := CollectQueries(ctx, spec.querySpec())
+	var out []PointReport
+	for _, r := range res {
+		out = append(out, toPointReport(r))
 	}
-	var results []PointReport
-	for r := range ch {
-		results = append(results, r)
-	}
-	sort.Slice(results, func(i, j int) bool { return results[i].Point.Index < results[j].Point.Index })
-	if err := ctx.Err(); err != nil {
-		return results, err
-	}
-	return results, nil
+	return out, err
 }
 
 // ParseSweep decodes a sweep spec from JSON, rejecting unknown fields.

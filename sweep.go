@@ -35,27 +35,29 @@ type QuerySweepResult = solve.QueryResult
 // RunSweep fans the expanded grid across a context-cancellable worker pool
 // (spec.Workers, default GOMAXPROCS) and streams results over the returned
 // channel as they complete. Per-point seeds are split deterministically from
-// spec.Seed, so results are reproducible regardless of worker count;
-// repeated analytic points are deduplicated through an in-memory cache.
+// spec.Seed, so results are reproducible regardless of worker count; a
+// repeated analytic point is solved once, at its lowest grid index, and the
+// repeats copy that answer (flagged cached).
 func RunSweep(ctx context.Context, spec SweepSpec) (<-chan SweepResult, error) {
 	return solve.Sweep(ctx, spec)
 }
 
-// CollectSweep drains RunSweep into a slice sorted by grid index. When ctx
-// is cancelled mid-sweep it returns the completed prefix along with
-// ctx.Err().
+// CollectSweep runs the grid like RunSweep and returns the results in grid
+// order. When ctx is cancelled mid-sweep it returns the points that
+// completed, still in grid order, along with ctx.Err().
 func CollectSweep(ctx context.Context, spec SweepSpec) ([]SweepResult, error) {
 	return solve.Collect(ctx, spec)
 }
 
 // RunQuerySweep is RunSweep generalized to any query kind: the same worker
-// pool, deterministic seeding and analytic deduplication (cache keyed by
-// query kind), streaming typed Answers.
+// pool, deterministic seeding and analytic deduplication (keyed by query
+// kind), streaming typed Answers.
 func RunQuerySweep(ctx context.Context, spec QuerySweepSpec) (<-chan QuerySweepResult, error) {
 	return solve.SweepQueries(ctx, spec)
 }
 
-// CollectQuerySweep drains RunQuerySweep into a slice sorted by grid index.
+// CollectQuerySweep runs the grid like RunQuerySweep and returns the
+// results in grid order.
 func CollectQuerySweep(ctx context.Context, spec QuerySweepSpec) ([]QuerySweepResult, error) {
 	return solve.CollectQueries(ctx, spec)
 }
