@@ -1,11 +1,13 @@
 package main
 
 // TestFrontierSmoke is the frontier-smoke gate (make frontier-smoke): start
-// the real HTTP server on a loopback socket, stream the checked-in frontier
+// the real HTTP server on a loopback socket, stream each checked-in frontier
 // spec through POST /v1/sweep?mode=frontier, and require the NDJSON cell
 // stream and terminal stats to match the CLI `feasim sweep -frontier -json`
 // output line for line — proof that the streamed and local adaptive
-// refinements stay in lockstep.
+// refinements stay in lockstep. The owner_cv2 spec runs four workers over
+// corners that mostly share an analytic answer, so its cache_hits match only
+// if the dedup does not depend on thread timing.
 
 import (
 	"bufio"
@@ -45,57 +47,61 @@ func TestFrontierSmoke(t *testing.T) {
 		}
 	}()
 
-	path := filepath.Join("testdata", "sweep_frontier.json")
+	for _, name := range []string{"sweep_frontier.json", "sweep_frontier_cv2.json"} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join("testdata", name)
 
-	// The CLI path: one JSON object per resolved cell, then the done record.
-	cliOut := captureStdout(t, func() error {
-		return cmdSweep([]string{"-frontier", "-json", path})
-	})
-	cliLines := strings.Split(strings.TrimSpace(cliOut), "\n")
+			// The CLI path: one JSON object per resolved cell, then the done record.
+			cliOut := captureStdout(t, func() error {
+				return cmdSweep([]string{"-frontier", "-json", path})
+			})
+			cliLines := strings.Split(strings.TrimSpace(cliOut), "\n")
 
-	// The HTTP path: the same spec streamed as NDJSON.
-	spec, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post("http://"+ln.Addr().String()+"/v1/sweep?mode=frontier",
-		"application/json", strings.NewReader(string(spec)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Fatalf("Content-Type %q", ct)
-	}
-	var httpLines []string
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		httpLines = append(httpLines, sc.Text())
-	}
-	if sc.Err() != nil {
-		t.Fatal(sc.Err())
-	}
+			// The HTTP path: the same spec streamed as NDJSON.
+			spec, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.Post("http://"+ln.Addr().String()+"/v1/sweep?mode=frontier",
+				"application/json", strings.NewReader(string(spec)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d", resp.StatusCode)
+			}
+			if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
+				t.Fatalf("Content-Type %q", ct)
+			}
+			var httpLines []string
+			sc := bufio.NewScanner(resp.Body)
+			for sc.Scan() {
+				httpLines = append(httpLines, sc.Text())
+			}
+			if sc.Err() != nil {
+				t.Fatal(sc.Err())
+			}
 
-	if len(httpLines) != len(cliLines) {
-		t.Fatalf("HTTP streamed %d lines, CLI printed %d", len(httpLines), len(cliLines))
-	}
-	for i := range cliLines {
-		var cli, served any
-		if err := json.Unmarshal([]byte(cliLines[i]), &cli); err != nil {
-			t.Fatalf("CLI line %d %q: %v", i, cliLines[i], err)
-		}
-		if err := json.Unmarshal([]byte(httpLines[i]), &served); err != nil {
-			t.Fatalf("HTTP line %d %q: %v", i, httpLines[i], err)
-		}
-		if !reflect.DeepEqual(cli, served) {
-			t.Errorf("line %d diverges:\n CLI:  %s\n HTTP: %s", i, cliLines[i], httpLines[i])
-		}
-	}
-	last := cliLines[len(cliLines)-1]
-	if !strings.Contains(last, `"done":true`) {
-		t.Errorf("final record is not the done/stats line: %s", last)
+			if len(httpLines) != len(cliLines) {
+				t.Fatalf("HTTP streamed %d lines, CLI printed %d", len(httpLines), len(cliLines))
+			}
+			for i := range cliLines {
+				var cli, served any
+				if err := json.Unmarshal([]byte(cliLines[i]), &cli); err != nil {
+					t.Fatalf("CLI line %d %q: %v", i, cliLines[i], err)
+				}
+				if err := json.Unmarshal([]byte(httpLines[i]), &served); err != nil {
+					t.Fatalf("HTTP line %d %q: %v", i, httpLines[i], err)
+				}
+				if !reflect.DeepEqual(cli, served) {
+					t.Errorf("line %d diverges:\n CLI:  %s\n HTTP: %s", i, cliLines[i], httpLines[i])
+				}
+			}
+			last := cliLines[len(cliLines)-1]
+			if !strings.Contains(last, `"done":true`) {
+				t.Errorf("final record is not the done/stats line: %s", last)
+			}
+		})
 	}
 }

@@ -36,7 +36,22 @@ func NewStream(seed uint64) *Stream {
 // indexes (or from distinct parents) produce statistically independent
 // sequences, which we rely on for per-workstation owner processes.
 func (s *Stream) Split(i uint64) *Stream {
-	return NewStream(splitmix(s.seed+0x9e3779b97f4a7c15*(i+1)) ^ (i + 1))
+	return NewStream(s.childSeed(i))
+}
+
+// SplitSeed returns Split(i).Uint64(), the first draw of the i-th child,
+// without allocating the child stream: the per-point seed of a sweep or
+// search.
+func (s *Stream) SplitSeed(i uint64) uint64 {
+	seed := s.childSeed(i)
+	var pcg rand.PCG
+	pcg.Seed(splitmix(seed), splitmix(seed^0x9e3779b97f4a7c15))
+	return pcg.Uint64()
+}
+
+// childSeed is the seed of the i-th child stream.
+func (s *Stream) childSeed(i uint64) uint64 {
+	return splitmix(s.seed+0x9e3779b97f4a7c15*(i+1)) ^ (i + 1)
 }
 
 // Seed reports the seed this stream was created with.

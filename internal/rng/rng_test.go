@@ -275,3 +275,22 @@ func TestQuickExponentialNonNegative(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestSplitSeedMatchesSplit pins SplitSeed to the first draw of the split
+// child stream, and checks that it allocates nothing.
+func TestSplitSeedMatchesSplit(t *testing.T) {
+	for seed := uint64(0); seed < 100; seed++ {
+		root := NewStream(seed * 0x2545f4914f6cdd1d)
+		for i := uint64(0); i < 128; i++ {
+			idx := i * (seed + 1) * 7919
+			if got, want := root.SplitSeed(idx), root.Split(idx).Uint64(); got != want {
+				t.Fatalf("seed %d index %d: SplitSeed = %#x, Split.Uint64 = %#x", root.Seed(), idx, got, want)
+			}
+		}
+	}
+	root := NewStream(42)
+	var sink uint64
+	if allocs := testing.AllocsPerRun(100, func() { sink += root.SplitSeed(sink & 1023) }); allocs != 0 {
+		t.Errorf("SplitSeed allocates %v times per call, want 0", allocs)
+	}
+}

@@ -15,7 +15,9 @@ import (
 
 // permitSolver answers report queries with a rule-based feasibility verdict
 // (feasible iff scenario util < 0.3), gated on a permit channel so tests
-// control exactly how many probes may run. It registers as "analytic" so the
+// control exactly how many probes may run. The verdict rides in both
+// Feasible and WeightedEfficiency (1 or 0): frontier probes send no target
+// and classify by the efficiency. It registers as "analytic" so the
 // frontier path exercises the server's default cached-solver wiring.
 type permitSolver struct {
 	permits chan struct{}
@@ -32,8 +34,12 @@ func (p *permitSolver) Answer(ctx context.Context, q solve.Query) (solve.Answer,
 	}
 	sc := q.(solve.ReportQuery).Scenario
 	feasible := sc.Util < 0.3
+	weff := 0.0
+	if feasible {
+		weff = 1
+	}
 	return solve.ReportAnswer{Report: solve.Report{
-		Scenario: sc, Backend: p.Name(), W: sc.W, Feasible: &feasible,
+		Scenario: sc, Backend: p.Name(), W: sc.W, WeightedEfficiency: weff, Feasible: &feasible,
 	}}, nil
 }
 

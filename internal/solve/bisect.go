@@ -82,7 +82,7 @@ func bisectThreshold(ctx context.Context, backend string, q ThresholdQuery, maxR
 			O:        q.O,
 			Util:     q.Util,
 			Stations: tiled,
-			Seed:     root.Split(uint64(ratio)).Uint64(),
+			Seed:     root.SplitSeed(uint64(ratio)),
 		}
 		r, err := probe(ctx, sc)
 		if err != nil {
@@ -172,7 +172,7 @@ func bisectPartition(ctx context.Context, backend string, q PartitionQuery, warm
 			if err != nil {
 				return err
 			}
-			sc.Seed = root.Split(uint64(w)).Uint64()
+			sc.Seed = root.SplitSeed(uint64(w))
 			r, err := probe(ctx, sc)
 			if err != nil {
 				return fmt.Errorf("solve: partition probe at W=%d: %w", w, err)

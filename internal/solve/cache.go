@@ -21,8 +21,8 @@ var ErrPanicked = errors.New("solve: answer execution panicked")
 
 // The answer layer sits between callers and backends: a size-bounded LRU of
 // previously computed answers plus single-flight coalescing of concurrent
-// identical queries. It generalizes the sweep engines' analytic dedup (it
-// backs the frontier's corner memo) to any caller-facing surface — the HTTP
+// identical queries. It generalizes the sweep engines' analytic dedup (the
+// same answer keys) to any caller-facing surface — the HTTP
 // service of internal/serve is the heavy-traffic consumer, but the CLI and
 // library callers can wrap any Solver the same way.
 //
@@ -343,21 +343,6 @@ func (c *AnswerCache) Stats() CacheStats {
 		st.PerShard = append(st.PerShard, sh)
 	}
 	return st
-}
-
-// lookup returns the stored answer for key, counting a hit or a miss.
-func (c *AnswerCache) lookup(key answerKey) (Answer, bool) {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.entries[key]
-	if !ok {
-		s.misses++
-		return nil, false
-	}
-	s.order.MoveToFront(el)
-	s.hits++
-	return el.Value.(*lruEntry).ans, true
 }
 
 // peek returns the stored answer and encoding for key without counting a

@@ -215,15 +215,15 @@ func TestAnswerCacheLRUBound(t *testing.T) {
 	}
 	c.store(key(1), ThresholdAnswer{MinRatio: 1}, nil)
 	c.store(key(2), ThresholdAnswer{MinRatio: 2}, nil)
-	if _, ok := c.lookup(key(1)); !ok { // touch 1 → 2 becomes LRU
+	if _, _, ok := c.peek(key(1)); !ok { // touch 1 → 2 becomes LRU
 		t.Fatal("entry 1 should be resident")
 	}
 	c.store(key(3), ThresholdAnswer{MinRatio: 3}, nil) // evicts 2
-	if _, ok := c.lookup(key(2)); ok {
+	if _, _, ok := c.peek(key(2)); ok {
 		t.Error("entry 2 should have been evicted")
 	}
 	for _, i := range []int{1, 3} {
-		if _, ok := c.lookup(key(i)); !ok {
+		if _, _, ok := c.peek(key(i)); !ok {
 			t.Errorf("entry %d should be resident", i)
 		}
 	}
@@ -282,7 +282,7 @@ func TestAnswerCacheShardCapacityInvariant(t *testing.T) {
 		// And a store on any key must stay resident until capacity pressure.
 		key := answerKey{backend: "fake", key: cacheKey{kind: KindThreshold, extra: "probe"}}
 		c.store(key, ThresholdAnswer{MinRatio: 1}, nil)
-		if _, ok := c.lookup(key); !ok {
+		if _, _, ok := c.peek(key); !ok {
 			t.Errorf("cap %d shards %d: freshly stored entry not resident", tc.capacity, tc.shards)
 		}
 	}

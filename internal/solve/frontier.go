@@ -23,13 +23,15 @@ import (
 // to either region resolve at the coarsest level that proves them uniform, so
 // the probe budget concentrates where the answer lives.
 //
-// Every corner probe goes through the same per-point query path as a dense
-// sweep — the same axis application, the same deterministic seed split (the
-// seed is a pure function of the corner's finest-grid coordinate, not of
-// visit order or refinement level), and an analytic dedup cache — so a
-// frontier run answers exactly the sub-grid of the equivalent dense sweep
-// that it touches, and repeated refinement levels hit the memo instead of
-// re-solving shared corners.
+// A corner is the same point a dense sweep would expand (same axes, same seed,
+// a pure function of its finest-grid coordinate), so a frontier run
+// classifies exactly the sub-grid of that sweep it touches. It goes to the
+// backend through Solver.Answer; a report corner without its target, since
+// the verdict WeightedEfficiency >= target is every backend's Feasible rule
+// and the target would only add the analytic threshold search. Analytic
+// corners sharing an answer key are grouped in level order before probing:
+// the first probes and the rest copy its verdict, so the probes and stats do
+// not depend on thread timing.
 
 // Frontier axis names (the QuerySweepSpec JSON field names, so a sweep spec
 // and a frontier spec describe axes in the same vocabulary).
@@ -275,26 +277,24 @@ func (sp FrontierSpec) Validate() error {
 	if _, err := sp.Base.withAxes(ax); err != nil && !errors.As(err, new(*PointDomainError)) {
 		return err
 	}
-	if err := frontierTarget(sp.Base); err != nil {
-		return err
-	}
-	return nil
+	_, err := frontierTarget(sp.Base)
+	return err
 }
 
-// frontierTarget checks that the base query will produce a feasibility
-// verdict (a positive target efficiency on the underlying scenario).
-func frontierTarget(q Query) error {
+// frontierTarget returns the base query's target efficiency, checking that
+// it is positive so every corner gets a feasibility verdict.
+func frontierTarget(q Query) (float64, error) {
+	var target float64
 	switch t := q.(type) {
 	case ReportQuery:
-		if !(t.Scenario.TargetEff > 0) {
-			return fmt.Errorf("solve: frontier mode needs scenario target_eff > 0 for the feasible/infeasible verdict")
-		}
+		target = t.Scenario.TargetEff
 	case TimelineQuery:
-		if !(t.Scenario.TargetEff > 0) {
-			return fmt.Errorf("solve: frontier mode needs scenario target_eff > 0 for the feasible/infeasible verdict")
-		}
+		target = t.Scenario.TargetEff
 	}
-	return nil
+	if !(target > 0) {
+		return 0, fmt.Errorf("solve: frontier mode needs scenario target_eff > 0 for the feasible/infeasible verdict")
+	}
+	return target, nil
 }
 
 // Frontier cell verdicts.
@@ -345,9 +345,11 @@ type FrontierStats struct {
 	Cells    int `json:"cells"`
 	Boundary int `json:"boundary"`
 	Failed   int `json:"failed"`
-	// Evaluations counts corner probes sent to the solver — the number a
-	// dense sweep multiplies by. CacheHits is the subset served by the
-	// analytic dedup cache without a backend execution.
+	// Evaluations counts classified corners that reached the probe stage —
+	// the number a dense sweep multiplies by. CacheHits is the subset that
+	// copied the verdict of an earlier corner with the same analytic answer
+	// key instead of calling the backend; a copy of a failed probe carries
+	// its error and is not a hit.
 	Evaluations int `json:"evaluations"`
 	CacheHits   int `json:"cache_hits"`
 	// DenseEvaluations is the probe count of the equivalent dense sweep:
@@ -362,10 +364,16 @@ type FrontierResult struct {
 }
 
 // frontierNode is one evaluated corner of the refinement lattice; probed: it
-// went to the solver, cached: the dedup cache answered it.
+// counts as an evaluation, cached: it copied a twin's verdict.
 type frontierNode struct {
 	feasible, probed, cached bool
 	err                      error
+}
+
+// copied is the node of a corner that takes this probed node's verdict
+// instead of probing: a cache hit, unless the probe failed.
+func (n frontierNode) copied() frontierNode {
+	return frontierNode{feasible: n.feasible, probed: true, cached: n.err == nil, err: n.err}
 }
 
 // frontierCellRef is one unresolved cell in the refinement queue.
@@ -377,12 +385,13 @@ type frontierCellRef struct {
 type frontierRun struct {
 	spec   FrontierSpec
 	res    int
+	target float64
 	solver Solver
-	cache  *AnswerCache
 	seed   *rng.Stream
 
 	mu    sync.Mutex
 	nodes map[[2]int]frontierNode
+	keys  map[answerKey]frontierNode // the probed node of each analytic answer key
 	stats FrontierStats
 }
 
@@ -393,43 +402,46 @@ type frontierRun struct {
 // structural and aborts the run.
 func (fr *frontierRun) nodeQuery(ix, iy int) (Query, error) {
 	idx := ix*(fr.res+1) + iy
-	ax := axisPoint{index: idx, w: -1, util: -1, ratio: -1, cv2: -1, spread: -1}
+	ax := axisPoint{index: idx, w: -1, util: -1, ratio: -1, cv2: -1, spread: -1, seed: fr.seed.SplitSeed(uint64(idx))}
 	fr.spec.X.apply(&ax, fr.spec.X.value(ix, fr.res))
 	fr.spec.Y.apply(&ax, fr.spec.Y.value(iy, fr.res))
-	q, err := fr.spec.Base.withAxes(ax)
+	return fr.spec.Base.withAxes(ax)
+}
+
+// probeQuery builds the query the solver answers for a corner. A report
+// corner is validated with its target, then sent without it: the verdict is
+// WeightedEfficiency >= target, the rule every backend uses for Feasible, so
+// the analytic backend skips the threshold search a target adds to a report.
+func (fr *frontierRun) probeQuery(ix, iy int) (Query, error) {
+	q, err := fr.nodeQuery(ix, iy)
 	if err != nil {
 		return nil, err
 	}
-	return q.withSeed(fr.seed.Split(uint64(idx)).Uint64()), nil
+	if err := q.Validate(); err != nil {
+		return nil, &PointDomainError{Err: err}
+	}
+	if rq, ok := q.(ReportQuery); ok {
+		rq.Scenario.TargetEff = 0
+		q = rq
+	}
+	return q, nil
 }
 
-// evalNode classifies one corner.
-func (fr *frontierRun) evalNode(ctx context.Context, ix, iy int) frontierNode {
-	q, err := fr.nodeQuery(ix, iy)
-	if err != nil {
-		return frontierNode{err: err}
-	}
-	if err := q.Validate(); err != nil {
-		return frontierNode{err: &PointDomainError{Err: err}}
-	}
-	res := solveQueryPoint(ctx, fr.solver, fr.cache, QueryPoint{
-		Index: ix*(fr.res+1) + iy, Backend: fr.spec.backend(), Query: q,
-	})
-	node := frontierNode{probed: true, cached: res.Cached, err: res.Err}
-	if node.err == nil {
-		node.feasible, node.err = frontierVerdict(res.Answer)
+// probe asks the solver for one corner's verdict.
+func (fr *frontierRun) probe(ctx context.Context, q Query) frontierNode {
+	a, err := fr.solver.Answer(ctx, q)
+	node := frontierNode{probed: true, err: err}
+	if err == nil {
+		node.feasible, node.err = frontierVerdict(a, fr.target)
 	}
 	return node
 }
 
 // frontierVerdict extracts the feasibility verdict from an answer.
-func frontierVerdict(a Answer) (bool, error) {
+func frontierVerdict(a Answer, target float64) (bool, error) {
 	switch t := a.(type) {
 	case ReportAnswer:
-		if t.Report.Feasible == nil {
-			return false, fmt.Errorf("solve: frontier probe returned no feasibility verdict; set scenario target_eff")
-		}
-		return *t.Report.Feasible, nil
+		return t.Report.WeightedEfficiency >= target, nil
 	case TimelineAnswer:
 		if len(t.Epochs) == 0 {
 			return false, fmt.Errorf("solve: frontier probe returned an empty timeline")
@@ -479,13 +491,15 @@ func SweepFrontierSolver(ctx context.Context, spec FrontierSpec, solver Solver) 
 		solver = s
 	}
 	res := spec.Resolution()
+	target, _ := frontierTarget(spec.Base) // checked by Validate
 	fr := &frontierRun{
 		spec:   spec,
 		res:    res,
+		target: target,
 		solver: solver,
-		cache:  NewAnswerCache(max((res+1)*(res+1)/4, DefaultAnswerCacheCapacity)),
 		seed:   rng.NewStream(spec.Seed),
 		nodes:  make(map[[2]int]frontierNode),
+		keys:   make(map[answerKey]frontierNode),
 	}
 	fr.stats.Resolution = res
 	fr.stats.DenseEvaluations = (res + 1) * (res + 1)
@@ -553,9 +567,9 @@ func (fr *frontierRun) run(ctx context.Context, workers int, out chan<- Frontier
 	}
 }
 
-// evalLevel evaluates the queued cells' unmemoized corners on ForEach, one
-// slot each, then merges them into the memo and stats once per level.
-// Returns false when ctx ended mid-level.
+// evalLevel evaluates the queued cells' unmemoized corners: it plans the
+// dedup in level order, probes the leaders on ForEach, then merges the nodes
+// into the memo and stats. Returns false when ctx ended mid-level.
 func (fr *frontierRun) evalLevel(ctx context.Context, workers int, queue []frontierCellRef) bool {
 	var todo [][2]int
 	seen := make(map[[2]int]bool)
@@ -571,12 +585,51 @@ func (fr *frontierRun) evalLevel(ctx context.Context, workers int, queue []front
 		}
 	}
 	nodes := make([]frontierNode, len(todo))
-	ForEach(ctx, len(todo), workers, func(j int) {
-		nodes[j] = fr.evalNode(ctx, todo[j][0], todo[j][1])
+	queries := make([]Query, len(todo))
+	lead := make([]int, len(todo)) // the leader whose verdict corner j copies, or -1
+	leaders := make(map[answerKey]int, len(todo))
+	var probes []int
+	dedup := fr.spec.backend() == BackendAnalytic
+	for j, n := range todo {
+		lead[j] = -1
+		q, err := fr.probeQuery(n[0], n[1])
+		if err != nil {
+			nodes[j].err = err
+			continue
+		}
+		key, keyed := answerKey{}, false
+		if dedup {
+			key, keyed = answerCacheKey(BackendAnalytic, q)
+		}
+		if keyed {
+			if node, ok := fr.keys[key]; ok {
+				nodes[j] = node.copied()
+				continue
+			}
+			if i, ok := leaders[key]; ok {
+				lead[j] = i
+				continue
+			}
+			leaders[key] = j
+		}
+		queries[j] = q
+		probes = append(probes, j)
+	}
+	ForEach(ctx, len(probes), workers, func(i int) {
+		j := probes[i]
+		nodes[j] = fr.probe(ctx, queries[j])
 	})
 	fr.mu.Lock()
 	defer fr.mu.Unlock()
+	for key, j := range leaders {
+		if nodes[j].probed {
+			fr.keys[key] = nodes[j]
+		}
+	}
 	for j, node := range nodes {
+		if i := lead[j]; i >= 0 && nodes[i].probed {
+			node = nodes[i].copied()
+		}
 		if !node.probed && node.err == nil {
 			continue // never claimed: ctx ended first
 		}

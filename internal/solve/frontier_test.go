@@ -47,81 +47,152 @@ func boundarySet(t *testing.T, cells []FrontierCell) map[[2]int]bool {
 	return set
 }
 
+// denseAxisOrder is each axis's loop depth in QuerySweepSpec.Points, outer
+// first.
+var denseAxisOrder = map[string]int{
+	FrontierAxisUtil: 1, FrontierAxisRatio: 2, FrontierAxisOwnerCV2: 3, FrontierAxisSpread: 4,
+}
+
+// setDenseAxis sets one axis of a dense sweep spec to the given values.
+func setDenseAxis(sp *QuerySweepSpec, axis string, vals []float64) {
+	switch axis {
+	case FrontierAxisUtil:
+		sp.Util = vals
+	case FrontierAxisRatio:
+		sp.TaskRatio = vals
+	case FrontierAxisOwnerCV2:
+		sp.OwnerCV2 = vals
+	case FrontierAxisSpread:
+		sp.Spread = vals
+	}
+}
+
 // TestFrontierMatchesDenseSweep locates the boundary adaptively at
 // resolution 16 and checks it against the ground truth computed from a full
 // dense query sweep over the same node lattice: exactly the same boundary
-// cells, from far fewer probes.
+// cells, from far fewer probes. The owner_cv2 pair shares one analytic
+// answer down each util column, so most of its corners copy a verdict; the
+// spread pair probes heterogeneous fleets.
 func TestFrontierMatchesDenseSweep(t *testing.T) {
-	x, y := frontierAxes()
-	spec := FrontierSpec{Base: frontierBase(), X: x, Y: y, Coarse: 2, Depth: 3, Seed: 21}
-	res := spec.Resolution()
-	if res != 16 {
-		t.Fatalf("resolution %d, want 16", res)
-	}
-	fres, err := CollectFrontier(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := boundarySet(t, fres.Cells)
+	ux, ry := frontierAxes()
+	for _, tc := range []struct {
+		name string
+		base ReportQuery
+		x, y FrontierAxis
+		seed uint64
+	}{
+		{"util_x_task_ratio", frontierBase(), ux, ry, 21},
+		{"util_x_owner_cv2", frontierBase(), ux, FrontierAxis{Axis: FrontierAxisOwnerCV2, Min: 0, Max: 4}, 9},
+		{"spread_x_task_ratio", spreadBase(), FrontierAxis{Axis: FrontierAxisSpread, Min: 0, Max: 1.6}, ry, 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := FrontierSpec{Base: tc.base, X: tc.x, Y: tc.y, Coarse: 2, Depth: 3, Seed: tc.seed}
+			res := spec.Resolution()
+			if res != 16 {
+				t.Fatalf("resolution %d, want 16", res)
+			}
+			fres, err := CollectFrontier(context.Background(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := boundarySet(t, fres.Cells)
 
-	// Ground truth: the dense grid over the identical node values, through
-	// the ordinary query-sweep engine.
-	var utils, ratios []float64
-	for i := 0; i <= res; i++ {
-		utils = append(utils, x.value(i, res))
-		ratios = append(ratios, y.value(i, res))
+			// Ground truth: the dense grid over the identical node values,
+			// through the ordinary query-sweep engine.
+			var xs, ys []float64
+			for i := 0; i <= res; i++ {
+				xs = append(xs, tc.x.value(i, res))
+				ys = append(ys, tc.y.value(i, res))
+			}
+			dspec := QuerySweepSpec{Base: tc.base, Seed: tc.seed}
+			setDenseAxis(&dspec, tc.x.Axis, xs)
+			setDenseAxis(&dspec, tc.y.Axis, ys)
+			dense, err := CollectQueries(context.Background(), dspec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(dense) != (res+1)*(res+1) {
+				t.Fatalf("dense grid has %d points, want %d", len(dense), (res+1)*(res+1))
+			}
+			feas := make(map[[2]int]bool)
+			for _, r := range dense {
+				if r.Err != nil {
+					t.Fatalf("dense point %d: %v", r.Point.Index, r.Err)
+				}
+				rep := r.Answer.(ReportAnswer).Report
+				if rep.Feasible == nil {
+					t.Fatalf("dense point %d carries no verdict", r.Point.Index)
+				}
+				outer, inner := r.Point.Index/(res+1), r.Point.Index%(res+1)
+				if denseAxisOrder[tc.x.Axis] > denseAxisOrder[tc.y.Axis] {
+					outer, inner = inner, outer
+				}
+				feas[[2]int{outer, inner}] = *rep.Feasible
+			}
+			want := make(map[[2]int]bool)
+			for ix := 0; ix < res; ix++ {
+				for iy := 0; iy < res; iy++ {
+					a, b := feas[[2]int{ix, iy}], feas[[2]int{ix + 1, iy}]
+					c, d := feas[[2]int{ix, iy + 1}], feas[[2]int{ix + 1, iy + 1}]
+					if a != b || a != c || a != d {
+						want[[2]int{ix, iy}] = true
+					}
+				}
+			}
+			if len(want) == 0 {
+				t.Fatal("fixture's boundary does not cross the searched window")
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("boundary cells differ: frontier %d cells, dense %d cells", len(got), len(want))
+			}
+
+			// The cells must tile the window exactly: every finest-resolution
+			// unit covered once.
+			area := 0
+			for _, c := range fres.Cells {
+				area += c.Span * c.Span
+			}
+			if area != res*res {
+				t.Errorf("cells cover %d unit squares, want %d", area, res*res)
+			}
+			if fres.Stats.Boundary != len(want) {
+				t.Errorf("stats.Boundary = %d, want %d", fres.Stats.Boundary, len(want))
+			}
+			if fres.Stats.Evaluations >= fres.Stats.DenseEvaluations {
+				t.Errorf("adaptive run probed %d nodes, dense needs only %d", fres.Stats.Evaluations, fres.Stats.DenseEvaluations)
+			}
+		})
 	}
-	dense, err := CollectQueries(context.Background(), QuerySweepSpec{
-		Base: frontierBase(), Util: utils, TaskRatio: ratios, Seed: 21,
-	})
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestFrontierDedupDeterministic: corners sharing an analytic answer key
+// are grouped in level order before any probe runs, so the stats and cells
+// of a dedup-heavy run do not depend on the pool size or thread timing. The
+// pinned stats are those of a one-worker run, where the order is fixed.
+func TestFrontierDedupDeterministic(t *testing.T) {
+	x, _ := frontierAxes()
+	spec := FrontierSpec{
+		Base: frontierBase(), X: x, Y: FrontierAxis{Axis: FrontierAxisOwnerCV2, Min: 0, Max: 4},
+		Coarse: 2, Depth: 3, Seed: 9,
 	}
-	if len(dense) != (res+1)*(res+1) {
-		t.Fatalf("dense grid has %d points, want %d", len(dense), (res+1)*(res+1))
-	}
-	feas := make(map[[2]int]bool)
-	for _, r := range dense {
-		if r.Err != nil {
-			t.Fatalf("dense point %d: %v", r.Point.Index, r.Err)
-		}
-		rep := r.Answer.(ReportAnswer).Report
-		if rep.Feasible == nil {
-			t.Fatalf("dense point %d carries no verdict", r.Point.Index)
-		}
-		feas[[2]int{r.Point.Index / (res + 1), r.Point.Index % (res + 1)}] = *rep.Feasible
-	}
-	want := make(map[[2]int]bool)
-	for ix := 0; ix < res; ix++ {
-		for iy := 0; iy < res; iy++ {
-			a, b := feas[[2]int{ix, iy}], feas[[2]int{ix + 1, iy}]
-			c, d := feas[[2]int{ix, iy + 1}], feas[[2]int{ix + 1, iy + 1}]
-			if a != b || a != c || a != d {
-				want[[2]int{ix, iy}] = true
+	want := FrontierStats{Resolution: 16, Cells: 46, Boundary: 16, Evaluations: 68, CacheHits: 62, DenseEvaluations: 289}
+	var cells []FrontierCell
+	for _, workers := range []int{1, 2, 8} {
+		spec.Workers = workers
+		for run := 0; run < 50; run++ {
+			res, err := CollectFrontier(context.Background(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Stats != want {
+				t.Fatalf("workers %d run %d: stats %+v, want %+v", workers, run, res.Stats, want)
+			}
+			if cells == nil {
+				cells = res.Cells
+			} else if !reflect.DeepEqual(res.Cells, cells) {
+				t.Fatalf("workers %d run %d: cells differ from the first run", workers, run)
 			}
 		}
-	}
-	if len(want) == 0 {
-		t.Fatal("fixture's boundary does not cross the searched window")
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("boundary cells differ: frontier %d cells, dense %d cells", len(got), len(want))
-	}
-
-	// The cells must tile the window exactly: every finest-resolution unit
-	// covered once.
-	area := 0
-	for _, c := range fres.Cells {
-		area += c.Span * c.Span
-	}
-	if area != res*res {
-		t.Errorf("cells cover %d unit squares, want %d", area, res*res)
-	}
-	if fres.Stats.Boundary != len(want) {
-		t.Errorf("stats.Boundary = %d, want %d", fres.Stats.Boundary, len(want))
-	}
-	if fres.Stats.Evaluations >= fres.Stats.DenseEvaluations {
-		t.Errorf("adaptive run probed %d nodes, dense needs only %d", fres.Stats.Evaluations, fres.Stats.DenseEvaluations)
 	}
 }
 
@@ -162,15 +233,71 @@ func TestFrontierMatchesExhaustiveDES(t *testing.T) {
 }
 
 // countingAnalytic wraps Analytic and counts Answer executions — the probes
-// a backend actually pays for, after the dedup cache.
+// a backend actually pays for, after the dedup cache — and, in targeted, the
+// report queries that arrive with a target efficiency.
 type countingAnalytic struct {
 	Analytic
-	calls atomic.Int64
+	calls    atomic.Int64
+	targeted atomic.Int64
 }
 
 func (c *countingAnalytic) Answer(ctx context.Context, q Query) (Answer, error) {
 	c.calls.Add(1)
+	if rq, ok := q.(ReportQuery); ok && rq.Scenario.TargetEff != 0 {
+		c.targeted.Add(1)
+	}
 	return c.Analytic.Answer(ctx, q)
+}
+
+// TestFrontierProbesCarryNoTarget: a report corner reaches the solver with
+// its target cleared, since the frontier classifies it by weighted
+// efficiency and the target would only add the analytic threshold search.
+// The corner is validated with its target first, so a target out of range
+// still makes error cells and no probe.
+func TestFrontierProbesCarryNoTarget(t *testing.T) {
+	x, y := frontierAxes()
+	for _, tc := range []struct {
+		base ReportQuery
+		x    FrontierAxis
+	}{
+		{frontierBase(), x},
+		{spreadBase(), FrontierAxis{Axis: FrontierAxisSpread, Min: 0, Max: 1.6}},
+	} {
+		base := tc.base
+		spec := FrontierSpec{Base: base, X: tc.x, Y: y, Coarse: 2, Depth: 3, Seed: 4}
+		solver := &countingAnalytic{}
+		ch, _, err := SweepFrontierSolver(context.Background(), spec, solver)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := range ch {
+			if c.Verdict == FrontierError {
+				t.Fatalf("%s cell (%d,%d): %s", base.Scenario.Name, c.IX, c.IY, c.Error)
+			}
+		}
+		if solver.calls.Load() == 0 {
+			t.Fatalf("%s: no probe reached the solver", base.Scenario.Name)
+		}
+		if n := solver.targeted.Load(); n != 0 {
+			t.Errorf("%s: %d of %d report probes carried a target", base.Scenario.Name, n, solver.calls.Load())
+		}
+	}
+
+	bad := frontierBase()
+	bad.Scenario.TargetEff = 1.5
+	solver := &countingAnalytic{}
+	ch, stats, err := SweepFrontierSolver(context.Background(), FrontierSpec{Base: bad, X: x, Y: y, Coarse: 2, Depth: 1}, solver)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := range ch {
+		if c.Verdict != FrontierError || !strings.Contains(c.Error, "target_eff") {
+			t.Errorf("cell (%d,%d) with target 1.5: verdict %q, error %q", c.IX, c.IY, c.Verdict, c.Error)
+		}
+	}
+	if st := stats(); st.Failed != st.Cells || st.Cells == 0 || solver.calls.Load() != 0 {
+		t.Errorf("target 1.5: %d of %d cells failed, %d probes reached the solver", st.Failed, st.Cells, solver.calls.Load())
+	}
 }
 
 // TestFrontierTenfoldFewerSolverCalls pins the tentpole's acceptance bar: at

@@ -85,7 +85,7 @@ func capabilitiesOf(name string) []string {
 // Query is one typed question to a Solver, serialized through the JSON
 // envelope {"kind": "...", ...}. The concrete types are ReportQuery,
 // ThresholdQuery, PartitionQuery, DistributionQuery and ScaledQuery; the
-// interface is sealed (the sweep engine needs axis expansion and seeding
+// interface is sealed (the sweep engine needs axis expansion and dedup
 // hooks), so every query a Solver sees round-trips through ParseQuery.
 type Query interface {
 	// Kind is the envelope discriminator ("report", "threshold", ...).
@@ -93,11 +93,9 @@ type Query interface {
 	// Validate checks the query for internal consistency.
 	Validate() error
 
-	// withAxes applies sweep axis values, withSeed re-seeds the stochastic
-	// work, and dedupKey feeds the sweep engine's analytic cache; all three
-	// seal the interface.
+	// withAxes applies sweep axis values and the point seed, and dedupKey
+	// feeds the sweep engine's analytic cache; both seal the interface.
 	withAxes(ax axisPoint) (Query, error)
-	withSeed(seed uint64) Query
 	dedupKey() (cacheKey, bool)
 }
 

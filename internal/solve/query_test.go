@@ -187,7 +187,7 @@ func TestAnalyticAnswersMatchFlatAPIs(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := da.(DistributionAnswer)
-	rep, err := a.Solve(ctx, s.WithSeed(0))
+	rep, err := a.Solve(ctx, s)
 	if err != nil {
 		t.Fatal(err)
 	}

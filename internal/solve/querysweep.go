@@ -30,6 +30,9 @@ type axisPoint struct {
 	ratio  float64
 	cv2    float64
 	spread float64
+	// seed re-seeds the point's stochastic work; a point outside the
+	// model's domain keeps the base query's seed.
+	seed uint64
 }
 
 // PointDomainError marks a per-point failure of the model's domain — an axis
@@ -81,6 +84,7 @@ func applyScenarioAxes(sc Scenario, ax axisPoint) (Scenario, error) {
 		sc.Stations = specs
 	}
 	sc.Name = pointName(sc.Name, ax.index)
+	sc.Seed = ax.seed
 	return sc, nil
 }
 
@@ -124,7 +128,7 @@ type cacheKey struct {
 	extra string
 }
 
-// ---- axis / seed / dedup hooks per query kind ----
+// ---- axis / dedup hooks per query kind ----
 
 func (q ReportQuery) withAxes(ax axisPoint) (Query, error) {
 	sc, err := applyScenarioAxes(q.Scenario, ax)
@@ -137,11 +141,6 @@ func (q ReportQuery) withAxes(ax axisPoint) (Query, error) {
 		return nil, err
 	}
 	return q, nil
-}
-
-func (q ReportQuery) withSeed(seed uint64) Query {
-	q.Scenario = q.Scenario.WithSeed(seed)
-	return q
 }
 
 func (q ReportQuery) dedupKey() (cacheKey, bool) {
@@ -160,11 +159,6 @@ func (q DistributionQuery) withAxes(ax axisPoint) (Query, error) {
 		return nil, err
 	}
 	return q, nil
-}
-
-func (q DistributionQuery) withSeed(seed uint64) Query {
-	q.Scenario = q.Scenario.WithSeed(seed)
-	return q
 }
 
 func (q DistributionQuery) dedupKey() (cacheKey, bool) {
@@ -199,12 +193,8 @@ func (q ThresholdQuery) withAxes(ax axisPoint) (Query, error) {
 		}
 		q.Stations = specs
 	}
+	q.Seed = ax.seed
 	return q, nil
-}
-
-func (q ThresholdQuery) withSeed(seed uint64) Query {
-	q.Seed = seed
-	return q
 }
 
 func (q ThresholdQuery) dedupKey() (cacheKey, bool) {
@@ -243,12 +233,8 @@ func (q PartitionQuery) withAxes(ax axisPoint) (Query, error) {
 		}
 		q.Stations = specs
 	}
+	q.Seed = ax.seed
 	return q, nil
-}
-
-func (q PartitionQuery) withSeed(seed uint64) Query {
-	q.Seed = seed
-	return q
 }
 
 func (q PartitionQuery) dedupKey() (cacheKey, bool) {
@@ -287,9 +273,6 @@ func (q ScaledQuery) withAxes(ax axisPoint) (Query, error) {
 	}
 	return q, nil
 }
-
-// withSeed is a no-op: the scaled curve is analytic only.
-func (q ScaledQuery) withSeed(uint64) Query { return q }
 
 func (q ScaledQuery) dedupKey() (cacheKey, bool) {
 	tpl, err := stationTemplateSignature(q.Stations, q.O)
@@ -350,6 +333,7 @@ func (q TimelineQuery) withAxes(ax axisPoint) (Query, error) {
 		}
 	}
 	sc.Name = pointName(sc.Name, ax.index)
+	sc.Seed = ax.seed
 	q.Scenario = sc
 	return q, nil
 }
@@ -360,11 +344,6 @@ func pointName(name string, index int) string {
 		return fmt.Sprintf("point%04d", index)
 	}
 	return fmt.Sprintf("%s/point%04d", name, index)
-}
-
-func (q TimelineQuery) withSeed(seed uint64) Query {
-	q.Scenario = q.Scenario.WithSeed(seed)
-	return q
 }
 
 func (q TimelineQuery) dedupKey() (cacheKey, bool) {
@@ -567,7 +546,7 @@ func (sp QuerySweepSpec) Points() ([]QueryPoint, error) {
 					for _, cv2 := range cv2s {
 						for _, spread := range spreads {
 							i := len(pts)
-							q, err := sp.Base.withAxes(axisPoint{index: i, w: w, util: util, ratio: ratio, cv2: cv2, spread: spread})
+							q, err := sp.Base.withAxes(axisPoint{index: i, w: w, util: util, ratio: ratio, cv2: cv2, spread: spread, seed: root.SplitSeed(uint64(i))})
 							if err != nil {
 								var domain *PointDomainError
 								if errors.As(err, &domain) && q != nil {
@@ -578,7 +557,6 @@ func (sp QuerySweepSpec) Points() ([]QueryPoint, error) {
 								}
 								return nil, err
 							}
-							q = q.withSeed(root.Split(uint64(i)).Uint64())
 							if err := q.Validate(); err != nil {
 								return nil, fmt.Errorf("solve: grid point %d (%s): %w", i, backend, err)
 							}
@@ -724,7 +702,7 @@ func (sr *sweepRun) run(ctx context.Context, emit func(QueryResult)) {
 		p := sr.pts[i]
 		var res QueryResult
 		if j := sr.lead[i]; j == i {
-			res = solveQueryPoint(ctx, sr.solvers[p.Backend], nil, p)
+			res = solveQueryPoint(ctx, sr.solvers[p.Backend], p)
 		} else {
 			<-sr.ready[j]
 			lead := sr.results[j]
@@ -744,28 +722,13 @@ func (sr *sweepRun) run(ctx context.Context, emit func(QueryResult)) {
 	})
 }
 
-// solveQueryPoint answers one grid point, consulting the analytic cache
-// first when one is given. Points carrying an expansion-time domain error
-// are never solved.
-func solveQueryPoint(ctx context.Context, solver Solver, cache *AnswerCache, p QueryPoint) QueryResult {
+// solveQueryPoint answers one grid point. Points carrying an expansion-time
+// domain error are never solved.
+func solveQueryPoint(ctx context.Context, solver Solver, p QueryPoint) QueryResult {
 	res := QueryResult{Point: p}
 	if p.Err != nil {
 		res.Err, res.Error = p.Err, p.Err.Error()
 		return res
-	}
-	key, cacheable := answerKey{}, false
-	if p.Backend == BackendAnalytic && cache != nil {
-		key, cacheable = answerCacheKey(BackendAnalytic, p.Query)
-	}
-	if cacheable {
-		if a, ok := cache.lookup(key); ok {
-			// The cached solve may carry a sibling's name/seed; restore this
-			// point's scenario on the scenario-carrying answer kinds (and
-			// scrub the stored Elapsed — it is not this point's).
-			res.Answer = cachedAnswer(a, p.Query)
-			res.Cached = true
-			return res
-		}
 	}
 	a, err := solver.Answer(ctx, p.Query)
 	if err != nil {
@@ -773,9 +736,6 @@ func solveQueryPoint(ctx context.Context, solver Solver, cache *AnswerCache, p Q
 		return res
 	}
 	res.Answer = a
-	if cacheable {
-		cache.store(key, a, nil)
-	}
 	return res
 }
 

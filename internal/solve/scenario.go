@@ -625,12 +625,6 @@ func (s Scenario) Utilization() (float64, error) {
 	return cfg.MeanUtilization(), nil
 }
 
-// WithSeed returns a copy of the scenario with the given seed.
-func (s Scenario) WithSeed(seed uint64) Scenario {
-	s.Seed = seed
-	return s
-}
-
 // analyticKey is the deduplication key for the sweep engine's analytic
 // cache: everything the analytic backend's answer depends on, as a plain
 // comparable struct so dense grids pay no per-point formatting or

@@ -140,68 +140,6 @@ func TestSpreadAxisThresholdTemplate(t *testing.T) {
 	}
 }
 
-// TestSpreadFrontierMatchesDenseSweep locates the feasibility boundary on
-// the spread × ratio plane adaptively and checks it cell-for-cell against a
-// dense sweep over the identical node lattice — the heterogeneous analogue
-// of TestFrontierMatchesDenseSweep.
-func TestSpreadFrontierMatchesDenseSweep(t *testing.T) {
-	x := FrontierAxis{Axis: FrontierAxisSpread, Min: 0, Max: 1.6}
-	y := FrontierAxis{Axis: FrontierAxisRatio, Min: 1, Max: 40}
-	spec := FrontierSpec{Base: spreadBase(), X: x, Y: y, Coarse: 2, Depth: 3, Seed: 5}
-	res := spec.Resolution()
-	if res != 16 {
-		t.Fatalf("resolution %d, want 16", res)
-	}
-	fres, err := CollectFrontier(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := boundarySet(t, fres.Cells)
-
-	var spreads, ratios []float64
-	for i := 0; i <= res; i++ {
-		spreads = append(spreads, x.value(i, res))
-		ratios = append(ratios, y.value(i, res))
-	}
-	dense, err := CollectQueries(context.Background(), QuerySweepSpec{
-		Base: spreadBase(), Spread: spreads, TaskRatio: ratios, Seed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	feas := make(map[[2]int]bool)
-	for _, r := range dense {
-		if r.Err != nil {
-			t.Fatalf("dense point %d: %v", r.Point.Index, r.Err)
-		}
-		rep := r.Answer.(ReportAnswer).Report
-		if rep.Feasible == nil {
-			t.Fatalf("dense point %d carries no verdict", r.Point.Index)
-		}
-		// Ratio is the outer loop, spread the inner: ix is the spread index.
-		feas[[2]int{r.Point.Index % (res + 1), r.Point.Index / (res + 1)}] = *rep.Feasible
-	}
-	want := make(map[[2]int]bool)
-	for ix := 0; ix < res; ix++ {
-		for iy := 0; iy < res; iy++ {
-			a, b := feas[[2]int{ix, iy}], feas[[2]int{ix + 1, iy}]
-			c, d := feas[[2]int{ix, iy + 1}], feas[[2]int{ix + 1, iy + 1}]
-			if a != b || a != c || a != d {
-				want[[2]int{ix, iy}] = true
-			}
-		}
-	}
-	if len(want) == 0 {
-		t.Fatal("fixture's boundary does not cross the searched window")
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("boundary cells differ: frontier %d cells, dense %d cells", len(got), len(want))
-	}
-	if fres.Stats.Evaluations >= fres.Stats.DenseEvaluations {
-		t.Errorf("adaptive run probed %d nodes, dense needs only %d", fres.Stats.Evaluations, fres.Stats.DenseEvaluations)
-	}
-}
-
 // TestSpreadAxisDomainErrorIsPerPoint checks that a spread value pushing a
 // station outside [0,1) poisons only its own grid point: the sweep records
 // a PointDomainError there and answers the rest.
