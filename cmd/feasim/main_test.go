@@ -309,6 +309,20 @@ func TestCmdQueryDESGolden(t *testing.T) {
 	checkBatchGolden(t, "query_des", "-batch", "-json", "-backend", "des", "-protocol", "5,100")
 }
 
+// TestCmdQueryExactGolden answers 10 seeded envelopes with the exact-sim
+// backend at protocol 5×100: reports at W = 1, 4 and 8 over util 0 to 0.5
+// (request probability P up to 0.2), two with task demands of 3000 and 4000
+// trials, a distribution query and two threshold bisections. It pins the
+// simulator's draw order and burst sampling to the bit. Regenerate with:
+//
+//	go run ./cmd/feasim query -batch -json -backend exact -protocol 5,100 \
+//	    cmd/feasim/testdata/query_exact.json \
+//	    | sed -E 's/"elapsed_ns": [0-9]+/"elapsed_ns": 0/' \
+//	    > cmd/feasim/testdata/query_exact.golden
+func TestCmdQueryExactGolden(t *testing.T) {
+	checkBatchGolden(t, "query_exact", "-batch", "-json", "-backend", "exact", "-protocol", "5,100")
+}
+
 // checkBatchGolden runs `feasim query args... testdata/<name>.json`, zeroes
 // elapsed_ns, and compares the output with testdata/<name>.golden line by
 // line.

@@ -10,6 +10,7 @@ import (
 	"slices"
 	"testing"
 
+	"feasim/internal/core"
 	"feasim/internal/rng"
 )
 
@@ -208,5 +209,83 @@ func TestGeneralRunSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs > jobs {
 		t.Errorf("%.0f allocations per %d jobs, want at most one per job", allocs, jobs)
+	}
+}
+
+// exactPin is one pinned run of the exact simulator: the hash of every
+// sample's four fields, the bursts summed over all samples, and the stream's
+// next draw after the run (so a sampler that consumes one draw more or less
+// shows even where the samples agree).
+type exactPin struct {
+	sampleHash uint64
+	bursts     int
+	next       string
+}
+
+// exactPinConfigs span the sampler's regimes: tiny, moderate and large P,
+// the P = 0, P = 1 and O = 0 paths that draw nothing, W from 1 to 32, and
+// task demands past 2048 trials.
+var exactPinConfigs = map[string]core.Params{
+	"rare":     {J: 400, W: 4, O: 10, P: 1e-6},
+	"w1":       {J: 200, W: 1, O: 10, P: 0.01},
+	"w8":       {J: 800, W: 8, O: 5, P: 0.2},
+	"w32":      {J: 3200, W: 32, O: 10, P: 0.02},
+	"busy":     {J: 60, W: 3, O: 5, P: 0.9},
+	"always":   {J: 50, W: 2, O: 5, P: 1},
+	"idle":     {J: 50, W: 2, O: 5, P: 0},
+	"freeOwn":  {J: 50, W: 2, O: 0, P: 0.3},
+	"long":     {J: 3000, W: 1, O: 10, P: 0.005},
+	"longBusy": {J: 20000, W: 4, O: 5, P: 0.3},
+	"longRare": {J: 40000, W: 4, O: 10, P: 1e-4},
+}
+
+var exactPins = map[string]exactPin{
+	"always":   {0x3942a42d63219325, 10000, "0x1.43edb959c7158p-03"},
+	"busy":     {0x178343f7785cc3ca, 10817, "0x1.d557462883113p-01"},
+	"freeOwn":  {0xd59e7ce86466ae25, 0, "0x1.43edb959c7158p-03"},
+	"idle":     {0xd59e7ce86466ae25, 0, "0x1.43edb959c7158p-03"},
+	"long":     {0x59e7aa1d417fbdb5, 3008, "0x1.c23ab3dbdb7ccp-02"},
+	"longBusy": {0x7d91fd3d960b0092, 1199373, "0x1.0f7c7b11ab674p-01"},
+	"longRare": {0x73c4ab1d38133e98, 787, "0x1.d8d9e13e129ep-06"},
+	"rare":     {0x8ffe0632dd90ae25, 0, "0x1.6996a3c3db2fep-02"},
+	"w1":       {0xa2b0b9a99aa89b85, 385, "0x1.76871190ec8ccp-02"},
+	"w32":      {0x70195e4b9c22862d, 12956, "0x1.42d8c25348b4dp-01"},
+	"w8":       {0x335f02f6795c4ed8, 32267, "0x1.a217ef7d803a8p-03"},
+}
+
+func exactSamples(x *Exact, n int) []JobSample {
+	ss := make([]JobSample, n)
+	for i := range ss {
+		ss[i] = x.Sample()
+	}
+	return ss
+}
+
+func TestExactPinned(t *testing.T) {
+	for name, p := range exactPinConfigs {
+		t.Run(name, func(t *testing.T) {
+			x, err := NewExact(p, 1993)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ss := exactSamples(x, 200)
+			h := fnv.New64a()
+			var b [32]byte
+			got := exactPin{}
+			for _, s := range ss {
+				binary.LittleEndian.PutUint64(b[:8], math.Float64bits(s.JobTime))
+				binary.LittleEndian.PutUint64(b[8:16], math.Float64bits(s.MeanTask))
+				binary.LittleEndian.PutUint64(b[16:24], uint64(s.MaxBursts))
+				binary.LittleEndian.PutUint64(b[24:], uint64(s.TotalBursts))
+				h.Write(b[:])
+				got.bursts += s.TotalBursts
+			}
+			got.sampleHash = h.Sum64()
+			got.next = hexf(x.stream.Float64())
+			if want, ok := exactPins[name]; !ok || got != want {
+				t.Errorf("pin mismatch:\n got %q: {%#x, %d, %q},\nwant %+v",
+					name, got.sampleHash, got.bursts, got.next, want)
+			}
+		})
 	}
 }
