@@ -50,7 +50,8 @@ bench-ab:
 	bash scripts/bench-ab.sh '$(REF)' '$(WORKLOAD)' '$(PAIRS)'
 
 # fuzz gives each JSON-envelope fuzz target, the threshold-search contract
-# target and the timeline segment-walk target a short budget; CI runs this non-blocking. Failures drop
+# target, the timeline segment-walk target and the exact-sim gap step a
+# short budget; CI runs this non-blocking. Failures drop
 # reproducers under testdata/fuzz/.
 fuzz:
 	go test ./internal/solve -run '^$$' -fuzz '^FuzzQueryUnmarshal$$' -fuzztime 30s
@@ -59,6 +60,7 @@ fuzz:
 	go test ./internal/solve -run '^$$' -fuzz '^FuzzFrontierUnmarshal$$' -fuzztime 30s
 	go test ./internal/core -run '^$$' -fuzz '^FuzzMinTaskRatio$$' -fuzztime 30s
 	go test ./internal/timeline -run '^$$' -fuzz '^FuzzProfileWalk$$' -fuzztime 30s
+	go test ./internal/sim -run '^$$' -fuzz '^FuzzExactGap$$' -fuzztime 30s
 
 # serve-smoke starts the HTTP query service, fires one query per kind from
 # the checked-in goldens, and diffs the answers against the CLI `feasim

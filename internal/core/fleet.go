@@ -270,10 +270,18 @@ func burstMean(groups []fleetGroup) float64 {
 //
 //	P(M ≤ x) = Π_g F_g(k_g(x))^c_g = exp( Σ_g c_g·log1p(−tail_g(k_g(x))) ),
 //
-// differenced across the sorted support. Groups whose window the point has
-// not reached force the product to zero; the log1p(−tail) form keeps full
-// relative precision where the per-group cdf is near one — exactly the
+// differenced across the ascending support. Groups whose window the point
+// has not reached force the product to zero; the log1p(−tail) form keeps
+// full relative precision where the per-group cdf is near one — exactly the
 // regime a fleet-wide max amplifies.
+//
+// The groups' lattices are each ascending, so they are merged point by
+// point (exact duplicates emitted once) and the walk stops at the first
+// point whose cdf is exactly 1. Past it every point differences to zero and
+// the normalization remainder is zero: a cdf of 1 needs every log term
+// within 2^−54 of zero, where log1p(−τ) is −τ, the sum of terms that only
+// grow, and exp(y) is 1+y, all monotone. So the tail beyond that point,
+// often most of a full-support window, is never evaluated.
 func fleetJobPMF(groups []fleetGroup, o float64) (times, probs []float64) {
 	if o == 0 {
 		deterministic := 0.0
@@ -284,66 +292,66 @@ func fleetJobPMF(groups []fleetGroup, o float64) (times, probs []float64) {
 		}
 		return []float64{deterministic}, []float64{1}
 	}
-	// logCDF holds each group's c_g·log1p(−tail_g(k)) for k in [Lo, Hi),
-	// the groups' windows laid end to end: computed once per window entry
-	// instead of once per (lattice point, group) pair. A tail of 1 gives
-	// −Inf, which exp maps to the zero the product needs.
-	size := 0
-	for _, g := range groups {
-		size += g.tb.Hi - g.tb.Lo + 1
+	// Room for a typical answer's support (a few dozen points); a wider
+	// one grows by append.
+	times = make([]float64, 0, 64)
+	probs = make([]float64, 0, 64)
+	cur := make([]latticeCursor, len(groups))
+	for i, g := range groups {
+		cur[i] = latticeCursor{next: g.tb.Lo, at: g.t + float64(g.tb.Lo)*o, k: math.MinInt}
 	}
-	pts := make([]float64, 0, size)
-	logCDF := make([]float64, 0, size-len(groups))
-	for _, g := range groups {
-		for k := g.tb.Lo; k <= g.tb.Hi; k++ {
-			pts = append(pts, g.t+float64(k)*o)
-		}
-		for _, tau := range g.tb.tail[:g.tb.Hi-g.tb.Lo] {
-			logCDF = append(logCDF, float64(g.Count)*math.Log1p(-tau))
-		}
-	}
-	sort.Float64s(pts)
-	dedup := pts[:1]
-	for _, x := range pts[1:] {
-		if x != dedup[len(dedup)-1] {
-			dedup = append(dedup, x)
-		}
-	}
-
-	times = make([]float64, 0, len(dedup))
-	probs = make([]float64, 0, len(dedup))
 	prev := 0.0
-	for _, x := range dedup {
+	for {
+		x, ok := 0.0, false
+		for i, g := range groups {
+			if c := cur[i]; c.next <= g.tb.Hi && (!ok || c.at < x) {
+				x, ok = c.at, true
+			}
+		}
+		if !ok {
+			break
+		}
+		for i, g := range groups {
+			c := &cur[i]
+			for c.next <= g.tb.Hi && c.at == x {
+				c.next++
+				c.at = g.t + float64(c.next)*o
+			}
+		}
+
 		logG := 0.0
 		zero := false
-		off := 0
-		for _, g := range groups {
+		for i, g := range groups {
 			k := int(math.Floor((x-g.t)/o + 1e-9))
 			if k < g.tb.Lo {
 				zero = true
 				break
 			}
 			if k < g.tb.Hi { // at or above Hi the tail is 0: the factor is 1
-				logG += logCDF[off+k-g.tb.Lo]
+				logG += cur[i].logCDF(g, k)
 			}
-			off += g.tb.Hi - g.tb.Lo
 		}
 		cum := 0.0
 		if !zero {
 			cum = math.Exp(logG)
 		}
-		p := cum - prev
-		prev = cum
-		if p <= 0 {
-			continue
+		if p := cum - prev; p > 0 {
+			times = append(times, x)
+			probs = append(probs, p)
 		}
-		times = append(times, x)
-		probs = append(probs, p)
+		prev = cum
+		if cum == 1 {
+			break
+		}
 	}
 	if len(times) == 0 {
 		// Every point differenced to zero mass (degenerate windows); fall
 		// back to the largest support point as a point mass.
-		return []float64{dedup[len(dedup)-1]}, []float64{1}
+		top := math.Inf(-1)
+		for _, g := range groups {
+			top = max(top, g.t+float64(g.tb.Hi)*o)
+		}
+		return []float64{top}, []float64{1}
 	}
 	// Fold the truncated upper-tail remainder into the last kept point so
 	// the distribution stays normalized, as burstCountToTimes does.
@@ -351,6 +359,28 @@ func fleetJobPMF(groups []fleetGroup, o float64) (times, probs []float64) {
 		probs[len(probs)-1] += rem
 	}
 	return times, probs
+}
+
+// latticeCursor is one group's state in fleetJobPMF's merge: the next of
+// its own lattice points to emit, and the log term of the burst count the
+// last evaluated point reached.
+type latticeCursor struct {
+	next int     // next lattice index k in [Lo, Hi+1]
+	at   float64 // t_g + next·O
+	k    int     // burst count of term
+	term float64 // c_g·log1p(−tail_g(k))
+}
+
+// logCDF returns c_g·log1p(−tail_g(k)) for Lo ≤ k < Hi. The merge reaches
+// each group's burst counts in ascending order, so each distinct k is
+// evaluated once; a tail of 1 gives −Inf, which exp maps to the zero the
+// product needs.
+func (c *latticeCursor) logCDF(g fleetGroup, k int) float64 {
+	if c.k != k {
+		c.k = k
+		c.term = float64(g.Count) * math.Log1p(-g.tb.tail[k-g.tb.Lo])
+	}
+	return c.term
 }
 
 // TileFleet expands a station template cyclically to exactly w stations —

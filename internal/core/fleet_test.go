@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -502,5 +503,171 @@ func TestFleetKernelSkipsPoissonBinomial(t *testing.T) {
 	}
 	if checked < 150 {
 		t.Fatalf("only %d of 200 seeded fleets were heterogeneous", checked)
+	}
+}
+
+// refFleetJobPMF is the sort-and-dedup fleet kernel fleetJobPMF replaced,
+// kept as the reference it must match to the bit. It builds the exact job
+// completion-time distribution over the merged lattice of group support
+// points x = t_g + k·O,
+//
+//	P(M ≤ x) = Π_g F_g(k_g(x))^c_g = exp( Σ_g c_g·log1p(−tail_g(k_g(x))) ),
+//
+// differenced across the sorted support. Groups whose window the point has
+// not reached force the product to zero; the log1p(−tail) form keeps full
+// relative precision where the per-group cdf is near one — exactly the
+// regime a fleet-wide max amplifies.
+func refFleetJobPMF(groups []fleetGroup, o float64) (times, probs []float64) {
+	if o == 0 {
+		deterministic := 0.0
+		for _, g := range groups {
+			if g.t > deterministic {
+				deterministic = g.t
+			}
+		}
+		return []float64{deterministic}, []float64{1}
+	}
+	// logCDF holds each group's c_g·log1p(−tail_g(k)) for k in [Lo, Hi),
+	// the groups' windows laid end to end: computed once per window entry
+	// instead of once per (lattice point, group) pair. A tail of 1 gives
+	// −Inf, which exp maps to the zero the product needs.
+	size := 0
+	for _, g := range groups {
+		size += g.tb.Hi - g.tb.Lo + 1
+	}
+	pts := make([]float64, 0, size)
+	logCDF := make([]float64, 0, size-len(groups))
+	for _, g := range groups {
+		for k := g.tb.Lo; k <= g.tb.Hi; k++ {
+			pts = append(pts, g.t+float64(k)*o)
+		}
+		for _, tau := range g.tb.tail[:g.tb.Hi-g.tb.Lo] {
+			logCDF = append(logCDF, float64(g.Count)*math.Log1p(-tau))
+		}
+	}
+	sort.Float64s(pts)
+	dedup := pts[:1]
+	for _, x := range pts[1:] {
+		if x != dedup[len(dedup)-1] {
+			dedup = append(dedup, x)
+		}
+	}
+
+	times = make([]float64, 0, len(dedup))
+	probs = make([]float64, 0, len(dedup))
+	prev := 0.0
+	for _, x := range dedup {
+		logG := 0.0
+		zero := false
+		off := 0
+		for _, g := range groups {
+			k := int(math.Floor((x-g.t)/o + 1e-9))
+			if k < g.tb.Lo {
+				zero = true
+				break
+			}
+			if k < g.tb.Hi { // at or above Hi the tail is 0: the factor is 1
+				logG += logCDF[off+k-g.tb.Lo]
+			}
+			off += g.tb.Hi - g.tb.Lo
+		}
+		cum := 0.0
+		if !zero {
+			cum = math.Exp(logG)
+		}
+		p := cum - prev
+		prev = cum
+		if p <= 0 {
+			continue
+		}
+		times = append(times, x)
+		probs = append(probs, p)
+	}
+	if len(times) == 0 {
+		// Every point differenced to zero mass (degenerate windows); fall
+		// back to the largest support point as a point mass.
+		return []float64{dedup[len(dedup)-1]}, []float64{1}
+	}
+	// Fold the truncated upper-tail remainder into the last kept point so
+	// the distribution stays normalized, as burstCountToTimes does.
+	if rem := 1 - prev; rem > 0 {
+		probs[len(probs)-1] += rem
+	}
+	return times, probs
+}
+
+// refFleets are the seeded fleets the kernel is checked on against
+// refFleetJobPMF: one to four groups at request probabilities from 0 to 1
+// and speeds from 0.5 to 3, task demands from one unit to past the 2048
+// full-support cutoff, and O from 0 to 10. Every fourth fleet puts two
+// probabilities on one speed (coinciding lattices), and every fourth at
+// speeds 1 and 2 with T/2 a multiple of O (partly coinciding lattices).
+func refFleets(n int) []Fleet {
+	r := rand.New(rand.NewPCG(21, 2026))
+	probs := []float64{0, 0.001, 0.005, 0.02, 0.1, 0.3, 0.7, 1}
+	speeds := []float64{0.5, 1, 1.5, 2, 3}
+	os := []float64{0, 0.5, 1, 5, 10}
+	var out []Fleet
+	for len(out) < n {
+		f := Fleet{O: os[r.IntN(len(os))]}
+		classes := 1 + r.IntN(4)
+		for range classes {
+			f.Stations = append(f.Stations, FleetStation{
+				P: probs[r.IntN(len(probs))], Speed: speeds[r.IntN(len(speeds))], Count: 1 + r.IntN(40),
+			})
+		}
+		switch len(out) % 4 {
+		case 1:
+			f.Stations = append(f.Stations, FleetStation{P: probs[1+r.IntN(6)], Speed: f.Stations[0].Speed, Count: 1 + r.IntN(8)})
+		case 2:
+			f.O = float64(1 + r.IntN(10))
+			f.Stations = []FleetStation{{P: 0.01, Speed: 1, Count: 1 + r.IntN(20)}, {P: 0.05, Speed: 2, Count: 1 + r.IntN(20)}}
+		}
+		t := []float64{1, 7, 50, 300, 2000, 2600, 6000}[r.IntN(7)]
+		if len(out)%4 == 2 {
+			t = 2 * f.O * float64(1+r.IntN(200))
+		}
+		f.J = t * float64(f.W())
+		if _, homog := f.homogeneous(); homog || f.Validate() != nil {
+			continue
+		}
+		out = append(out, f)
+	}
+	return out
+}
+
+// TestFleetJobPMFMatchesReference requires the merge-and-stop kernel to
+// reproduce the sort-and-dedup reference to the bit: every time and every
+// probability, on 2,400 seeded fleets, and through JobTimeDistribution.
+func TestFleetJobPMFMatchesReference(t *testing.T) {
+	same := func(a, b []float64) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	for i, f := range refFleets(2400) {
+		groups := resolveFleetGroups(f)
+		times, probs := fleetJobPMF(groups, f.O)
+		wantT, wantP := refFleetJobPMF(groups, f.O)
+		releaseGroups(groups)
+		if !same(times, wantT) || !same(probs, wantP) {
+			t.Fatalf("fleet %d %+v:\n got %d points %v %v\nwant %d points %v %v",
+				i, f, len(times), times, probs, len(wantT), wantT, wantP)
+		}
+		if i%8 == 0 {
+			d, err := JobTimeDistribution(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !same(d.Times, wantT) || !same(d.Probs, wantP) {
+				t.Fatalf("fleet %d %+v: JobTimeDistribution differs from the reference", i, f)
+			}
+		}
 	}
 }
