@@ -276,12 +276,13 @@ func burstMean(groups []fleetGroup) float64 {
 // regime a fleet-wide max amplifies.
 //
 // The groups' lattices are each ascending, so they are merged point by
-// point (exact duplicates emitted once) and the walk stops at the first
-// point whose cdf is exactly 1. Past it every point differences to zero and
-// the normalization remainder is zero: a cdf of 1 needs every log term
-// within 2^−54 of zero, where log1p(−τ) is −τ, the sum of terms that only
-// grow, and exp(y) is 1+y, all monotone. So the tail beyond that point,
-// often most of a full-support window, is never evaluated.
+// point (exact duplicates emitted once), and the walk stops at the first
+// point whose cdf is exactly 1: every later point differences to zero and
+// the normalization remainder is zero. A cdf of exactly 1 needs every log
+// term within 2^−54 of zero, where log1p(−τ) returns −τ and exp(y) returns
+// 1+y, so a later point, whose terms are no smaller, has a cdf of exactly 1
+// too. The rest of a window, often most of a full support, is never
+// evaluated.
 func fleetJobPMF(groups []fleetGroup, o float64) (times, probs []float64) {
 	if o == 0 {
 		deterministic := 0.0
@@ -328,7 +329,15 @@ func fleetJobPMF(groups []fleetGroup, o float64) (times, probs []float64) {
 				break
 			}
 			if k < g.tb.Hi { // at or above Hi the tail is 0: the factor is 1
-				logG += cur[i].logCDF(g, k)
+				// c_g·log1p(−tail_g(k)), taken once per distinct k: the
+				// walk reaches each group's burst counts in ascending
+				// order. A tail of 1 gives −Inf, which exp maps to the
+				// zero the product needs.
+				c := &cur[i]
+				if c.k != k {
+					c.k, c.term = k, float64(g.Count)*math.Log1p(-g.tb.tail[k-g.tb.Lo])
+				}
+				logG += c.term
 			}
 		}
 		cum := 0.0
@@ -361,26 +370,14 @@ func fleetJobPMF(groups []fleetGroup, o float64) (times, probs []float64) {
 	return times, probs
 }
 
-// latticeCursor is one group's state in fleetJobPMF's merge: the next of
-// its own lattice points to emit, and the log term of the burst count the
+// latticeCursor is one group's state in fleetJobPMF's walk: the next of
+// its own lattice points to merge, and the log term of the burst count the
 // last evaluated point reached.
 type latticeCursor struct {
 	next int     // next lattice index k in [Lo, Hi+1]
 	at   float64 // t_g + next·O
 	k    int     // burst count of term
 	term float64 // c_g·log1p(−tail_g(k))
-}
-
-// logCDF returns c_g·log1p(−tail_g(k)) for Lo ≤ k < Hi. The merge reaches
-// each group's burst counts in ascending order, so each distinct k is
-// evaluated once; a tail of 1 gives −Inf, which exp maps to the zero the
-// product needs.
-func (c *latticeCursor) logCDF(g fleetGroup, k int) float64 {
-	if c.k != k {
-		c.k = k
-		c.term = float64(g.Count) * math.Log1p(-g.tb.tail[k-g.tb.Lo])
-	}
-	return c.term
 }
 
 // TileFleet expands a station template cyclically to exactly w stations —

@@ -54,7 +54,7 @@ const (
 	// gapCDFMax caps the gap cdf table at 2049 entries, ~16 KB whatever T is.
 	gapCDFMax = 2048
 	// gapGuard is the margin a draw must clear above gapCDF[m] to skip the
-	// inversion; taskBursts bounds the rounding it covers below 1e-15.
+	// inversion; the comment on gap bounds the rounding it covers below 1e-15.
 	gapGuard = 1e-9
 )
 

@@ -96,34 +96,32 @@ func FuzzExactGap(f *testing.F) {
 // the run stays bounded by the task's trials however small P is.
 func TestExactTinyUtil(t *testing.T) {
 	pr := Protocol{Batches: 5, BatchSize: 100, Level: 0.90}
-	run := func(util float64) (RunResult, error) {
-		x, err := NewExact(mustParams(t, 200, 4, 5, util), 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return RunExactCtx(context.Background(), x, pr)
+	rare, err := NewExact(mustParams(t, 200, 4, 5, 1e-18), 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	res, err := run(1e-18)
+	res, err := RunExactCtx(context.Background(), rare, pr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.JobTime.Mean != 50 || res.MeanTask.Mean != 50 {
 		t.Errorf("util 1e-18: E[job] %v, E[task] %v, want 50 and 50", res.JobTime.Mean, res.MeanTask.Mean)
 	}
-	done := make(chan float64, 1)
-	go func() {
-		res, err := run(1e-300)
-		if err != nil {
-			t.Error(err)
-		}
-		done <- res.JobTime.Mean
-	}()
-	select {
-	case got := <-done:
-		if got != 50 {
-			t.Errorf("util 1e-300: E[job] %v, want 50", got)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("util 1e-300: no answer within 5s")
+	rarest, err := NewExact(mustParams(t, 200, 4, 5, 1e-300), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A sampler that wraps never returns, so this deadline stands in for
+	// the test binary's -timeout and fails in seconds instead of minutes.
+	deadline := time.AfterFunc(5*time.Second, func() {
+		panic("TestExactTinyUtil: util 1e-300 gave no answer within 5s")
+	})
+	res, err = RunExactCtx(context.Background(), rarest, pr)
+	deadline.Stop()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.JobTime.Mean != 50 {
+		t.Errorf("util 1e-300: E[job] %v, want 50", res.JobTime.Mean)
 	}
 }

@@ -170,7 +170,9 @@ func TestMultiJobPinned(t *testing.T) {
 }
 
 // TestGeneralRunStartsNoGoroutines pins that the engine runs the model on
-// the caller's goroutine: a whole run leaves the goroutine count unchanged.
+// the caller's goroutine: a live run holds no goroutine, so the count after
+// a whole run is no higher than before it. It may be lower: the previous
+// test's runner goroutine can still be exiting when this test starts.
 func TestGeneralRunStartsNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	g, err := NewGeneral(pinConfigs()["homog32"])
@@ -181,7 +183,7 @@ func TestGeneralRunStartsNoGoroutines(t *testing.T) {
 	if err := run.Extend(context.Background(), 50); err != nil {
 		t.Fatal(err)
 	}
-	if after := runtime.NumGoroutine(); after != before {
+	if after := runtime.NumGoroutine(); after > before {
 		t.Errorf("goroutines: %d during a run, %d before", after, before)
 	}
 }
