@@ -606,10 +606,10 @@ func refFleets(n int) []Fleet {
 	r := rand.New(rand.NewPCG(21, 2026))
 	probs := []float64{0, 0.001, 0.005, 0.02, 0.1, 0.3, 0.7, 1}
 	speeds := []float64{0.5, 1, 1.5, 2, 3}
-	os := []float64{0, 0.5, 1, 5, 10}
+	demands := []float64{0, 0.5, 1, 5, 10}
 	var out []Fleet
 	for len(out) < n {
-		f := Fleet{O: os[r.IntN(len(os))]}
+		f := Fleet{O: demands[r.IntN(len(demands))]}
 		classes := 1 + r.IntN(4)
 		for range classes {
 			f.Stations = append(f.Stations, FleetStation{
