@@ -79,6 +79,7 @@ func FuzzExactGap(f *testing.F) {
 	f.Add(0.01, uint16(100), uint16(37), 0.5)
 	f.Add(1e-12, uint16(3000), uint16(3000), 0.999999)
 	f.Add(0.999, uint16(5), uint16(0), 1e-9)
+	f.Add(0.5, uint16(65535), uint16(65535), 0.5)
 	f.Fuzz(func(t *testing.T, p float64, trials, left uint16, u float64) {
 		if !(p > 0 && p < 1) || !(u >= 0 && u < 1) || trials == 0 {
 			t.Skip()
@@ -87,7 +88,7 @@ func FuzzExactGap(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		checkGap(t, x, u, int(left%(trials+1)))
+		checkGap(t, x, u, int(left)%(int(trials)+1))
 	})
 }
 

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"feasim/internal/core"
 	"feasim/internal/rng"
@@ -171,10 +172,9 @@ func TestMultiJobPinned(t *testing.T) {
 
 // TestGeneralRunStartsNoGoroutines pins that the engine runs the model on
 // the caller's goroutine: a live run holds no goroutine, so the count after
-// a whole run is no higher than before it. It may be lower: the previous
-// test's runner goroutine can still be exiting when this test starts.
+// a whole run equals the count before it.
 func TestGeneralRunStartsNoGoroutines(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := settledGoroutines()
 	g, err := NewGeneral(pinConfigs()["homog32"])
 	if err != nil {
 		t.Fatal(err)
@@ -183,9 +183,30 @@ func TestGeneralRunStartsNoGoroutines(t *testing.T) {
 	if err := run.Extend(context.Background(), 50); err != nil {
 		t.Fatal(err)
 	}
-	if after := runtime.NumGoroutine(); after > before {
-		t.Errorf("goroutines: %d during a run, %d before", after, before)
+	if after := runtime.NumGoroutine(); after != before {
+		t.Errorf("goroutines: %d after a run, %d before", after, before)
 	}
+}
+
+// settledGoroutines returns the goroutine count once goroutines that were
+// already exiting are gone (the previous test's runner can still be
+// returning when a test starts): the count is read until it holds for
+// several reads in a row, yielding and sleeping briefly between reads.
+func settledGoroutines() int {
+	n, same := runtime.NumGoroutine(), 0
+	for range 1000 {
+		runtime.Gosched()
+		time.Sleep(time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m != n {
+			n, same = m, 0
+			continue
+		}
+		if same++; same == 5 {
+			break
+		}
+	}
+	return n
 }
 
 // TestGeneralRunSteadyStateAllocs pins the recycled calendar: once a run is
