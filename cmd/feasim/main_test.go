@@ -142,6 +142,40 @@ func TestCmdSweepFrontierGolden(t *testing.T) {
 	}
 }
 
+// TestCmdSweepGolden runs the checked-in report-grid spec (analytic, exact
+// and DES over 3 utilizations × 3 task ratios, seeded) on one worker, so
+// the stream arrives in grid order, and compares the text table and the
+// -json lines (elapsed_ns zeroed) against the golden files. Regenerate with:
+//
+//	go run ./cmd/feasim sweep -workers 1 testdata/sweep.json \
+//	    > cmd/feasim/testdata/sweep_grid.golden
+//	go run ./cmd/feasim sweep -workers 1 -json testdata/sweep.json \
+//	    | sed -E 's/"elapsed_ns":[0-9]+/"elapsed_ns":0/' \
+//	    > cmd/feasim/testdata/sweep_grid_json.golden
+func TestCmdSweepGolden(t *testing.T) {
+	in := filepath.Join("..", "..", "testdata", "sweep.json")
+	elapsed := regexp.MustCompile(`"elapsed_ns":\d+`)
+	for _, c := range []struct {
+		golden string
+		args   []string
+	}{
+		{"sweep_grid", []string{"-workers", "1", in}},
+		{"sweep_grid_json", []string{"-workers", "1", "-json", in}},
+	} {
+		t.Run(c.golden, func(t *testing.T) {
+			out := captureStdout(t, func() error { return cmdSweep(c.args) })
+			out = elapsed.ReplaceAllString(out, `"elapsed_ns":0`)
+			want, err := os.ReadFile(filepath.Join("testdata", c.golden+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out != string(want) {
+				t.Errorf("%s golden mismatch:\n--- got ---\n%s--- want ---\n%s", c.golden, out, want)
+			}
+		})
+	}
+}
+
 func TestCmdSweepFrontier(t *testing.T) {
 	discardStdout(t)
 	in := filepath.Join("testdata", "sweep_frontier.json")

@@ -117,17 +117,18 @@ func TestEveryExperimentRunsAndPasses(t *testing.T) {
 	}
 }
 
-// TestDESFiguresGolden pins the CSV bytes of the DES-backed extension
-// figures under TestConfig: ext01 and ext03 run the general simulator,
-// ext02 the multi-job one. CSV cells print in %g, so every value is pinned
-// to the bit. Regenerate with:
+// TestDESFiguresGolden pins the CSV bytes of the simulation-backed figures
+// under TestConfig: ext01 and ext03 run the general simulator, ext02 the
+// multi-job one, and simval the exact simulator beside the analysis through
+// the sweep engine. CSV cells print in %g, so every value is pinned to the
+// bit. Regenerate with:
 //
 //	go run ./cmd/figures -fast -id ext01 -out /tmp/ext && cp /tmp/ext/ext01.csv internal/experiment/testdata/
 //
-// (likewise ext02 and ext03).
+// (likewise ext02, ext03 and simval).
 func TestDESFiguresGolden(t *testing.T) {
 	cfg := TestConfig()
-	for _, id := range []string{"ext01", "ext02", "ext03"} {
+	for _, id := range []string{"ext01", "ext02", "ext03", "simval"} {
 		t.Run(id, func(t *testing.T) {
 			d, ok := ByID(id)
 			if !ok {
