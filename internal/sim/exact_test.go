@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 	"time"
@@ -124,5 +125,43 @@ func TestExactTinyUtil(t *testing.T) {
 	}
 	if res.JobTime.Mean != 50 {
 		t.Errorf("util 1e-300: E[job] %v, want 50", res.JobTime.Mean)
+	}
+}
+
+// TestExactHonorsDeadline runs a scenario whose every sample is 2·10^7
+// trials long under a 100 ms deadline: the sampler checks the context
+// before each sample, so the run returns context.DeadlineExceeded within
+// one sample of the deadline instead of finishing a batch of 1000. The
+// bound is 2 s, or three samples past the deadline where one sample takes
+// longer than that allows (the race detector slows sampling about fivefold).
+func TestExactHonorsDeadline(t *testing.T) {
+	p := mustParams(t, 20_000_000, 1, 1, 0.3)
+	x, err := NewExact(p, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := NewExact(p, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	twin.Sample()
+	limit := max(2*time.Second, 100*time.Millisecond+3*time.Since(start))
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	// A run that checks only between batches takes minutes here; this
+	// deadline stands in for the test binary's -timeout.
+	watchdog := time.AfterFunc(limit+10*time.Second, func() {
+		panic("TestExactHonorsDeadline: no return within 10s past its bound")
+	})
+	start = time.Now()
+	_, err = RunExactCtx(ctx, x, DefaultProtocol())
+	elapsed := time.Since(start)
+	watchdog.Stop()
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("want context.DeadlineExceeded, got %v", err)
+	}
+	if elapsed > limit {
+		t.Errorf("run returned %v after a 100ms deadline, want within %v", elapsed, limit)
 	}
 }

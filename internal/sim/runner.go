@@ -50,7 +50,7 @@ type RunResult struct {
 }
 
 // RunExactCtx applies the protocol to the exact simulator. The sampling
-// loop checks ctx between batches and returns ctx.Err() on cancellation.
+// loop checks ctx before each sample and returns ctx.Err() on cancellation.
 func RunExactCtx(ctx context.Context, x *Exact, pr Protocol) (RunResult, error) {
 	if err := pr.Validate(); err != nil {
 		return RunResult{}, err
@@ -112,13 +112,24 @@ func RunGeneralCtx(ctx context.Context, g *General, pr Protocol) (RunResult, err
 }
 
 func drive(ctx context.Context, job, task *stats.BatchMeans, gen func(), pr Protocol) (RunResult, error) {
+	// One sample can run long (a huge task demand), so the context is
+	// checked before each sample rather than once per batch.
+	done := ctx.Done()
+	batch := func() error {
+		for i := 0; i < pr.BatchSize; i++ {
+			select {
+			case <-done:
+				return ctx.Err()
+			default:
+			}
+			gen()
+		}
+		return nil
+	}
 	minSamples := int64(pr.Batches * pr.BatchSize)
 	for job.N() < minSamples {
-		if err := ctx.Err(); err != nil {
+		if err := batch(); err != nil {
 			return RunResult{}, err
-		}
-		for i := 0; i < pr.BatchSize; i++ {
-			gen()
 		}
 	}
 	res, err := summarize(job, task, pr)
@@ -127,11 +138,8 @@ func drive(ctx context.Context, job, task *stats.BatchMeans, gen func(), pr Prot
 	}
 	if pr.MaxRel > 0 {
 		for !res.MetPrecision && job.N() < pr.MaxSamples {
-			if err := ctx.Err(); err != nil {
+			if err := batch(); err != nil {
 				return RunResult{}, err
-			}
-			for i := 0; i < pr.BatchSize; i++ {
-				gen()
 			}
 			res, err = summarize(job, task, pr)
 			if err != nil {
