@@ -1,7 +1,8 @@
 # Development targets. CI runs build/test/race/serve-smoke/cluster-smoke/
-# chaos-smoke/frontier-smoke blocking and bench/fuzz non-blocking.
+# chaos-smoke/frontier-smoke blocking and fuzz and a shuffled race pass
+# non-blocking. bench-ab is the performance comparison (bench/README.md).
 
-.PHONY: all build test race vet fmt bench bench-ab fuzz serve-smoke cluster-smoke chaos-smoke frontier-smoke
+.PHONY: all build test race vet fmt bench-ab fuzz serve-smoke cluster-smoke chaos-smoke frontier-smoke
 
 all: build test
 
@@ -19,19 +20,6 @@ vet:
 
 fmt:
 	gofmt -l -w .
-
-# bench runs the core performance suite in-process — including the typed
-# query path (threshold bisections/s), the adaptive frontier refinement
-# (cells/s and probes saved vs dense), the served-query pair (the HTTP
-# service cold vs cache-hit), the served batch (64 mixed envelopes per
-# request), the cluster forwarded-hit path (one peer hop on top of a warm
-# home cache) and the answer-cache contention pairs — and records the result
-# as BENCH_10.json (schema feasim-bench/1), the repository's performance
-# trajectory artifact. When the previous artifact is present, benchdiff
-# reports per-benchmark deltas and flags >20% ns/op regressions.
-bench:
-	go run ./cmd/feasim bench -out BENCH_10.json
-	@if [ -f BENCH_9.json ]; then go run ./cmd/feasim benchdiff BENCH_9.json BENCH_10.json; fi
 
 # bench-ab runs the repository benchmark (bench/run.sh) in PAIRS alternated
 # pairs of REF against the working tree, REF checked out into a temporary

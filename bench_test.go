@@ -9,10 +9,14 @@ package feasim_test
 import (
 	"context"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"feasim"
-	"feasim/internal/benchgrid"
 	"feasim/internal/core"
 	"feasim/internal/des"
 	"feasim/internal/experiment"
@@ -258,83 +262,322 @@ func BenchmarkBatchMeansAdd(b *testing.B) {
 	}
 }
 
+// sweepGridPoints is the size of each canonical sweep grid.
+const sweepGridPoints = 100
+
+// gridWs is the 25-point workstation axis shared by both sweep grids.
+func gridWs() []int {
+	out := make([]int, 0, 25)
+	for w := 4; w <= 100; w += 4 {
+		out = append(out, w)
+	}
+	return out
+}
+
+// analyticGrid is the 100-point analytic report grid (25 system sizes × 4
+// utilizations at fixed J): per-point work varies with W, isolating the
+// engine's fan-out, seed-splitting and channel overhead.
+func analyticGrid() feasim.QuerySweepSpec {
+	return feasim.QuerySweepSpec{
+		Base:     feasim.ReportQuery{Scenario: feasim.Scenario{Name: "bench", J: 10000, O: 10}},
+		W:        gridWs(),
+		Util:     []float64{0.01, 0.05, 0.1, 0.2},
+		Backends: []string{feasim.BackendAnalytic},
+		Seed:     1993,
+	}
+}
+
+// fixedTPGrid is the fixed-(T, P) W-sweep: the memory-bounded-scaleup shape
+// with a large per-task demand (T = 10^5 at every W). Every point shares
+// one binomial table per utilization through the process-wide kernel memo,
+// so this isolates the gain from cross-worker table sharing.
+func fixedTPGrid() feasim.QuerySweepSpec {
+	return feasim.QuerySweepSpec{
+		Base:      feasim.ReportQuery{Scenario: feasim.Scenario{Name: "fixedtp", O: 10}},
+		W:         gridWs(),
+		Util:      []float64{0.01, 0.05, 0.1, 0.2},
+		TaskRatio: []float64{10000}, // T = ratio·O = 1e5 at every W
+		Backends:  []string{feasim.BackendAnalytic},
+		Seed:      1993,
+	}
+}
+
 // runSweepBench measures points/s for one canonical grid at one pool size.
-func runSweepBench(b *testing.B, spec feasim.SweepSpec, workers int) {
+func runSweepBench(b *testing.B, spec feasim.QuerySweepSpec, workers int) {
 	b.Helper()
 	spec.Workers = workers
 	for i := 0; i < b.N; i++ {
-		res, err := feasim.CollectSweep(context.Background(), spec)
+		res, err := feasim.CollectQuerySweep(context.Background(), spec)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(res) != benchgrid.Points {
-			b.Fatalf("got %d points, want %d", len(res), benchgrid.Points)
+		if len(res) != sweepGridPoints {
+			b.Fatalf("got %d points, want %d", len(res), sweepGridPoints)
 		}
 	}
-	b.ReportMetric(float64(benchgrid.Points*b.N)/b.Elapsed().Seconds(), "points/s")
+	b.ReportMetric(float64(sweepGridPoints*b.N)/b.Elapsed().Seconds(), "points/s")
 }
 
-// BenchmarkSweep measures the parallel sweep engine on the canonical grids
-// of internal/benchgrid (shared with `feasim bench`, so BENCH_*.json tracks
-// the same workloads). The plain grid isolates the engine's fan-out,
-// seed-splitting and channel overhead; the fixedTP grid holds (T, P)
-// constant at T=10^5 so every point shares one binomial table per
-// utilization through the process-wide kernel memo — before the table
-// cache, each of those points rebuilt its own O(T) kernel.
+// BenchmarkSweep measures the parallel sweep engine on the canonical grids.
+// The plain grid isolates the engine's fan-out, seed-splitting and channel
+// overhead; the fixedTP grid holds (T, P) constant at T=10^5 so every point
+// shares one binomial table per utilization through the process-wide
+// kernel memo — before the table cache, each of those points rebuilt its
+// own O(T) kernel.
 func BenchmarkSweep(b *testing.B) {
 	for _, workers := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			runSweepBench(b, benchgrid.AnalyticGrid(), workers)
+			runSweepBench(b, analyticGrid(), workers)
 		})
 	}
 	for _, workers := range []int{1, 8} {
 		b.Run(fmt.Sprintf("fixedTP/workers=%d", workers), func(b *testing.B) {
-			runSweepBench(b, benchgrid.FixedTPGrid(), workers)
+			runSweepBench(b, fixedTPGrid(), workers)
 		})
 	}
 }
 
-// BenchmarkFrontier measures the adaptive frontier engine on the canonical
-// benchgrid workload (shared with `feasim bench`, so BENCH_9.json's
-// sweep_frontier row tracks the same refinement): boundary search to
-// resolution 32, reported as cells/s plus dense_per_probe — the probe-count
-// saving over the equivalent dense grid.
+// BenchmarkFrontier measures the adaptive frontier engine end to end: the
+// feasibility boundary of the 20-workstation system over util × task
+// ratio, refined from a 4×4 coarse grid down to resolution 32, reported as
+// cells/s plus dense_per_probe — the probe-count saving over the 33×33
+// dense lattice.
 func BenchmarkFrontier(b *testing.B) {
-	b.Run("res=32", benchgrid.FrontierBench())
+	b.Run("res=32", func(b *testing.B) {
+		spec := feasim.FrontierSpec{
+			Base: feasim.ReportQuery{Scenario: feasim.Scenario{
+				Name: "bench-frontier", J: 2000, W: 20, O: 10, Util: 0.1, TargetEff: 0.8,
+			}},
+			X:      feasim.FrontierAxis{Axis: feasim.FrontierAxisUtil, Min: 0.02, Max: 0.2},
+			Y:      feasim.FrontierAxis{Axis: feasim.FrontierAxisRatio, Min: 1, Max: 40},
+			Coarse: 4,
+			Depth:  3,
+			Seed:   1993,
+		}
+		cells := 0
+		var stats feasim.FrontierStats
+		for i := 0; i < b.N; i++ {
+			res, err := feasim.CollectFrontier(context.Background(), spec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res.Stats.Boundary == 0 || res.Stats.Failed > 0 {
+				b.Fatalf("degenerate frontier run: %+v", res.Stats)
+			}
+			cells += res.Stats.Cells
+			stats = res.Stats
+		}
+		b.ReportMetric(float64(cells)/b.Elapsed().Seconds(), "cells/s")
+		b.ReportMetric(float64(stats.DenseEvaluations)/float64(stats.Evaluations), "dense_per_probe")
+	})
+}
+
+// servedQueryEnvelope is the served benchmarks' threshold envelope at the
+// given seed: one empirical bisection on the exact-sim backend.
+func servedQueryEnvelope(seed int) string {
+	return fmt.Sprintf(`{"kind": "threshold", "w": 10, "o": 10, "util": 0.1, "target_eff": 0.8, "seed": %d}`, seed)
+}
+
+// benchServer starts the HTTP query service at a small batch-means protocol
+// that keeps each cold bisection probe cheap, and returns a post function
+// that requires 200 from an exact-backend request to path. Each call gets a
+// fresh server, and so a fresh answer cache.
+func benchServer(b *testing.B, path string) func(body string) {
+	b.Helper()
+	srv, err := feasim.NewQueryServer(feasim.ServeConfig{
+		Options: feasim.SolverOptions{Protocol: feasim.Protocol{Batches: 5, BatchSize: 100, Level: 0.90}},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	b.Cleanup(ts.Close)
+	return func(body string) {
+		resp, err := http.Post(ts.URL+path+"?backend="+feasim.BackendExact,
+			"application/json", strings.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			b.Fatalf("status %d", resp.StatusCode)
+		}
+	}
 }
 
 // BenchmarkServedQuery measures the HTTP query service end to end on an
 // empirical (exact-sim) threshold bisection — decode, dispatch, solve,
-// encode — via the canonical benchgrid served-query pair (shared with
-// `feasim bench`, so BENCH_9.json tracks the same workload). The cold path
-// varies the seed every iteration so every request misses the cache and
-// runs a fresh warm-started bisection; the hit path repeats one envelope,
-// so after the first request everything is served from the answer LRU. The
-// gap between the two is the cache's value under the heavy-traffic hot
-// case.
+// encode. The cold path varies the seed every iteration so every request
+// misses the cache and runs a fresh warm-started bisection; the hit path
+// repeats one envelope, so after the first request everything is served
+// from the answer LRU. The gap between the two is the cache's value under
+// the heavy-traffic hot case.
 func BenchmarkServedQuery(b *testing.B) {
-	b.Run("cold", benchgrid.ServedQueryBench(false))
-	b.Run("hit", benchgrid.ServedQueryBench(true))
+	b.Run("cold", func(b *testing.B) {
+		post := benchServer(b, "/v1/query")
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			post(servedQueryEnvelope(i + 1))
+		}
+	})
+	b.Run("hit", func(b *testing.B) {
+		post := benchServer(b, "/v1/query")
+		post(servedQueryEnvelope(1)) // warm the cache
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			post(servedQueryEnvelope(1))
+		}
+	})
 }
 
-// BenchmarkServedBatch measures the batched hot path via the canonical
-// benchgrid batch (shared with `feasim bench`, so BENCH_9.json tracks the
-// same workload): 64 mixed envelopes per /v1/batch request, all served from
-// the answer LRU after the warm request, reported as envelopes/s. The
-// acceptance bar is per-envelope throughput ≥ 5× served_query_hit's request
-// rate — one round trip and one pooled response encode amortized over the
-// whole batch.
+// servedBatchSize is the number of envelopes per /v1/batch request.
+const servedBatchSize = 64
+
+// BenchmarkServedBatch measures the batched hot path: 64 mixed envelopes
+// (threshold, report and distribution queries on the exact backend, cycling
+// through distinct seeds so the batch holds distinct cache keys) per
+// /v1/batch request, all served from the answer LRU after the warm
+// request, reported as envelopes/s. The acceptance bar is per-envelope
+// throughput ≥ 5× the served query hit's request rate — one round trip and
+// one pooled response encode amortized over the whole batch.
 func BenchmarkServedBatch(b *testing.B) {
-	b.Run(fmt.Sprintf("hit%d", benchgrid.ServedBatchSize), benchgrid.ServedBatchBench())
+	b.Run(fmt.Sprintf("hit%d", servedBatchSize), func(b *testing.B) {
+		var sb strings.Builder
+		sb.WriteByte('[')
+		for i := 0; i < servedBatchSize; i++ {
+			if i > 0 {
+				sb.WriteByte(',')
+			}
+			seed := i/3 + 1
+			switch i % 3 {
+			case 0:
+				sb.WriteString(servedQueryEnvelope(seed))
+			case 1:
+				fmt.Fprintf(&sb, `{"kind": "report", "scenario": {"j": 1000, "w": 10, "o": 10, "util": 0.1, "seed": %d}}`, seed)
+			case 2:
+				fmt.Fprintf(&sb, `{"kind": "distribution", "scenario": {"j": 1000, "w": 10, "o": 10, "util": 0.1, "seed": %d}, "deadlines": [150]}`, seed)
+			}
+		}
+		sb.WriteByte(']')
+		body := sb.String()
+		post := benchServer(b, "/v1/batch")
+		post(body) // warm: every distinct envelope solves once
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			post(body)
+		}
+		b.ReportMetric(float64(servedBatchSize*b.N)/b.Elapsed().Seconds(), "env/s")
+	})
 }
 
 // BenchmarkTimelineQuasiStatic measures the analytic timeline path on the
-// canonical 3-phase workday (shared with `feasim bench`, so BENCH_9.json's
-// timeline_quasistatic row tracks the same workload): 24 epoch answers per
-// query, each a quasi-static walk whose stationary kernel evaluations share
-// the process-wide binomial-table memo.
+// 3-phase workday (morning ramp, afternoon peak, overnight idle) queried at
+// 24 epochs: each answer is a quasi-static walk whose stationary kernel
+// evaluations share the process-wide binomial-table memo, reported as epoch
+// answers per second.
 func BenchmarkTimelineQuasiStatic(b *testing.B) {
-	b.Run(fmt.Sprintf("epochs=%d", benchgrid.TimelineEpochCount), benchgrid.TimelineQuasiStaticBench())
+	const epochs = 24
+	b.Run(fmt.Sprintf("epochs=%d", epochs), func(b *testing.B) {
+		q := feasim.TimelineQuery{
+			Scenario: feasim.Scenario{
+				Name: "bench-workday", J: 400, W: 4, O: 10, Seed: 1993,
+				Schedule: []feasim.PhaseSpec{
+					{Name: "morning", Duration: 480, Util: 0.15},
+					{Name: "afternoon", Duration: 480, Util: 0.3},
+					{Name: "night", Duration: 480, Util: 0.02},
+				},
+			},
+			Epochs: epochs,
+		}
+		solver := feasim.NewAnalyticSolver()
+		for i := 0; i < b.N; i++ {
+			a, err := solver.Answer(context.Background(), q)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if got := len(a.(feasim.TimelineAnswer).Epochs); got != epochs {
+				b.Fatalf("got %d epochs, want %d", got, epochs)
+			}
+		}
+		b.ReportMetric(float64(epochs*b.N)/b.Elapsed().Seconds(), "points/s")
+	})
+}
+
+// cannedSolver answers instantly with a fixed-shape answer, so the cache
+// contention benchmark measures the answer layer's locking and key hashing,
+// not a backend.
+type cannedSolver struct{}
+
+func (cannedSolver) Name() string           { return feasim.BackendAnalytic }
+func (cannedSolver) Capabilities() []string { return feasim.QueryKinds() }
+
+func (c cannedSolver) Answer(_ context.Context, q feasim.Query) (feasim.Answer, error) {
+	if rq, ok := q.(feasim.ReportQuery); ok {
+		return feasim.ReportAnswer{Report: feasim.Report{Scenario: rq.Scenario, Backend: c.Name(), EJob: 1}}, nil
+	}
+	return feasim.ThresholdAnswer{Backend: c.Name(), MinRatio: 7}, nil
+}
+
+func (c cannedSolver) Solve(ctx context.Context, s feasim.Scenario) (feasim.Report, error) {
+	a, err := c.Answer(ctx, feasim.ReportQuery{Scenario: s})
+	if err != nil {
+		return feasim.Report{}, err
+	}
+	return a.(feasim.ReportAnswer).Report, nil
+}
+
+// benchCacheHits measures the answer cache's hot path — repeated hits over
+// a resident working set of 256 distinct keys — at a given shard count and
+// parallelism.
+func benchCacheHits(b *testing.B, shards, parallelism int) {
+	cs := feasim.NewCachedSolver(cannedSolver{}, feasim.NewAnswerCacheShards(4096, shards))
+	const keys = 256
+	queries := make([]feasim.Query, keys)
+	for i := range queries {
+		// Distinct J per key (integral per-task demand at W=10) spreads
+		// the working set across shards.
+		queries[i] = feasim.ReportQuery{Scenario: feasim.Scenario{
+			J: float64(1000 + 10*i), W: 10, O: 10, Util: 0.1,
+		}}
+	}
+	ctx := context.Background()
+	for _, q := range queries {
+		if _, err := cs.Answer(ctx, q); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if parallelism <= 1 {
+		// The uncontended baseline must actually be uncontended: a plain
+		// sequential loop, not RunParallel (whose goroutine count is
+		// parallelism × GOMAXPROCS and would contend on any multi-core
+		// host).
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_, cached, err := cs.AnswerCached(ctx, queries[i%keys])
+			if err != nil || !cached {
+				b.Fatalf("cached=%v err=%v", cached, err)
+			}
+		}
+		return
+	}
+	var failure atomic.Value
+	b.SetParallelism(parallelism)
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := 0
+		for pb.Next() {
+			_, cached, err := cs.AnswerCached(ctx, queries[i%keys])
+			i++
+			if err != nil || !cached {
+				failure.Store(fmt.Sprintf("cached=%v err=%v", cached, err))
+				return
+			}
+		}
+	})
+	if msg := failure.Load(); msg != nil {
+		b.Fatal(msg)
+	}
 }
 
 // BenchmarkAnswerCacheHit measures the answer cache's hot path over a
@@ -355,26 +598,38 @@ func BenchmarkAnswerCacheHit(b *testing.B) {
 		{"sharded16/p1", 16, 1},
 		{"sharded16/p8", 16, 8},
 	} {
-		b.Run(cfg.name, benchgrid.CacheHitContentionBench(cfg.shards, cfg.par))
+		b.Run(cfg.name, func(b *testing.B) { benchCacheHits(b, cfg.shards, cfg.par) })
 	}
 }
 
-// BenchmarkQueryThresholdSweep measures the typed query path on the
-// canonical threshold grid of internal/benchgrid (shared with `feasim
-// bench`, so BENCH_9.json tracks the same workload): 40 analytic threshold
-// bisections per op, reported as full searches per second.
+// BenchmarkQueryThresholdSweep measures the typed query path: 40 analytic
+// threshold bisections per op (20 utilizations × 2 system sizes, the
+// conclusions-table question at each point), reported as full searches per
+// second — the bisection driver and the kernel memo that the probes of
+// every search share.
 func BenchmarkQueryThresholdSweep(b *testing.B) {
+	const points = 40
+	utils := make([]float64, 0, 20)
+	for u := 0.01; u <= 0.20+1e-9; u += 0.01 {
+		utils = append(utils, u)
+	}
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			spec := benchgrid.ThresholdGrid()
-			spec.Workers = workers
+			spec := feasim.QuerySweepSpec{
+				Base:     feasim.ThresholdQuery{O: 10, TargetEff: 0.8},
+				W:        []int{20, 60},
+				Util:     utils,
+				Backends: []string{feasim.BackendAnalytic},
+				Seed:     1993,
+				Workers:  workers,
+			}
 			for i := 0; i < b.N; i++ {
 				res, err := feasim.CollectQuerySweep(context.Background(), spec)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if len(res) != benchgrid.ThresholdPoints {
-					b.Fatalf("got %d points, want %d", len(res), benchgrid.ThresholdPoints)
+				if len(res) != points {
+					b.Fatalf("got %d points, want %d", len(res), points)
 				}
 				for _, r := range res {
 					if r.Err != nil {
@@ -382,7 +637,7 @@ func BenchmarkQueryThresholdSweep(b *testing.B) {
 					}
 				}
 			}
-			b.ReportMetric(float64(benchgrid.ThresholdPoints*b.N)/b.Elapsed().Seconds(), "points/s")
+			b.ReportMetric(float64(points*b.N)/b.Elapsed().Seconds(), "points/s")
 		})
 	}
 }

@@ -19,15 +19,14 @@
 //	           overload counters
 //	run        answer a scenario JSON file with any or all solver backends
 //	           (the "report" query kind as a convenience form)
-//	sweep      fan a scenario grid across a parallel worker pool; -frontier
-//	           runs an adaptive 2-D feasibility-boundary refinement instead,
-//	           probing only where the boundary lives
+//	sweep      fan a report grid (a scenario under "base" plus axis lists)
+//	           across a parallel worker pool; -frontier runs an adaptive
+//	           2-D feasibility-boundary refinement instead, probing only
+//	           where the boundary lives
 //	analyze    evaluate the model at one parameter point
 //	assess     feasibility verdict against a weighted-efficiency target
 //	simulate   validate the analysis by simulation (Section 2.2): one
 //	           scenario answered by the analytic and exact backends
-//	bench      run the core benchmarks and emit a JSON report
-//	benchdiff  compare two bench reports and flag ns/op regressions
 //
 // Examples:
 //
@@ -84,10 +83,6 @@ func main() {
 		err = cmdAssess(os.Args[2:])
 	case "simulate":
 		err = cmdSimulate(os.Args[2:])
-	case "bench":
-		err = cmdBench(os.Args[2:])
-	case "benchdiff":
-		err = cmdBenchDiff(os.Args[2:])
 	case "-h", "--help", "help":
 		usage()
 	default:
@@ -102,7 +97,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: feasim <query|serve|cluster|run|sweep|analyze|assess|simulate|bench|benchdiff> [flags]
+	fmt.Fprintln(os.Stderr, `usage: feasim <query|serve|cluster|run|sweep|analyze|assess|simulate> [flags]
 
 query answers a typed query envelope file — {"kind": "report"|"threshold"|
 "partition"|"distribution"|"scaled"|"timeline", ...} — with any capable
@@ -113,13 +108,12 @@ answers the same envelopes over HTTP (POST /v1/query, /v1/batch,
 -self/-peers joins a multi-node answer tier (circuit breakers, retries,
 hedged forwards; -chaos injects seeded faults for drills); cluster
 inspects a running node's ring membership, breaker states and
-routing/overload counters (GET /v1/cluster); run and sweep answer
-scenario files (the "report" kind; sweep -frontier runs an adaptive 2-D
+routing/overload counters (GET /v1/cluster); run answers a scenario file
+and sweep a report grid file (the "report" kind; sweep -frontier runs an adaptive 2-D
 feasibility-boundary refinement, mirrored over HTTP as POST
 /v1/sweep?mode=frontier NDJSON); analyze and assess evaluate one model
 point; simulate checks the analysis against the exact simulator's
-confidence intervals; bench runs the core benchmarks; benchdiff compares
-two bench reports and flags regressions. Run "feasim <subcommand> -h" for flags.`)
+confidence intervals. Run "feasim <subcommand> -h" for flags.`)
 }
 
 // solveContext builds the run/sweep context, honoring an optional timeout.
@@ -240,7 +234,19 @@ func printReport(r feasim.Report) {
 	}
 }
 
-// cmdSweep fans a sweep spec file across the worker pool, streaming one
+// gridPoint is the -json line of one report grid point.
+type gridPoint struct {
+	Point struct {
+		Index    int             `json:"index"`
+		Backend  string          `json:"backend"`
+		Scenario feasim.Scenario `json:"scenario"`
+	} `json:"point"`
+	Report feasim.Report `json:"report"`
+	Error  string        `json:"error,omitempty"`
+	Cached bool          `json:"cached,omitempty"`
+}
+
+// cmdSweep fans a report grid file across the worker pool, streaming one
 // line per grid point as results complete. With -frontier the file is an
 // adaptive frontier spec instead: recursive boundary refinement, one line
 // per resolved cell.
@@ -257,7 +263,7 @@ func cmdSweep(args []string) error {
 	if *frontier {
 		return sweepFrontier(fs.Arg(0), *workers, *timeout, *asJSON)
 	}
-	spec, err := feasim.LoadSweep(fs.Arg(0))
+	spec, err := feasim.LoadReportSweep(fs.Arg(0))
 	if err != nil {
 		return err
 	}
@@ -266,7 +272,7 @@ func cmdSweep(args []string) error {
 	}
 	ctx, cancel := solveContext(*timeout)
 	defer cancel()
-	ch, err := feasim.RunSweep(ctx, spec)
+	ch, err := feasim.RunQuerySweep(ctx, spec)
 	if err != nil {
 		return err
 	}
@@ -281,8 +287,15 @@ func cmdSweep(args []string) error {
 		} else {
 			done++
 		}
+		var g gridPoint
+		g.Point.Index, g.Point.Backend = res.Point.Index, res.Point.Backend
+		g.Point.Scenario = res.Point.Query.(feasim.ReportQuery).Scenario
+		if ra, ok := res.Answer.(feasim.ReportAnswer); ok {
+			g.Report = ra.Report
+		}
+		g.Error, g.Cached = res.Error, res.Cached
 		if *asJSON {
-			data, err := json.Marshal(res)
+			data, err := json.Marshal(g)
 			if err != nil {
 				return err
 			}
@@ -294,7 +307,7 @@ func cmdSweep(args []string) error {
 				res.Point.Index, res.Point.Backend, "-", "-", "-", "-", "-", res.Err)
 			continue
 		}
-		r := res.Report
+		r := g.Report
 		notes := ""
 		if res.Cached {
 			notes = "cached"

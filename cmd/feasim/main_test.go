@@ -456,41 +456,3 @@ func TestCmdSimulate(t *testing.T) {
 		t.Error("non-integral T should error")
 	}
 }
-
-func TestCmdBenchDiff(t *testing.T) {
-	oldRep := writeFile(t, "old.json", `{"schema": "feasim-bench/1", "benchmarks": [
-		{"name": "a", "ns_per_op": 100},
-		{"name": "b", "ns_per_op": 100},
-		{"name": "gone", "ns_per_op": 5}
-	]}`)
-	newRep := writeFile(t, "new.json", `{"schema": "feasim-bench/1", "benchmarks": [
-		{"name": "a", "ns_per_op": 150},
-		{"name": "b", "ns_per_op": 90},
-		{"name": "fresh", "ns_per_op": 7}
-	]}`)
-	out := captureStdout(t, func() error { return cmdBenchDiff([]string{oldRep, newRep}) })
-	for _, want := range []string{"REGRESSION", "+50.0%", "-10.0%", "| fresh | — |", "| gone |", "1 benchmark(s) regressed"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("benchdiff output missing %q:\n%s", want, out)
-		}
-	}
-	// A looser threshold clears the regression.
-	out = captureStdout(t, func() error { return cmdBenchDiff([]string{"-threshold", "0.6", oldRep, newRep}) })
-	if strings.Contains(out, "REGRESSION") {
-		t.Errorf("threshold 0.6 should clear the +50%% delta:\n%s", out)
-	}
-	if err := cmdBenchDiff([]string{oldRep}); err == nil {
-		t.Error("one file should error")
-	}
-	if err := cmdBenchDiff([]string{oldRep, filepath.Join(t.TempDir(), "missing.json")}); err == nil {
-		t.Error("missing file should error")
-	}
-}
-
-func TestCmdBenchRejectsArgs(t *testing.T) {
-	// The full bench run takes ~10s of wall clock; tests only cover the
-	// argument validation path.
-	if err := cmdBench([]string{"stray"}); err == nil {
-		t.Error("stray positional argument should error")
-	}
-}

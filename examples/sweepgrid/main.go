@@ -1,8 +1,8 @@
 // Sweep-grid: recompute the paper's conclusions as a parallel sweep, then
-// stress them. A single SweepSpec fans (owner utilization × task ratio ×
-// owner-burst variance) across the analytic and DES backends on a
-// context-cancellable worker pool; results stream in as each point
-// completes. The analytic model sees only the mean owner demand, so its
+// stress them. A single QuerySweepSpec over a report query fans (owner
+// utilization × task ratio × owner-burst variance) across the analytic and
+// DES backends on a context-cancellable worker pool; results stream in as
+// each point completes. The analytic model sees only the mean owner demand, so its
 // half of the grid repeats across the OwnerCV2 axis, and each repeat copies
 // the answer solved at its lowest grid index, while the DES backend shows
 // what CV²=16 bursts do to the weighted efficiency the analysis promises.
@@ -24,8 +24,8 @@ func main() {
 	defer cancel()
 
 	pr := feasim.Protocol{Batches: 5, BatchSize: 100, Level: 0.90}
-	spec := feasim.SweepSpec{
-		Base:      feasim.Scenario{Name: "conclusions", W: 12, O: 10, J: 1},
+	spec := feasim.QuerySweepSpec{
+		Base:      feasim.ReportQuery{Scenario: feasim.Scenario{Name: "conclusions", W: 12, O: 10, J: 1}},
 		Util:      []float64{0.05, 0.2},
 		TaskRatio: []float64{4, 8, 13},
 		OwnerCV2:  []float64{1, 16}, // felt by the DES backend; analytic dedups
@@ -34,7 +34,7 @@ func main() {
 		Protocol:  &pr,
 	}
 
-	ch, err := feasim.RunSweep(ctx, spec)
+	ch, err := feasim.RunQuerySweep(ctx, spec)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,10 +54,11 @@ func main() {
 			cached++
 			notes = "cached"
 		}
-		s := res.Point.Scenario
+		s := res.Point.Query.(feasim.ReportQuery).Scenario
+		rep := res.Answer.(feasim.ReportAnswer).Report
 		fmt.Printf("%-6d %-9s %-6.2f %-7.4g %-5.4g %-10.4f %s\n",
-			res.Point.Index, res.Point.Backend, s.Util, res.Report.TaskRatio, s.OwnerCV2,
-			res.Report.WeightedEfficiency, notes)
+			res.Point.Index, res.Point.Backend, s.Util, rep.TaskRatio, s.OwnerCV2,
+			rep.WeightedEfficiency, notes)
 	}
 	if err := ctx.Err(); err != nil {
 		log.Fatalf("sweep cut short after %d points: %v", solved, err)

@@ -21,9 +21,9 @@
 // conclusions-table minimum task ratio), "partition" (cluster
 // right-sizing), "distribution" (deadline quantiles), "scaled"
 // (memory-bounded scaleup). Solver.Capabilities lists what a backend
-// answers; Solve remains the ReportQuery shorthand. RunSweep and
-// RunQuerySweep fan grids across a context-cancellable worker pool with
-// deterministic per-point seeding.
+// answers; Solve remains the ReportQuery shorthand. RunQuerySweep fans a
+// grid across a context-cancellable worker pool with deterministic
+// per-point seeding.
 //
 //	s := feasim.Scenario{J: 12000, W: 60, O: 10, Util: 0.05, TargetEff: 0.8}
 //	rep, _ := feasim.NewAnalyticSolver().Solve(ctx, s)
@@ -36,7 +36,7 @@
 //
 // # Layers
 //
-//   - Query/Answer/Solver/Sweep (Query, Scenario, Solver, Report, RunSweep,
+//   - Query/Answer/Solver/Sweep (Query, Scenario, Solver, Report,
 //     RunQuerySweep): the declarative facade over every layer below, and
 //     the way to ask every question the paper poses — thresholds, scaled
 //     curves, partitions and simulation cross-checks included.
@@ -138,28 +138,6 @@ func AnalyzeGumbel(p Params) (Result, error) { return core.AnalyzeGumbel(p) }
 // TileFleet expands a station template cyclically to exactly w stations.
 func TileFleet(template []FleetStation, w int) ([]FleetStation, error) {
 	return core.TileFleet(template, w)
-}
-
-// PBGroup is one (probability, trial count) group of a Poisson-binomial
-// sum.
-type PBGroup = core.PBGroup
-
-// PoissonBinomialTables is the distribution of a sum of independent
-// binomials with distinct probabilities — the generalized kernel behind
-// heterogeneous fleets. Homogeneous inputs collapse to the shared
-// binomial tables bit-for-bit.
-type PoissonBinomialTables = core.PoissonBinomialTables
-
-// PoissonBinomial builds (or reuses, via the process-wide memo) the tables
-// for the Poisson-binomial sum over the given groups.
-func PoissonBinomial(groups []PBGroup) (*PoissonBinomialTables, error) {
-	return core.PoissonBinomial(groups)
-}
-
-// PoissonBinomialCacheStats reports the process-wide Poisson-binomial memo
-// hit/miss counters.
-func PoissonBinomialCacheStats() (hits, misses uint64) {
-	return core.PoissonBinomialCacheStats()
 }
 
 // ---- Simulation (Section 2.2 and its future-work extensions) ----

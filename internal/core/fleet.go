@@ -19,9 +19,8 @@ import (
 // evaluated on the shared BinomialTables windows via the log1p(−tail)
 // product (the same precision trick as ExpectedMax). The model reads only
 // per-group statistics: the mean of the fleet's total burst count Σ_i X_i
-// is the closed form Σ_g c_g·n_g·p_g, and the distribution of that sum
-// (BurstTables, the PoissonBinomialTables kernel) is a library answer no
-// model path builds. The paper's homogeneous model is the one-group fleet
+// is the closed form Σ_g c_g·n_g·p_g, so the distribution of that sum is
+// never built. The paper's homogeneous model is the one-group fleet
 // at reference speed (Params.Fleet): every entry point detects it without
 // allocating and answers it with the binomial kernel of model.go.
 
@@ -160,33 +159,6 @@ func (f Fleet) Utilization() float64 {
 	return sum / float64(f.W())
 }
 
-// BurstTables returns the Poisson-binomial tables of the fleet's total
-// per-job burst count Σ_i Bin(n_i, p_i), for callers that want the whole
-// distribution; Analyze reports its mean over W as EBurstsPerTsk without
-// building it. The boolean is false for a fleet with no interruptible
-// trials (the count is identically zero).
-func (f Fleet) BurstTables() (*PoissonBinomialTables, bool, error) {
-	if err := f.Validate(); err != nil {
-		return nil, false, err
-	}
-	t := f.TaskDemand()
-	var groups []PBGroup
-	for _, s := range f.Canonical() {
-		n := int(math.Round(t / s.Speed))
-		if s.P > 0 && n > 0 {
-			groups = append(groups, PBGroup{P: s.P, Count: s.Count * n})
-		}
-	}
-	if len(groups) == 0 {
-		return nil, false, nil
-	}
-	pb, err := PoissonBinomial(groups)
-	if err != nil {
-		return nil, false, err
-	}
-	return pb, true, nil
-}
-
 // fleetGroup is one canonical group resolved against the job: effective
 // demand, trial count and the binomial window, borrowed for the call
 // (releaseGroups hands the windows back).
@@ -249,10 +221,10 @@ func analyzeFleet(f Fleet) (Result, error) {
 }
 
 // burstMean is the mean of the fleet's total per-job burst count,
-// Σ_g c_g·n_g·p_g. It sums in the Poisson-binomial canonical order —
-// ascending p, equal-p trial counts merged before multiplying — so it is
-// bit-identical to BurstTables().Mean() without building the distribution.
-// The canonical fleet groups are sorted by p, so equal-p groups are adjacent.
+// Σ_g c_g·n_g·p_g. It sums in ascending p and merges the trial counts of
+// equal-p groups before multiplying; the fleet goldens pin that order's
+// bits. The canonical fleet groups are sorted by p, so equal-p groups are
+// adjacent.
 func burstMean(groups []fleetGroup) float64 {
 	var mu float64
 	for i := 0; i < len(groups); {

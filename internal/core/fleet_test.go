@@ -416,55 +416,58 @@ func TestAssessFleet(t *testing.T) {
 	}
 }
 
-// TestFleetBurstTables: the Poisson-binomial kernel's fleet view — total
-// per-job burst count — has the closed-form mean that EBurstsPerTsk reports.
-func TestFleetBurstTables(t *testing.T) {
-	f := Fleet{J: 400, O: 10, Stations: []FleetStation{
-		{P: 0.03, Count: 2},
-		{P: 0.08, Count: 2},
-	}}
-	pb, ok, err := f.BurstTables()
-	if err != nil || !ok {
-		t.Fatalf("BurstTables: ok=%v err=%v", ok, err)
+// convolvedBurstMean is the mean of the fleet's total per-job burst count
+// Σ_i Bin(n_i, p_i), read off the exact distribution: a DP that adds the
+// fleet's interruptible trials one at a time. Entries below 1e-30 are
+// trimmed off the top of the support, which moves the mean by far less
+// than the 1e-12 the test allows.
+func convolvedBurstMean(f Fleet) float64 {
+	t := f.TaskDemand()
+	pmf := []float64{1}
+	for _, s := range f.Stations {
+		if s.P == 0 {
+			continue
+		}
+		for range s.Count * int(math.Round(t/s.speed())) {
+			pmf = append(pmf, 0)
+			for k := len(pmf) - 1; k > 0; k-- {
+				pmf[k] = pmf[k]*(1-s.P) + pmf[k-1]*s.P
+			}
+			pmf[0] *= 1 - s.P
+			for len(pmf) > 1 && pmf[len(pmf)-1] < 1e-30 {
+				pmf = pmf[:len(pmf)-1]
+			}
+		}
 	}
-	// n = 100 per station: mean = 2·100·0.03 + 2·100·0.08 = 22.
-	if math.Abs(pb.Mean()-22) > 1e-12 {
-		t.Fatalf("fleet burst mean %v, want 22", pb.Mean())
+	var mean float64
+	for k, q := range pmf {
+		mean += float64(k) * q
 	}
-	res, err := Analyze(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.EBurstsPerTsk-22.0/4) > 1e-12 {
-		t.Fatalf("EBurstsPerTsk %v, want %v", res.EBurstsPerTsk, 22.0/4)
-	}
+	return mean
 }
 
-// TestFleetKernelSkipsPoissonBinomial pins what the fleet kernel computes:
-// the model's answers never build the fleet's burst distribution, and
-// EBurstsPerTsk is that distribution's mean over W to the bit. The seeded
-// fleets include equal-p groups at different speeds (merged only in the
-// Poisson-binomial canonical form) and dedicated p = 0 groups.
-func TestFleetKernelSkipsPoissonBinomial(t *testing.T) {
-	f := Fleet{J: 600, O: 10, Stations: []FleetStation{
-		{P: 0.01, Count: 3}, {P: 0.01, Speed: 2, Count: 2}, {P: 0.03, Speed: 1.5, Count: 1},
-	}}
-	h0, m0 := PoissonBinomialCacheStats()
-	if _, err := Analyze(f); err != nil {
-		t.Fatal(err)
+// TestFleetBurstMeanMatchesConvolution pins the fleet kernel's closed-form
+// burst mean: EBurstsPerTsk·W equals the mean of the exact distribution of
+// the fleet's total burst count to 1e-12 relative. The seeded fleets
+// include equal-p groups at different speeds and dedicated p = 0 groups.
+func TestFleetBurstMeanMatchesConvolution(t *testing.T) {
+	check := func(f Fleet) {
+		t.Helper()
+		res, err := Analyze(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := res.EBurstsPerTsk*float64(f.W()), convolvedBurstMean(f)
+		if math.Abs(got-want) > 1e-12*want {
+			t.Fatalf("fleet %+v: EBurstsPerTsk·W %v, convolved burst mean %v", f, got, want)
+		}
 	}
-	if _, err := Assess(f, 0.9); err != nil {
-		t.Fatal(err)
+	// n = 100 per station: mean = 2·100·0.03 + 2·100·0.08 = 22.
+	f := Fleet{J: 400, O: 10, Stations: []FleetStation{{P: 0.03, Count: 2}, {P: 0.08, Count: 2}}}
+	if m := convolvedBurstMean(f); math.Abs(m-22) > 1e-12*22 {
+		t.Fatalf("convolved burst mean %v, want 22", m)
 	}
-	if _, err := JobTimeDistribution(f); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DeadlineProb(f, 150); err != nil {
-		t.Fatal(err)
-	}
-	if h1, m1 := PoissonBinomialCacheStats(); h1+m1 != h0+m0 {
-		t.Fatalf("fleet model consulted the Poisson-binomial memo: %d lookups", h1+m1-h0-m0)
-	}
+	check(f)
 
 	r := rand.New(rand.NewPCG(7, 11))
 	ps := []float64{0, 0.005, 0.01, 0.02}
@@ -484,21 +487,7 @@ func TestFleetKernelSkipsPoissonBinomial(t *testing.T) {
 		if _, ok := f.homogeneous(); ok {
 			continue
 		}
-		res, err := Analyze(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pb, ok, err := f.BurstTables()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := 0.0
-		if ok {
-			want = pb.Mean() / float64(f.W())
-		}
-		if res.EBurstsPerTsk != want {
-			t.Fatalf("fleet %+v: EBurstsPerTsk %v, burst distribution mean/W %v", f, res.EBurstsPerTsk, want)
-		}
+		check(f)
 		checked++
 	}
 	if checked < 150 {

@@ -260,6 +260,11 @@ func TablesCacheStats() (hits, misses uint64) {
 	return hits, misses
 }
 
+// PoissonBinomialCacheStats returns 0, 0: no answer builds a
+// Poisson-binomial distribution. Only bench/ reads it, for its
+// core.pb_hit_ratio metric; dropping both is a later benchmark change.
+func PoissonBinomialCacheStats() (hits, misses uint64) { return 0, 0 }
+
 // tablesCacheEntries reports the memo's current residency, for the bound
 // tests.
 func tablesCacheEntries() int {

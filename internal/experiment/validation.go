@@ -35,15 +35,15 @@ func simValidation() Definition {
 			}
 			utils := []float64{0.01, 0.2}
 			pr := cfg.Protocol
-			spec := solve.SweepSpec{
-				Base:     solve.Scenario{Name: "simval", J: 1000, O: paperO},
+			spec := solve.QuerySweepSpec{
+				Base:     solve.ReportQuery{Scenario: solve.Scenario{Name: "simval", J: 1000, O: paperO}},
 				W:        ws,
 				Util:     utils,
 				Backends: []string{solve.BackendAnalytic, solve.BackendExact},
 				Seed:     cfg.Seed,
 				Protocol: &pr,
 			}
-			results, err := solve.Collect(context.Background(), spec)
+			results, err := solve.CollectQueries(context.Background(), spec)
 			if err != nil {
 				return Output{}, err
 			}
@@ -57,8 +57,8 @@ func simValidation() Definition {
 				if res.Err != nil {
 					return Output{}, fmt.Errorf("experiment: simval point %d: %w", res.Point.Index, res.Err)
 				}
-				s := res.Point.Scenario
-				byKey[key{res.Point.Backend, s.W, s.Util}] = res.Report
+				s := res.Point.Query.(solve.ReportQuery).Scenario
+				byKey[key{res.Point.Backend, s.W, s.Util}] = res.Answer.(solve.ReportAnswer).Report
 			}
 			fig := plot.Figure{
 				ID:     "simval",

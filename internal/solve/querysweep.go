@@ -14,10 +14,9 @@ import (
 	"feasim/internal/sim"
 )
 
-// The query sweep is the generalization of PR 1's Report grid: the same axis
-// expansion, worker pool, deterministic per-point seeding and analytic
-// deduplication, but over any query kind. SweepSpec (Report grids) is now a
-// thin adapter over this engine.
+// The query sweep: axis expansion, a worker pool, deterministic per-point
+// seeding and analytic deduplication over any query kind. A report grid
+// file (a bare scenario under "base", sweep.go) decodes to the same spec.
 
 // axisPoint is one cell of the axis cross product. A negative value means
 // "keep the base query's value" (axes that do not apply to a query kind are
@@ -449,12 +448,17 @@ func (sp *QuerySweepSpec) UnmarshalJSON(data []byte) error {
 		}
 		base = q
 	}
-	*sp = QuerySweepSpec{
+	*sp = raw.spec(base)
+	return nil
+}
+
+// spec is the decoded spec over the given base query.
+func (raw querySweepJSON) spec(base Query) QuerySweepSpec {
+	return QuerySweepSpec{
 		Base: base, W: raw.W, Util: raw.Util, TaskRatio: raw.TaskRatio, OwnerCV2: raw.OwnerCV2,
 		Spread: raw.Spread, Backends: raw.Backends, Workers: raw.Workers, Seed: raw.Seed,
 		Protocol: raw.Protocol, Warmup: raw.Warmup,
 	}
-	return nil
 }
 
 // backends resolves the backend list.
@@ -578,26 +582,19 @@ func (sp QuerySweepSpec) Points() ([]QueryPoint, error) {
 // The channel is closed once every point has been answered or the context is
 // cancelled; after cancellation no further results arrive. Errors on
 // individual points are reported in their QueryResult and do not stop the
-// sweep.
+// sweep. The goroutine that closes the channel is one of the workers.
 func SweepQueries(ctx context.Context, spec QuerySweepSpec) (<-chan QueryResult, error) {
-	return sweepChannel(ctx, spec, func(qr QueryResult) QueryResult { return qr })
-}
-
-// sweepChannel streams a sweep run: convert runs inside the worker, so
-// specialized result shapes (the Report grid's PointReport) pay no extra
-// channel hop. The goroutine that closes the channel is one of the workers.
-func sweepChannel[T any](ctx context.Context, spec QuerySweepSpec, convert func(QueryResult) T) (<-chan T, error) {
 	sr, err := newSweepRun(spec)
 	if err != nil {
 		return nil, err
 	}
-	out := make(chan T, sr.workers)
+	out := make(chan QueryResult, sr.workers)
 	go func() {
 		defer close(out)
 		sr.run(ctx, func(r QueryResult) {
 			select {
 			case <-ctx.Done():
-			case out <- convert(r):
+			case out <- r:
 			}
 		})
 	}()

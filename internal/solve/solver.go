@@ -11,7 +11,7 @@ import (
 	"feasim/internal/stats"
 )
 
-// Backend names accepted by NewSolver and SweepSpec.Backends.
+// Backend names accepted by NewSolver and QuerySweepSpec.Backends.
 const (
 	BackendAnalytic = "analytic"
 	BackendExact    = "exact"

@@ -7,7 +7,7 @@ import "feasim/internal/solve"
 // The declarative entry point: a Scenario describes the feasibility
 // question once, and any Solver backend — analytic, exact simulation, or
 // discrete-event simulation — answers it. See NewAnalyticSolver,
-// NewExactSimSolver, NewDESSolver and RunSweep.
+// NewExactSimSolver, NewDESSolver and RunQuerySweep.
 
 // Scenario is the declarative, JSON-serializable description of one
 // feasibility question: the workload (aggregate J/W/O/util, or explicit

@@ -26,7 +26,7 @@ type Interval = solve.Interval
 // default, negative disables).
 type SolverOptions = solve.Options
 
-// Backend names accepted by NewSolver, SolverByName and SweepSpec.Backends.
+// Backend names accepted by NewSolver, SolverByName and QuerySweepSpec.Backends.
 const (
 	BackendAnalytic = solve.BackendAnalytic
 	BackendExact    = solve.BackendExact

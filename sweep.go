@@ -6,19 +6,6 @@ import (
 	"feasim/internal/solve"
 )
 
-// SweepSpec declares a Report grid: a base Scenario plus axis value lists
-// (W, Util, TaskRatio, OwnerCV2) crossed with a backend list. See RunSweep.
-// It is the ReportQuery special case of QuerySweepSpec; both run on the same
-// engine.
-type SweepSpec = solve.SweepSpec
-
-// SweepPoint is one cell of an expanded sweep grid.
-type SweepPoint = solve.Point
-
-// SweepResult is one streamed sweep result: the point, its Report or error,
-// and whether it was served from the analytic deduplication cache.
-type SweepResult = solve.PointReport
-
 // QuerySweepSpec declares a grid over any query kind: a base query (JSON: a
 // nested {"kind": ...} envelope under "base") plus the axis lists that apply
 // to that kind — scenario axes for report/distribution, W/Util for
@@ -32,41 +19,22 @@ type QuerySweepPoint = solve.QueryPoint
 // Answer or error, and the dedup-cache flag.
 type QuerySweepResult = solve.QueryResult
 
-// RunSweep fans the expanded grid across a context-cancellable worker pool
-// (spec.Workers, default GOMAXPROCS) and streams results over the returned
-// channel as they complete. Per-point seeds are split deterministically from
-// spec.Seed, so results are reproducible regardless of worker count; a
-// repeated analytic point is solved once, at its lowest grid index, and the
-// repeats copy that answer (flagged cached).
-func RunSweep(ctx context.Context, spec SweepSpec) (<-chan SweepResult, error) {
-	return solve.Sweep(ctx, spec)
-}
-
-// CollectSweep runs the grid like RunSweep and returns the results in grid
-// order. When ctx is cancelled mid-sweep it returns the points that
-// completed, still in grid order, along with ctx.Err().
-func CollectSweep(ctx context.Context, spec SweepSpec) ([]SweepResult, error) {
-	return solve.Collect(ctx, spec)
-}
-
-// RunQuerySweep is RunSweep generalized to any query kind: the same worker
-// pool, deterministic seeding and analytic deduplication (keyed by query
-// kind), streaming typed Answers.
+// RunQuerySweep fans the expanded grid across a context-cancellable worker
+// pool (spec.Workers, default GOMAXPROCS) and streams typed Answers over the
+// returned channel as they complete. Per-point seeds are split
+// deterministically from spec.Seed, so results are reproducible regardless
+// of worker count; a repeated analytic point is solved once, at its lowest
+// grid index, and the repeats copy that answer (flagged cached).
 func RunQuerySweep(ctx context.Context, spec QuerySweepSpec) (<-chan QuerySweepResult, error) {
 	return solve.SweepQueries(ctx, spec)
 }
 
 // CollectQuerySweep runs the grid like RunQuerySweep and returns the
-// results in grid order.
+// results in grid order. When ctx is cancelled mid-sweep it returns the
+// points that completed, still in grid order, along with ctx.Err().
 func CollectQuerySweep(ctx context.Context, spec QuerySweepSpec) ([]QuerySweepResult, error) {
 	return solve.CollectQueries(ctx, spec)
 }
-
-// ParseSweep decodes a SweepSpec from JSON, rejecting unknown fields.
-func ParseSweep(data []byte) (SweepSpec, error) { return solve.ParseSweep(data) }
-
-// LoadSweep reads and decodes a sweep spec JSON file.
-func LoadSweep(path string) (SweepSpec, error) { return solve.LoadSweep(path) }
 
 // ParseQuerySweep decodes a QuerySweepSpec from JSON, rejecting unknown
 // fields and unknown query kinds.
@@ -74,6 +42,11 @@ func ParseQuerySweep(data []byte) (QuerySweepSpec, error) { return solve.ParseQu
 
 // LoadQuerySweep reads and decodes a query sweep spec JSON file.
 func LoadQuerySweep(path string) (QuerySweepSpec, error) { return solve.LoadQuerySweep(path) }
+
+// LoadReportSweep reads a report grid file — the QuerySweepSpec JSON shape
+// with a bare Scenario, not a query envelope, under "base" — as a
+// QuerySweepSpec over a ReportQuery base, rejecting unknown fields.
+func LoadReportSweep(path string) (QuerySweepSpec, error) { return solve.LoadReportSweep(path) }
 
 // FrontierSpec declares an adaptive frontier search: a base query carrying a
 // feasibility verdict, two scenario axes (JSON: "x"/"y" with an axis name and

@@ -7,26 +7,31 @@ import (
 	"time"
 
 	"feasim"
-	"feasim/internal/benchgrid"
 	"feasim/internal/core"
 )
+
+// report is point r's scenario and report; a failed point has a zero report.
+func report(r feasim.QuerySweepResult) (feasim.Scenario, feasim.Report) {
+	ra, _ := r.Answer.(feasim.ReportAnswer)
+	return r.Point.Query.(feasim.ReportQuery).Scenario, ra.Report
+}
 
 // TestSweepDeterministicAcrossWorkerCounts runs the same grid on 1 and 4
 // workers and requires identical per-point results: seeds are split from
 // the root stream by grid index, not by worker scheduling.
 func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 	pr := feasim.Protocol{Batches: 5, BatchSize: 50, Level: 0.90}
-	spec := feasim.SweepSpec{
-		Base:      feasim.Scenario{J: 1000, W: 10, O: 10},
+	spec := feasim.QuerySweepSpec{
+		Base:      feasim.ReportQuery{Scenario: feasim.Scenario{J: 1000, W: 10, O: 10}},
 		Util:      []float64{0.05, 0.1, 0.2},
 		TaskRatio: []float64{5, 10},
 		Backends:  []string{feasim.BackendAnalytic, feasim.BackendExact},
 		Seed:      2024,
 		Protocol:  &pr,
 	}
-	run := func(workers int) []feasim.SweepResult {
+	run := func(workers int) []feasim.QuerySweepResult {
 		spec.Workers = workers
-		res, err := feasim.CollectSweep(context.Background(), spec)
+		res, err := feasim.CollectQuerySweep(context.Background(), spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,23 +46,25 @@ func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 		if a.Point.Index != b.Point.Index || a.Point.Backend != b.Point.Backend {
 			t.Fatalf("point %d: ordering mismatch", i)
 		}
-		if a.Report.Scenario.Seed != b.Report.Scenario.Seed {
+		_, ra := report(a)
+		_, rb := report(b)
+		if ra.Scenario.Seed != rb.Scenario.Seed {
 			t.Errorf("point %d: seeds differ across worker counts", i)
 		}
-		if a.Report.EJob != b.Report.EJob || a.Report.WeightedEfficiency != b.Report.WeightedEfficiency {
+		if ra.EJob != rb.EJob || ra.WeightedEfficiency != rb.WeightedEfficiency {
 			t.Errorf("point %d (%s): results differ across worker counts: %v vs %v",
-				i, a.Point.Backend, a.Report.EJob, b.Report.EJob)
+				i, a.Point.Backend, ra.EJob, rb.EJob)
 		}
 	}
 }
 
 // TestSweepCancelReturnsPromptly cancels a sweep of deliberately slow DES
-// points and requires CollectSweep to come back quickly with
+// points and requires CollectQuerySweep to come back quickly with
 // context.Canceled.
 func TestSweepCancelReturnsPromptly(t *testing.T) {
 	pr := feasim.Protocol{Batches: 20, BatchSize: 1000, Level: 0.90}
-	spec := feasim.SweepSpec{
-		Base:     feasim.Scenario{J: 6000, W: 60, O: 10},
+	spec := feasim.QuerySweepSpec{
+		Base:     feasim.ReportQuery{Scenario: feasim.Scenario{J: 6000, W: 60, O: 10}},
 		Util:     []float64{0.05, 0.1, 0.2, 0.3},
 		Backends: []string{feasim.BackendDES},
 		Workers:  2,
@@ -66,7 +73,7 @@ func TestSweepCancelReturnsPromptly(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	_, err := feasim.CollectSweep(ctx, spec)
+	_, err := feasim.CollectQuerySweep(ctx, spec)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -79,8 +86,8 @@ func TestSweepCancelReturnsPromptly(t *testing.T) {
 // result arrives, and requires the stream to close promptly.
 func TestSweepCancelMidFlight(t *testing.T) {
 	pr := feasim.Protocol{Batches: 20, BatchSize: 1000, Level: 0.90, MaxRel: 0.001, MaxSamples: 1 << 30}
-	spec := feasim.SweepSpec{
-		Base:     feasim.Scenario{J: 6000, W: 60, O: 10},
+	spec := feasim.QuerySweepSpec{
+		Base:     feasim.ReportQuery{Scenario: feasim.Scenario{J: 6000, W: 60, O: 10}},
 		Util:     []float64{0.05, 0.1, 0.2, 0.3, 0.25, 0.15},
 		Backends: []string{feasim.BackendDES},
 		Workers:  2,
@@ -88,7 +95,7 @@ func TestSweepCancelMidFlight(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	ch, err := feasim.RunSweep(ctx, spec)
+	ch, err := feasim.RunQuerySweep(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,14 +112,14 @@ func TestSweepCancelMidFlight(t *testing.T) {
 // an OwnerCV2 axis. The discrete model sees only the mean owner demand, so
 // the three grid points share one solve; two must come from the cache.
 func TestSweepDedupesRepeatedAnalyticPoints(t *testing.T) {
-	spec := feasim.SweepSpec{
-		Base:     feasim.Scenario{J: 1000, W: 10, O: 10, Util: 0.1},
+	spec := feasim.QuerySweepSpec{
+		Base:     feasim.ReportQuery{Scenario: feasim.Scenario{J: 1000, W: 10, O: 10, Util: 0.1}},
 		OwnerCV2: []float64{1, 4, 16},
 		Backends: []string{feasim.BackendAnalytic},
 		Workers:  1, // serial so cache hits are deterministic
 		Seed:     5,
 	}
-	res, err := feasim.CollectSweep(context.Background(), spec)
+	res, err := feasim.CollectQuerySweep(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,6 +127,7 @@ func TestSweepDedupesRepeatedAnalyticPoints(t *testing.T) {
 		t.Fatalf("got %d results, want 3", len(res))
 	}
 	cached := 0
+	_, first := report(res[0])
 	for _, r := range res {
 		if r.Err != nil {
 			t.Fatalf("point %d: %v", r.Point.Index, r.Err)
@@ -127,9 +135,8 @@ func TestSweepDedupesRepeatedAnalyticPoints(t *testing.T) {
 		if r.Cached {
 			cached++
 		}
-		if r.Report.EJob != res[0].Report.EJob {
-			t.Errorf("analytic answers should agree across OwnerCV2: %v vs %v",
-				r.Report.EJob, res[0].Report.EJob)
+		if _, rep := report(r); rep.EJob != first.EJob {
+			t.Errorf("analytic answers should agree across OwnerCV2: %v vs %v", rep.EJob, first.EJob)
 		}
 	}
 	if cached != 2 {
@@ -139,13 +146,13 @@ func TestSweepDedupesRepeatedAnalyticPoints(t *testing.T) {
 
 // TestSweepTaskRatioAxis checks the J = ratio·O·W expansion.
 func TestSweepTaskRatioAxis(t *testing.T) {
-	spec := feasim.SweepSpec{
-		Base:      feasim.Scenario{W: 10, O: 10, Util: 0.1, J: 1},
+	spec := feasim.QuerySweepSpec{
+		Base:      feasim.ReportQuery{Scenario: feasim.Scenario{W: 10, O: 10, Util: 0.1, J: 1}},
 		W:         []int{10, 20},
 		TaskRatio: []float64{8, 13},
 		Seed:      1,
 	}
-	res, err := feasim.CollectSweep(context.Background(), spec)
+	res, err := feasim.CollectQuerySweep(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,8 +160,8 @@ func TestSweepTaskRatioAxis(t *testing.T) {
 		t.Fatalf("got %d results, want 4", len(res))
 	}
 	for _, r := range res {
-		s := r.Point.Scenario
-		wantJ := float64(s.W) * s.O * r.Report.TaskRatio
+		s, rep := report(r)
+		wantJ := float64(s.W) * s.O * rep.TaskRatio
 		if s.J != wantJ {
 			t.Errorf("point %d: J=%g, want ratio·O·W=%g", r.Point.Index, s.J, wantJ)
 		}
@@ -163,11 +170,11 @@ func TestSweepTaskRatioAxis(t *testing.T) {
 
 // TestSweepGoldenFile loads the checked-in sweep spec and runs it.
 func TestSweepGoldenFile(t *testing.T) {
-	spec, err := feasim.LoadSweep("testdata/sweep.json")
+	spec, err := feasim.LoadReportSweep("testdata/sweep.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := feasim.CollectSweep(context.Background(), spec)
+	res, err := feasim.CollectQuerySweep(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,11 +198,11 @@ func TestSweepGoldenFile(t *testing.T) {
 }
 
 func TestSweepRejectsUnknownBackend(t *testing.T) {
-	spec := feasim.SweepSpec{
-		Base:     feasim.Scenario{J: 1000, W: 10, O: 10, Util: 0.1},
+	spec := feasim.QuerySweepSpec{
+		Base:     feasim.ReportQuery{Scenario: feasim.Scenario{J: 1000, W: 10, O: 10, Util: 0.1}},
 		Backends: []string{"csim"},
 	}
-	if _, err := feasim.CollectSweep(context.Background(), spec); err == nil {
+	if _, err := feasim.CollectQuerySweep(context.Background(), spec); err == nil {
 		t.Error("unknown backend should fail the sweep up front")
 	}
 }
@@ -208,11 +215,11 @@ func TestSweepRejectsUnknownBackend(t *testing.T) {
 // on each shard (a four-slot ring fails here). TestTablesDoorkeeperMixesN
 // pins the other half, that keys sharing P do not share a fingerprint.
 func TestSweepAnalyticGridThirdPassAllHits(t *testing.T) {
-	spec := benchgrid.AnalyticGrid()
+	spec := analyticGrid()
 	spec.Workers = 1
 	for pass := 1; pass <= 3; pass++ {
 		h0, m0 := core.TablesCacheStats()
-		res, err := feasim.CollectSweep(context.Background(), spec)
+		res, err := feasim.CollectQuerySweep(context.Background(), spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,8 +241,8 @@ func TestSweepFixedTPSharesKernelTables(t *testing.T) {
 		ws = append(ws, w)
 	}
 	utils := []float64{0.05, 0.2}
-	spec := feasim.SweepSpec{
-		Base:      feasim.Scenario{Name: "fixedtp", O: 10},
+	spec := feasim.QuerySweepSpec{
+		Base:      feasim.ReportQuery{Scenario: feasim.Scenario{Name: "fixedtp", O: 10}},
 		W:         ws,
 		Util:      utils,
 		TaskRatio: []float64{300}, // T = 3000 fixed: J = ratio·O·W tracks W
@@ -244,7 +251,7 @@ func TestSweepFixedTPSharesKernelTables(t *testing.T) {
 		Seed:      1,
 	}
 	hits0, misses0 := core.TablesCacheStats()
-	res, err := feasim.CollectSweep(context.Background(), spec)
+	res, err := feasim.CollectQuerySweep(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
