@@ -109,8 +109,8 @@ answers the same envelopes over HTTP (POST /v1/query, /v1/batch,
 hedged forwards; -chaos injects seeded faults for drills); cluster
 inspects a running node's ring membership, breaker states and
 routing/overload counters (GET /v1/cluster); run answers a scenario file
-and sweep a report grid file (the "report" kind; sweep -frontier runs an adaptive 2-D
-feasibility-boundary refinement, mirrored over HTTP as POST
+and sweep a report grid file (the "report" kind; sweep -frontier runs an
+adaptive 2-D feasibility-boundary refinement, mirrored over HTTP as POST
 /v1/sweep?mode=frontier NDJSON); analyze and assess evaluate one model
 point; simulate checks the analysis against the exact simulator's
 confidence intervals. Run "feasim <subcommand> -h" for flags.`)

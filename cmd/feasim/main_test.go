@@ -115,6 +115,10 @@ func TestCmdSweep(t *testing.T) {
 	if err := cmdSweep([]string{bad}); err == nil {
 		t.Error("unknown backend should error")
 	}
+	typo := writeFile(t, "typo.json", `{"base": {"j": 1000, "w": 10, "o": 10, "wiggle": 1}, "util": [0.05]}`)
+	if err := cmdSweep([]string{typo}); err == nil {
+		t.Error("unknown scenario field under base should error")
+	}
 	// Every point fails (T = 1000/7 is not integral): the summary must
 	// surface that as an error rather than reporting success.
 	failing := writeFile(t, "failing.json",

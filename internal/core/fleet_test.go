@@ -446,11 +446,13 @@ func convolvedBurstMean(f Fleet) float64 {
 	return mean
 }
 
-// TestFleetBurstMeanMatchesConvolution pins the fleet kernel's closed-form
-// burst mean: EBurstsPerTsk·W equals the mean of the exact distribution of
-// the fleet's total burst count to 1e-12 relative. The seeded fleets
-// include equal-p groups at different speeds and dedicated p = 0 groups.
-func TestFleetBurstMeanMatchesConvolution(t *testing.T) {
+// TestFleetKernelSkipsPoissonBinomial pins what the fleet kernel computes
+// in place of the fleet's Poisson-binomial burst distribution: its
+// closed-form mean. EBurstsPerTsk·W equals the mean of the exact
+// distribution of the fleet's total burst count to 1e-12 relative. The
+// seeded fleets include equal-p groups at different speeds and dedicated
+// p = 0 groups.
+func TestFleetKernelSkipsPoissonBinomial(t *testing.T) {
 	check := func(f Fleet) {
 		t.Helper()
 		res, err := Analyze(f)

@@ -16,7 +16,8 @@ import (
 
 // The query sweep: axis expansion, a worker pool, deterministic per-point
 // seeding and analytic deduplication over any query kind. A report grid
-// file (a bare scenario under "base", sweep.go) decodes to the same spec.
+// file (a bare scenario under "base", LoadReportSweep) decodes to the same
+// spec.
 
 // axisPoint is one cell of the axis cross product. A negative value means
 // "keep the base query's value" (axes that do not apply to a query kind are
@@ -777,4 +778,29 @@ func LoadQuerySweep(path string) (QuerySweepSpec, error) {
 		return QuerySweepSpec{}, err
 	}
 	return ParseQuerySweep(data)
+}
+
+// LoadReportSweep reads a report grid file: the query sweep JSON shape with
+// a bare scenario, not a query envelope, under "base". The result is a
+// QuerySweepSpec over a ReportQuery base. It rejects unknown fields and
+// validates the expanded grid.
+func LoadReportSweep(path string) (QuerySweepSpec, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return QuerySweepSpec{}, err
+	}
+	var raw querySweepJSON
+	var base Scenario
+	err = unmarshalStrict(data, &raw)
+	if err == nil && len(raw.Base) > 0 {
+		err = unmarshalStrict(raw.Base, &base)
+	}
+	if err != nil {
+		return QuerySweepSpec{}, fmt.Errorf("solve: bad sweep spec: %w", err)
+	}
+	sp := raw.spec(ReportQuery{Scenario: base})
+	if _, err := sp.Points(); err != nil {
+		return QuerySweepSpec{}, err
+	}
+	return sp, nil
 }
