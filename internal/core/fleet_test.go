@@ -446,31 +446,50 @@ func convolvedBurstMean(f Fleet) float64 {
 	return mean
 }
 
-// TestFleetKernelSkipsPoissonBinomial pins what the fleet kernel computes
-// in place of the fleet's Poisson-binomial burst distribution: its
-// closed-form mean. EBurstsPerTsk·W equals the mean of the exact
-// distribution of the fleet's total burst count to 1e-12 relative. The
-// seeded fleets include equal-p groups at different speeds and dedicated
-// p = 0 groups.
-func TestFleetKernelSkipsPoissonBinomial(t *testing.T) {
-	check := func(f Fleet) {
-		t.Helper()
-		res, err := Analyze(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, want := res.EBurstsPerTsk*float64(f.W()), convolvedBurstMean(f)
-		if math.Abs(got-want) > 1e-12*want {
-			t.Fatalf("fleet %+v: EBurstsPerTsk·W %v, convolved burst mean %v", f, got, want)
-		}
+// checkBurstMean fails t unless Analyze(f) reports EBurstsPerTsk·W equal to
+// the mean of the exact distribution of f's total burst count to 1e-12
+// relative.
+func checkBurstMean(t *testing.T, f Fleet) {
+	t.Helper()
+	res, err := Analyze(f)
+	if err != nil {
+		t.Fatal(err)
 	}
+	got, want := res.EBurstsPerTsk*float64(f.W()), convolvedBurstMean(f)
+	if math.Abs(got-want) > 1e-12*want {
+		t.Fatalf("fleet %+v: EBurstsPerTsk·W %v, convolved burst mean %v", f, got, want)
+	}
+}
+
+// TestFleetBurstTables: the fleet's total per-job burst count has the
+// closed-form mean that EBurstsPerTsk reports, on a fleet small enough to
+// check by hand.
+func TestFleetBurstTables(t *testing.T) {
+	f := Fleet{J: 400, O: 10, Stations: []FleetStation{
+		{P: 0.03, Count: 2},
+		{P: 0.08, Count: 2},
+	}}
 	// n = 100 per station: mean = 2·100·0.03 + 2·100·0.08 = 22.
-	f := Fleet{J: 400, O: 10, Stations: []FleetStation{{P: 0.03, Count: 2}, {P: 0.08, Count: 2}}}
 	if m := convolvedBurstMean(f); math.Abs(m-22) > 1e-12*22 {
 		t.Fatalf("convolved burst mean %v, want 22", m)
 	}
-	check(f)
+	res, err := Analyze(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(res.EBurstsPerTsk-22.0/4) > 1e-12 {
+		t.Fatalf("EBurstsPerTsk %v, want %v", res.EBurstsPerTsk, 22.0/4)
+	}
+	checkBurstMean(t, f)
+}
 
+// TestFleetKernelSkipsPoissonBinomial pins what the fleet kernel computes
+// in place of the fleet's Poisson-binomial burst distribution: its
+// closed-form mean. EBurstsPerTsk·W equals the mean of the exact
+// distribution of the fleet's total burst count to 1e-12 relative over 200
+// seeded fleets, which include equal-p groups at different speeds and
+// dedicated p = 0 groups.
+func TestFleetKernelSkipsPoissonBinomial(t *testing.T) {
 	r := rand.New(rand.NewPCG(7, 11))
 	ps := []float64{0, 0.005, 0.01, 0.02}
 	speeds := []float64{1, 1.5, 2}
@@ -489,7 +508,7 @@ func TestFleetKernelSkipsPoissonBinomial(t *testing.T) {
 		if _, ok := f.homogeneous(); ok {
 			continue
 		}
-		check(f)
+		checkBurstMean(t, f)
 		checked++
 	}
 	if checked < 150 {
