@@ -117,18 +117,22 @@ func TestEveryExperimentRunsAndPasses(t *testing.T) {
 	}
 }
 
-// TestDESFiguresGolden pins the CSV bytes of the simulation-backed figures
-// under TestConfig: ext01 and ext03 run the general simulator, ext02 the
-// multi-job one, and simval the exact simulator beside the analysis through
-// the sweep engine. CSV cells print in %g, so every value is pinned to the
-// bit. Regenerate with:
+// TestDESFiguresGolden pins the CSV bytes of every figure and of the
+// thresholds table under TestConfig: fig01-fig09 run the analysis, fig10 and
+// fig11 the Section 4 station loop, ext01 and ext03 the general simulator,
+// ext02 the multi-job one, and simval the exact simulator beside the
+// analysis through the sweep engine. CSV cells print in %g, so every value is
+// pinned to the bit. Regenerate with:
 //
-//	go run ./cmd/figures -fast -id ext01 -out /tmp/ext && cp /tmp/ext/ext01.csv internal/experiment/testdata/
-//
-// (likewise ext02, ext03 and simval).
+//	go run ./cmd/figures -fast -out /tmp/figs && cp /tmp/figs/{fig??,ext0?,simval,thresholds}.csv internal/experiment/testdata/
 func TestDESFiguresGolden(t *testing.T) {
 	cfg := TestConfig()
-	for _, id := range []string{"ext01", "ext02", "ext03", "simval"} {
+	ids := []string{
+		"fig01", "fig02", "fig03", "fig04", "fig05", "fig06",
+		"fig07", "fig08", "fig09", "fig10", "fig11",
+		"ext01", "ext02", "ext03", "simval", "thresholds",
+	}
+	for _, id := range ids {
 		t.Run(id, func(t *testing.T) {
 			d, ok := ByID(id)
 			if !ok {
@@ -138,8 +142,10 @@ func TestDESFiguresGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := plot.CSV(*out.Figure)
-			if err != nil {
+			var got string
+			if out.Table != nil {
+				got = out.Table.CSV()
+			} else if got, err = plot.CSV(*out.Figure); err != nil {
 				t.Fatal(err)
 			}
 			want, err := os.ReadFile(filepath.Join("testdata", id+".csv"))
