@@ -234,16 +234,17 @@ func printReport(r feasim.Report) {
 	}
 }
 
-// gridPoint is the -json line of one report grid point.
+// gridPoint is the -json line of one report grid point; a failed point
+// carries its error and no report.
 type gridPoint struct {
 	Point struct {
 		Index    int             `json:"index"`
 		Backend  string          `json:"backend"`
 		Scenario feasim.Scenario `json:"scenario"`
 	} `json:"point"`
-	Report feasim.Report `json:"report"`
-	Error  string        `json:"error,omitempty"`
-	Cached bool          `json:"cached,omitempty"`
+	Report *feasim.Report `json:"report,omitempty"`
+	Error  string         `json:"error,omitempty"`
+	Cached bool           `json:"cached,omitempty"`
 }
 
 // cmdSweep fans a report grid file across the worker pool, streaming one
@@ -290,8 +291,9 @@ func cmdSweep(args []string) error {
 		var g gridPoint
 		g.Point.Index, g.Point.Backend = res.Point.Index, res.Point.Backend
 		g.Point.Scenario = res.Point.Query.(feasim.ReportQuery).Scenario
-		if ra, ok := res.Answer.(feasim.ReportAnswer); ok {
-			g.Report = ra.Report
+		ra, ok := res.Answer.(feasim.ReportAnswer)
+		if ok {
+			g.Report = &ra.Report
 		}
 		g.Error, g.Cached = res.Error, res.Cached
 		if *asJSON {
@@ -307,7 +309,7 @@ func cmdSweep(args []string) error {
 				res.Point.Index, res.Point.Backend, "-", "-", "-", "-", "-", res.Err)
 			continue
 		}
-		r := g.Report
+		r := ra.Report
 		notes := ""
 		if res.Cached {
 			notes = "cached"

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
@@ -125,6 +126,23 @@ func TestCmdSweep(t *testing.T) {
 		`{"base": {"j": 1000, "w": 7, "o": 10, "util": 0.05}, "backends": ["exact"]}`)
 	if err := cmdSweep([]string{failing}); err == nil {
 		t.Error("sweep with failed points should error")
+	}
+	// Its -json line carries the error and no zero-valued report a reader
+	// could take for an answer.
+	var sweepErr error
+	out := captureStdout(t, func() error { sweepErr = cmdSweep([]string{"-json", failing}); return nil })
+	if sweepErr == nil {
+		t.Error("-json sweep with failed points should error")
+	}
+	var line map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(out), &line); err != nil {
+		t.Fatalf("failed point line %q: %v", out, err)
+	}
+	if _, ok := line["error"]; !ok {
+		t.Errorf("failed point line has no error: %s", out)
+	}
+	if _, ok := line["report"]; ok {
+		t.Errorf("failed point line has a report: %s", out)
 	}
 }
 

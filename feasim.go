@@ -256,12 +256,6 @@ func NewHeterogeneousCluster(params []StationParams, seed uint64) (*Cluster, err
 // environment (pass any utilization in [0,1)).
 func SunELCParams(o, util float64) (StationParams, error) { return cluster.SunELCParams(o, util) }
 
-// ExecutionTrace records compute/owner interval timelines on stations.
-type ExecutionTrace = cluster.Trace
-
-// NewExecutionTrace creates an empty trace; attach with Station.SetTrace.
-func NewExecutionTrace() *ExecutionTrace { return cluster.NewTrace() }
-
 // OwnerSchedule is a piecewise-constant owner-utilization timeline (e.g. a
 // busy day and a quiet night) for nonstationary-owner studies: a repeating
 // schedule, or a recorded trace that holds its last level.

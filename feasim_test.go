@@ -258,27 +258,3 @@ func TestFacadeMultiJob(t *testing.T) {
 		t.Errorf("sweep results %+v", pts)
 	}
 }
-
-func TestFacadeExecutionTrace(t *testing.T) {
-	params, err := feasim.SunELCParams(10, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := feasim.NewCluster(1, params, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := c.Station(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := feasim.NewExecutionTrace()
-	st.SetTrace(tr)
-	st.RunTask(200)
-	if tr.Len() == 0 {
-		t.Error("trace recorded nothing")
-	}
-	if !strings.Contains(tr.CSV(), "compute") {
-		t.Error("trace CSV missing compute rows")
-	}
-}

@@ -79,22 +79,3 @@ func (c *Cluster) Station(i int) (*Station, error) {
 	}
 	return c.stations[i], nil
 }
-
-// MeasureUtilization probes every station over the horizon and returns the
-// mean owner-busy fraction — the paper's uptime survey.
-func (c *Cluster) MeasureUtilization(horizon float64) float64 {
-	var sum float64
-	for _, s := range c.stations {
-		sum += s.ProbeUtilization(horizon)
-	}
-	return sum / float64(len(c.stations))
-}
-
-// ConfiguredUtilization returns the mean analytic owner utilization.
-func (c *Cluster) ConfiguredUtilization() float64 {
-	var sum float64
-	for _, s := range c.stations {
-		sum += s.params.Utilization()
-	}
-	return sum / float64(len(c.stations))
-}

@@ -85,10 +85,6 @@ func TestStationRecordsConsistent(t *testing.T) {
 			t.Fatalf("owner time without bursts: %+v", rec)
 		}
 	}
-	n, taskTime, _ := st.Stats()
-	if n != 50 || taskTime != 5000 {
-		t.Errorf("stats: %d tasks, %.0f compute", n, taskTime)
-	}
 }
 
 func TestStationZeroDemand(t *testing.T) {
@@ -118,30 +114,6 @@ func TestStationNegativeDemandPanics(t *testing.T) {
 			st.RunTask(demand)
 		}()
 	}
-}
-
-func TestProbeUtilizationMatchesConfigured(t *testing.T) {
-	for _, util := range []float64{0.03, 0.1, 0.2} {
-		c, err := New(4, elcParams(t, 10, util), 11)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := c.MeasureUtilization(500_000)
-		if math.Abs(got-util) > 0.1*util+0.002 {
-			t.Errorf("probed utilization %.4f, configured %.4f", got, util)
-		}
-	}
-}
-
-func TestProbePanicsOnBadHorizon(t *testing.T) {
-	c, _ := New(1, elcParams(t, 10, 0.1), 3)
-	st, _ := c.Station(0)
-	defer func() {
-		if recover() == nil {
-			t.Error("non-positive horizon should panic")
-		}
-	}()
-	st.ProbeUtilization(0)
 }
 
 func TestClusterConstruction(t *testing.T) {
@@ -197,8 +169,14 @@ func TestHeterogeneousUtilizations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.ConfiguredUtilization(); math.Abs(got-0.15) > 1e-9 {
-		t.Errorf("mean configured utilization %v, want 0.15", got)
+	for i, want := range []float64{0.05, 0.25} {
+		st, err := c.Station(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := st.Params().Utilization(); math.Abs(got-want) > 1e-9 {
+			t.Errorf("station %d configured utilization %v, want %v", i, got, want)
+		}
 	}
 }
 

@@ -73,11 +73,7 @@ type Station struct {
 	params StationParams
 	stream *rng.Stream
 
-	mu        sync.Mutex
-	tasksRun  int
-	busyOwner float64 // cumulative owner time charged to tasks
-	busyTask  float64 // cumulative task compute delivered
-	trace     *Trace  // optional timeline recorder (SetTrace)
+	mu sync.Mutex // guards stream
 }
 
 // NewStation builds a station with its own random stream.
@@ -107,12 +103,6 @@ func (s *Station) RunTask(demand float64) TaskRecord {
 	rec := TaskRecord{Station: s.name, Demand: demand}
 	now := 0.0
 	remaining := demand
-	taskSeq := s.tasksRun
-	emit := func(kind TraceKind, start, end float64) {
-		if s.trace != nil && end > start {
-			s.trace.add(TraceEvent{Station: s.name, Task: taskSeq, Kind: kind, Start: start, End: end})
-		}
-	}
 
 	// Owner state at task arrival.
 	nextArrival := 0.0
@@ -121,7 +111,6 @@ func (s *Station) RunTask(demand float64) TaskRecord {
 		// the exact equilibrium residual for deterministic bursts and a
 		// serviceable approximation otherwise.
 		resid := s.params.OwnerDemand.Sample(s.stream) * s.stream.Float64()
-		emit(TraceOwner, now, now+resid)
 		now += resid
 		rec.OwnerTime += resid
 		rec.Bursts++
@@ -137,7 +126,6 @@ func (s *Station) RunTask(demand float64) TaskRecord {
 			// Owner bursts in; task is preempted for the whole burst.
 			// Zero-length bursts (a dedicated owner) are not counted.
 			b := s.params.OwnerDemand.Sample(s.stream)
-			emit(TraceOwner, now, now+b)
 			now += b
 			rec.OwnerTime += b
 			if b > 0 {
@@ -150,49 +138,10 @@ func (s *Station) RunTask(demand float64) TaskRecord {
 		if slice > remaining {
 			slice = remaining
 		}
-		emit(TraceCompute, now, now+slice)
 		now += slice
 		remaining -= slice
 	}
 
 	rec.Elapsed = now
-	s.tasksRun++
-	s.busyOwner += rec.OwnerTime
-	s.busyTask += demand
 	return rec
-}
-
-// ProbeUtilization measures the owner's busy fraction over a virtual
-// horizon with no parallel task present — the analogue of the paper's
-// "mean of the machine utilizations (by using the unix uptime command)
-// over two working days when no PVM programs were executing".
-func (s *Station) ProbeUtilization(horizon float64) float64 {
-	if horizon <= 0 {
-		panic("cluster: probe horizon must be positive")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	now, busy := 0.0, 0.0
-	for now < horizon {
-		now += s.params.OwnerThink.Sample(s.stream)
-		if now >= horizon {
-			break
-		}
-		b := s.params.OwnerDemand.Sample(s.stream)
-		if now+b > horizon {
-			busy += horizon - now
-			now = horizon
-			break
-		}
-		busy += b
-		now += b
-	}
-	return busy / horizon
-}
-
-// Stats reports cumulative task activity on this station.
-func (s *Station) Stats() (tasksRun int, taskTime, ownerTime float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.tasksRun, s.busyTask, s.busyOwner
 }

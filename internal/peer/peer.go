@@ -35,11 +35,14 @@ const ForwardHeader = "X-Feasim-Forwarded"
 
 // Defaults applied by New for zero Config fields.
 const (
-	DefaultProbeInterval  = 2 * time.Second
-	DefaultProbeTimeout   = 1 * time.Second
-	DefaultFailAfter      = 3
-	DefaultForwardTimeout = 30 * time.Second
+	DefaultProbeInterval = 2 * time.Second
+	DefaultProbeTimeout  = 1 * time.Second
+	DefaultFailAfter     = 3
 )
+
+// DefaultForwardTimeout bounds a forwarded request when the caller's context
+// has no earlier deadline.
+const DefaultForwardTimeout = 30 * time.Second
 
 // Config describes one node's view of the static cluster.
 type Config struct {
@@ -51,9 +54,6 @@ type Config struct {
 	// At least one distinct peer is required — a single-node deployment
 	// should run without a Cluster at all.
 	Peers []string
-	// VirtualNodes is the per-member virtual node count on the ring
-	// (<= 0: DefaultVirtualNodes).
-	VirtualNodes int
 	// ProbeInterval is the health-poll period (<= 0: DefaultProbeInterval).
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds a single /v1/healthz probe (<= 0: DefaultProbeTimeout).
@@ -61,18 +61,9 @@ type Config struct {
 	// FailAfter is the consecutive-failure count that opens a peer's breaker
 	// (<= 0: DefaultFailAfter). One probe success readmits it.
 	FailAfter int
-	// ForwardTimeout bounds a forwarded request when the caller's context has
-	// no earlier deadline (<= 0: DefaultForwardTimeout).
-	ForwardTimeout time.Duration
 	// Client issues probes and forwards (nil: a private default client).
 	Client *http.Client
 
-	// BreakerWindow is the rolling outcome window per peer; a failure rate of
-	// BreakerThreshold over at least half the window also opens the breaker,
-	// catching flappers that never fail FailAfter times in a row
-	// (<= 0: DefaultBreakerWindow / DefaultBreakerThreshold).
-	BreakerWindow    int
-	BreakerThreshold float64
 	// BreakerCooldown is how long an open breaker refuses traffic before
 	// Allow grants a single half-open trial (<= 0: DefaultBreakerCooldown).
 	// The background prober readmits sooner when the peer recovers.
@@ -113,23 +104,20 @@ type peerState struct {
 // member ring, the (mutable) per-peer health table, and the routing counters
 // surfaced by GET /v1/cluster. Safe for concurrent use.
 type Cluster struct {
-	self           string
-	members        []string // sorted; includes self
-	ring           ring
-	client         *http.Client
-	probeInterval  time.Duration
-	probeTimeout   time.Duration
-	forwardTimeout time.Duration
-	failAfter      int
+	self          string
+	members       []string // sorted; includes self
+	ring          ring
+	client        *http.Client
+	probeInterval time.Duration
+	probeTimeout  time.Duration
+	failAfter     int
 
-	breakerWindow    int
-	breakerThreshold float64
-	breakerCooldown  time.Duration
-	retryMax         int
-	retryBaseDelay   time.Duration
-	hedgeInitial     time.Duration
-	hedgeDisabled    bool
-	budget           *retryBudget
+	breakerCooldown time.Duration
+	retryMax        int
+	retryBaseDelay  time.Duration
+	hedgeInitial    time.Duration
+	hedgeDisabled   bool
+	budget          *retryBudget
 
 	mu    sync.Mutex
 	peers map[string]*peerState // remote members only
@@ -213,30 +201,27 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("peer: no peers besides self; run without a cluster instead")
 	}
 	sort.Strings(members)
-	r, err := buildRing(members, cfg.VirtualNodes)
+	r, err := buildRing(members)
 	if err != nil {
 		return nil, err
 	}
 	c := &Cluster{
-		self:             self,
-		members:          members,
-		ring:             r,
-		client:           cfg.Client,
-		probeInterval:    cfg.ProbeInterval,
-		probeTimeout:     cfg.ProbeTimeout,
-		forwardTimeout:   cfg.ForwardTimeout,
-		failAfter:        cfg.FailAfter,
-		breakerWindow:    cfg.BreakerWindow,
-		breakerThreshold: cfg.BreakerThreshold,
-		breakerCooldown:  cfg.BreakerCooldown,
-		retryMax:         cfg.RetryMax,
-		retryBaseDelay:   cfg.RetryBaseDelay,
-		hedgeInitial:     cfg.HedgeDelay,
-		hedgeDisabled:    cfg.HedgeDelay < 0,
-		jitter:           jitterSource(),
-		peers:            peers,
-		stop:             make(chan struct{}),
-		done:             make(chan struct{}),
+		self:            self,
+		members:         members,
+		ring:            r,
+		client:          cfg.Client,
+		probeInterval:   cfg.ProbeInterval,
+		probeTimeout:    cfg.ProbeTimeout,
+		failAfter:       cfg.FailAfter,
+		breakerCooldown: cfg.BreakerCooldown,
+		retryMax:        cfg.RetryMax,
+		retryBaseDelay:  cfg.RetryBaseDelay,
+		hedgeInitial:    cfg.HedgeDelay,
+		hedgeDisabled:   cfg.HedgeDelay < 0,
+		jitter:          jitterSource(),
+		peers:           peers,
+		stop:            make(chan struct{}),
+		done:            make(chan struct{}),
 	}
 	if c.client == nil {
 		c.client = &http.Client{}
@@ -247,17 +232,8 @@ func New(cfg Config) (*Cluster, error) {
 	if c.probeTimeout <= 0 {
 		c.probeTimeout = DefaultProbeTimeout
 	}
-	if c.forwardTimeout <= 0 {
-		c.forwardTimeout = DefaultForwardTimeout
-	}
 	if c.failAfter <= 0 {
 		c.failAfter = DefaultFailAfter
-	}
-	if c.breakerWindow <= 0 {
-		c.breakerWindow = DefaultBreakerWindow
-	}
-	if c.breakerThreshold <= 0 || c.breakerThreshold > 1 {
-		c.breakerThreshold = DefaultBreakerThreshold
 	}
 	if c.breakerCooldown <= 0 {
 		c.breakerCooldown = DefaultBreakerCooldown
@@ -395,8 +371,8 @@ func (c *Cluster) noteFailure(member, errMsg string) {
 	p.lastError = errMsg
 	switch p.state {
 	case breakerClosed:
-		p.pushOutcome(true, c.breakerWindow)
-		if p.fails >= c.failAfter || p.windowTrips(c.breakerWindow, c.breakerThreshold) {
+		p.pushOutcome(true)
+		if p.fails >= c.failAfter || p.windowTrips() {
 			p.state = breakerOpen
 			p.openedAt = time.Now()
 			p.ejections++
@@ -424,7 +400,7 @@ func (c *Cluster) noteSuccess(member string) {
 	p.fails = 0
 	p.lastError = ""
 	if p.state == breakerClosed {
-		p.pushOutcome(false, c.breakerWindow)
+		p.pushOutcome(false)
 		return
 	}
 	p.state = breakerClosed
@@ -454,7 +430,7 @@ func (c *Cluster) Forward(ctx context.Context, member, path, rawQuery string, bo
 
 	if _, hasDeadline := ctx.Deadline(); !hasDeadline {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.forwardTimeout)
+		ctx, cancel = context.WithTimeout(ctx, DefaultForwardTimeout)
 		defer cancel()
 	}
 

@@ -16,10 +16,17 @@ import (
 	"time"
 )
 
-// Resilience defaults applied by New for zero Config fields.
+// The breaker's rolling outcome window per peer: a failure rate of
+// DefaultBreakerThreshold over at least half of DefaultBreakerWindow
+// outcomes also opens the breaker, catching flappers that never fail
+// FailAfter times in a row.
 const (
 	DefaultBreakerWindow    = 20
 	DefaultBreakerThreshold = 0.5
+)
+
+// Resilience defaults applied by New for zero Config fields.
+const (
 	DefaultBreakerCooldown  = 5 * time.Second
 	DefaultRetryMax         = 2
 	DefaultRetryBudget      = 10
@@ -68,8 +75,8 @@ func (s breakerState) String() string {
 
 // pushOutcome records one closed-state outcome (true = failure) in the
 // peer's rolling window. Caller holds the cluster mutex.
-func (p *peerState) pushOutcome(fail bool, window int) {
-	if len(p.window) < window {
+func (p *peerState) pushOutcome(fail bool) {
+	if len(p.window) < DefaultBreakerWindow {
 		p.window = append(p.window, fail)
 		if fail {
 			p.windowFails++
@@ -83,22 +90,18 @@ func (p *peerState) pushOutcome(fail bool, window int) {
 	if fail {
 		p.windowFails++
 	}
-	p.windowIdx = (p.windowIdx + 1) % window
+	p.windowIdx = (p.windowIdx + 1) % DefaultBreakerWindow
 }
 
 // windowTrips reports whether the rolling failure rate justifies opening:
 // at least half the window observed and the failure fraction at or above the
 // threshold. This is what catches a flapping peer that never fails failAfter
 // times in a row. Caller holds the cluster mutex.
-func (p *peerState) windowTrips(window int, threshold float64) bool {
-	minSamples := window / 2
-	if minSamples < 1 {
-		minSamples = 1
-	}
-	if len(p.window) < minSamples {
+func (p *peerState) windowTrips() bool {
+	if len(p.window) < DefaultBreakerWindow/2 {
 		return false
 	}
-	return float64(p.windowFails) >= threshold*float64(len(p.window))
+	return float64(p.windowFails) >= DefaultBreakerThreshold*float64(len(p.window))
 }
 
 // clearWindow resets the rolling outcome window (on readmit, so a recovered
@@ -241,7 +244,7 @@ func (c *Cluster) observeForwardLatency(d time.Duration) {
 }
 
 // hedgeDelay returns the current adaptive hedge delay: the smoothed p95 of
-// recent forward latencies, clamped to [minHedgeDelay, forwardTimeout/2];
+// recent forward latencies, clamped to [minHedgeDelay, DefaultForwardTimeout/2];
 // before enough samples exist, the configured initial delay.
 func (c *Cluster) hedgeDelay() time.Duration {
 	c.latMu.Lock()
@@ -253,7 +256,7 @@ func (c *Cluster) hedgeDelay() time.Duration {
 	if d < minHedgeDelay {
 		d = minHedgeDelay
 	}
-	if max := c.forwardTimeout / 2; d > max {
+	if max := DefaultForwardTimeout / 2; d > max {
 		d = max
 	}
 	return d

@@ -8,7 +8,7 @@ import (
 )
 
 // The consistent-hash ring. Members are node URLs; each member projects
-// VirtualNodes points onto the 64-bit ring (fnv64a of "url#i"), and a key
+// DefaultVirtualNodes points onto the 64-bit ring (fnv64a of "url#i"), and a key
 // hash is owned by the first virtual node clockwise from it. Every node
 // builds the ring from the same static member list, so all nodes agree on
 // every key's home without coordination — the property the answer tier
@@ -16,9 +16,9 @@ import (
 // a peer must not reshuffle ownership of the rest of the keyspace, so an
 // unhealthy home is handled by the caller falling back to a local solve.
 
-// DefaultVirtualNodes is the per-member virtual node count used when
-// Config.VirtualNodes <= 0. 128 points per member keeps the ownership
-// imbalance of a small static cluster within a few percent.
+// DefaultVirtualNodes is the per-member virtual node count. 128 points per
+// member keeps the ownership imbalance of a small static cluster within a
+// few percent.
 const DefaultVirtualNodes = 128
 
 type vnode struct {
@@ -47,13 +47,10 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-func buildRing(members []string, virtualNodes int) (ring, error) {
-	if virtualNodes <= 0 {
-		virtualNodes = DefaultVirtualNodes
-	}
-	r := ring{vnodes: make([]vnode, 0, len(members)*virtualNodes)}
+func buildRing(members []string) (ring, error) {
+	r := ring{vnodes: make([]vnode, 0, len(members)*DefaultVirtualNodes)}
 	for _, m := range members {
-		for i := 0; i < virtualNodes; i++ {
+		for i := 0; i < DefaultVirtualNodes; i++ {
 			h := fnv.New64a()
 			fmt.Fprintf(h, "%s#%d", m, i)
 			r.vnodes = append(r.vnodes, vnode{hash: mix64(h.Sum64()), owner: m})

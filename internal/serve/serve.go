@@ -41,12 +41,15 @@
 // e.g. non-integral task demand on the exact simulator) is 422. Error
 // bodies are {"error": "..."}.
 //
-// Sweeps run on the query-sweep engine, which builds its backends per spec
-// from the standard registry: a spec that does not set its own protocol or
-// warmup inherits the server's Options, so /v1/query and /v1/sweep answer
-// the same envelope identically — but solvers injected via Config.Solvers
-// are not visible to /v1/sweep, and each sweep dedups on the engine's
-// per-sweep cache rather than the server's LRU.
+// Grid sweeps run on the query-sweep engine, which builds its backends per
+// spec from the standard registry: a spec that does not set its own
+// protocol or warmup inherits the server's Options, so /v1/query and
+// /v1/sweep answer the same envelope identically — but solvers injected via
+// Config.Solvers are not visible to a grid sweep, and its points bypass the
+// server's LRU: within one sweep, points sharing an analytic answer are
+// solved once and the rest copy it. Frontier sweeps (?mode=frontier) probe
+// through the server's solver set, and so its LRU, unless the spec sets its
+// own protocol or warmup.
 //
 // In front of the solvers sits the shared answer layer of internal/solve:
 // one size-bounded LRU across all backends (keys include the backend name)
@@ -841,8 +844,8 @@ type frontierErrorRecord struct {
 // one line per resolved cell, flushed as each refinement level classifies
 // it, then exactly one terminal record — done+stats on success, error+status
 // on a mid-run cut. Probes run through the server's cached solver set, so
-// repeated refinements (and grid sweeps over the same points) compound in
-// the shared answer LRU.
+// repeated refinements, and /v1/query calls for the same points, compound in
+// the shared answer LRU; grid sweeps do not share it.
 func (s *Server) handleFrontierSweep(w http.ResponseWriter, r *http.Request) {
 	body, err := readBody(r)
 	if err != nil {

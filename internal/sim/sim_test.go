@@ -160,6 +160,27 @@ func TestRunExactPrecisionLoop(t *testing.T) {
 	}
 }
 
+// TestRunExactPrecisionHitsSampleBound: an unreachable precision target
+// stops the batch loop at MaxSamples, reporting the target unmet.
+func TestRunExactPrecisionHitsSampleBound(t *testing.T) {
+	p := mustParams(t, 1000, 10, 10, 0.1)
+	x, err := NewExact(p, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr := Protocol{Batches: 5, BatchSize: 100, Level: 0.90, MaxRel: 1e-9, MaxSamples: 1000}
+	res, err := RunExactCtx(context.Background(), x, pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.MetPrecision {
+		t.Error("1e-9 relative precision should not be met in 1000 samples")
+	}
+	if res.Samples != 1000 {
+		t.Errorf("samples = %d, want the full budget 1000", res.Samples)
+	}
+}
+
 func TestProtocolValidate(t *testing.T) {
 	bad := []Protocol{
 		{Batches: 1, BatchSize: 10, Level: 0.9},

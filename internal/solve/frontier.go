@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"runtime"
 	"sync"
 
 	"feasim/internal/rng"
@@ -25,13 +24,13 @@ import (
 //
 // A corner is the same point a dense sweep would expand (same axes, same seed,
 // a pure function of its finest-grid coordinate), so a frontier run
-// classifies exactly the sub-grid of that sweep it touches. It goes to the
-// backend through Solver.Answer; a report corner without its target, since
-// the verdict WeightedEfficiency >= target is every backend's Feasible rule
-// and the target would only add the analytic threshold search. Analytic
-// corners sharing an answer key are grouped in level order before probing:
-// the first probes and the rest copy its verdict, so the probes and stats do
-// not depend on thread timing.
+// classifies exactly the sub-grid of that sweep it touches. Each level's new
+// corners run as one batch on the grid sweep's point runner; a report corner
+// goes without its target, since the verdict WeightedEfficiency >= target is
+// every backend's Feasible rule and the target would only add the analytic
+// threshold search. Analytic corners sharing an answer key with an earlier
+// corner, in this level or a coarser one, copy its answer, so the probes and
+// stats do not depend on thread timing.
 
 // Frontier axis names (the QuerySweepSpec JSON field names, so a sweep spec
 // and a frontier spec describe axes in the same vocabulary).
@@ -363,17 +362,10 @@ type FrontierResult struct {
 	Stats FrontierStats  `json:"stats"`
 }
 
-// frontierNode is one evaluated corner of the refinement lattice; probed: it
-// counts as an evaluation, cached: it copied a twin's verdict.
+// frontierNode is one evaluated corner of the refinement lattice.
 type frontierNode struct {
-	feasible, probed, cached bool
-	err                      error
-}
-
-// copied is the node of a corner that takes this probed node's verdict
-// instead of probing: a cache hit, unless the probe failed.
-func (n frontierNode) copied() frontierNode {
-	return frontierNode{feasible: n.feasible, probed: true, cached: n.err == nil, err: n.err}
+	feasible bool
+	err      error
 }
 
 // frontierCellRef is one unresolved cell in the refinement queue.
@@ -386,55 +378,37 @@ type frontierRun struct {
 	spec   FrontierSpec
 	res    int
 	target float64
-	solver Solver
+	sweep  *sweepRun // keeps every level's answers by key
 	seed   *rng.Stream
 
-	mu    sync.Mutex
-	nodes map[[2]int]frontierNode
-	keys  map[answerKey]frontierNode // the probed node of each analytic answer key
+	nodes map[[2]int]frontierNode // read and written by the run goroutine only
+
+	mu    sync.Mutex // guards stats, which the stats callback reads
 	stats FrontierStats
 }
 
-// nodeQuery builds the per-point query for a finest-grid corner, identical to
-// the dense sweep's expansion of the same point: axes applied through
-// withAxes, the seed split from the root stream by the corner's linear grid
-// index. A PointDomainError becomes the node's error; any other axis error is
-// structural and aborts the run.
-func (fr *frontierRun) nodeQuery(ix, iy int) (Query, error) {
-	idx := ix*(fr.res+1) + iy
+// point builds batch point i for finest-grid corner n, identical to the
+// dense sweep's expansion of the same point: axes applied through withAxes,
+// the seed split from the root stream by the corner's linear grid index. A
+// report corner is validated with its target, then sent without it: the
+// verdict is WeightedEfficiency >= target, the rule every backend uses for
+// Feasible, so the analytic backend skips the threshold search a target
+// adds to a report. An axis or validation error becomes the point's error.
+func (fr *frontierRun) point(i int, n [2]int) QueryPoint {
+	idx := n[0]*(fr.res+1) + n[1]
 	ax := axisPoint{index: idx, w: -1, util: -1, ratio: -1, cv2: -1, spread: -1, seed: fr.seed.SplitSeed(uint64(idx))}
-	fr.spec.X.apply(&ax, fr.spec.X.value(ix, fr.res))
-	fr.spec.Y.apply(&ax, fr.spec.Y.value(iy, fr.res))
-	return fr.spec.Base.withAxes(ax)
-}
-
-// probeQuery builds the query the solver answers for a corner. A report
-// corner is validated with its target, then sent without it: the verdict is
-// WeightedEfficiency >= target, the rule every backend uses for Feasible, so
-// the analytic backend skips the threshold search a target adds to a report.
-func (fr *frontierRun) probeQuery(ix, iy int) (Query, error) {
-	q, err := fr.nodeQuery(ix, iy)
-	if err != nil {
-		return nil, err
-	}
-	if err := q.Validate(); err != nil {
-		return nil, &PointDomainError{Err: err}
-	}
-	if rq, ok := q.(ReportQuery); ok {
-		rq.Scenario.TargetEff = 0
-		q = rq
-	}
-	return q, nil
-}
-
-// probe asks the solver for one corner's verdict.
-func (fr *frontierRun) probe(ctx context.Context, q Query) frontierNode {
-	a, err := fr.solver.Answer(ctx, q)
-	node := frontierNode{probed: true, err: err}
+	fr.spec.X.apply(&ax, fr.spec.X.value(n[0], fr.res))
+	fr.spec.Y.apply(&ax, fr.spec.Y.value(n[1], fr.res))
+	q, err := fr.spec.Base.withAxes(ax)
 	if err == nil {
-		node.feasible, node.err = frontierVerdict(a, fr.target)
+		if verr := q.Validate(); verr != nil {
+			err = &PointDomainError{Err: verr}
+		} else if rq, ok := q.(ReportQuery); ok {
+			rq.Scenario.TargetEff = 0
+			q = rq
+		}
 	}
-	return node
+	return QueryPoint{Index: i, Backend: fr.spec.backend(), Query: q, Err: err}
 }
 
 // frontierVerdict extracts the feasibility verdict from an answer.
@@ -479,39 +453,31 @@ func SweepFrontierSolver(ctx context.Context, spec FrontierSpec, solver Solver) 
 	if err := spec.Validate(); err != nil {
 		return nil, nil, err
 	}
-	if solver == nil {
-		var pr sim.Protocol
-		if spec.Protocol != nil {
-			pr = *spec.Protocol
-		}
-		s, err := NewSolver(spec.backend(), Options{Protocol: pr, Warmup: spec.Warmup})
-		if err != nil {
-			return nil, nil, err
-		}
-		solver = s
+	sr, err := newSweepRun([]string{spec.backend()}, spec.Protocol, spec.Warmup, spec.Workers)
+	if err != nil {
+		return nil, nil, err
 	}
+	if solver != nil {
+		sr.solvers[spec.backend()] = solver
+	}
+	sr.kept = make(map[answerKey]*QueryResult)
 	res := spec.Resolution()
 	target, _ := frontierTarget(spec.Base) // checked by Validate
 	fr := &frontierRun{
 		spec:   spec,
 		res:    res,
 		target: target,
-		solver: solver,
+		sweep:  sr,
 		seed:   rng.NewStream(spec.Seed),
 		nodes:  make(map[[2]int]frontierNode),
-		keys:   make(map[answerKey]frontierNode),
 	}
 	fr.stats.Resolution = res
 	fr.stats.DenseEvaluations = (res + 1) * (res + 1)
 
-	workers := spec.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	out := make(chan FrontierCell, workers)
+	out := make(chan FrontierCell, sr.workers)
 	go func() {
 		defer close(out)
-		fr.run(ctx, workers, out)
+		fr.run(ctx, out)
 	}()
 	return out, func() FrontierStats {
 		fr.mu.Lock()
@@ -520,10 +486,10 @@ func SweepFrontierSolver(ctx context.Context, spec FrontierSpec, solver Solver) 
 	}, nil
 }
 
-// run drives the refinement loop: evaluate the level's unseen corners on
-// ForEach, classify its cells in deterministic order, stream resolved
+// run drives the refinement loop: evaluate the level's unseen corners as one
+// sweep batch, classify its cells in deterministic order, stream resolved
 // cells, queue the straddling cells' children for the next level.
-func (fr *frontierRun) run(ctx context.Context, workers int, out chan<- FrontierCell) {
+func (fr *frontierRun) run(ctx context.Context, out chan<- FrontierCell) {
 	span0 := fr.res / fr.spec.coarse()
 	var queue []frontierCellRef
 	for ix := 0; ix < fr.res; ix += span0 {
@@ -532,7 +498,7 @@ func (fr *frontierRun) run(ctx context.Context, workers int, out chan<- Frontier
 		}
 	}
 	for depth := 0; len(queue) > 0; depth++ {
-		if !fr.evalLevel(ctx, workers, queue) {
+		if !fr.evalLevel(ctx, queue) {
 			return // ctx cancelled; the caller reads ctx.Err()
 		}
 		var next []frontierCellRef
@@ -567,79 +533,42 @@ func (fr *frontierRun) run(ctx context.Context, workers int, out chan<- Frontier
 	}
 }
 
-// evalLevel evaluates the queued cells' unmemoized corners: it plans the
-// dedup in level order, probes the leaders on ForEach, then merges the nodes
-// into the memo and stats. Returns false when ctx ended mid-level.
-func (fr *frontierRun) evalLevel(ctx context.Context, workers int, queue []frontierCellRef) bool {
+// evalLevel answers the queued cells' unmemoized corners as one sweep batch
+// and folds the results into the memo and stats: a corner with a domain
+// error is no evaluation, and a copied answer is a cache hit only when its
+// verdict holds. Returns false when ctx ended mid-level.
+func (fr *frontierRun) evalLevel(ctx context.Context, queue []frontierCellRef) bool {
 	var todo [][2]int
-	seen := make(map[[2]int]bool)
 	for _, c := range queue {
 		for _, n := range c.corners() {
-			if seen[n] {
-				continue
-			}
-			seen[n] = true
 			if _, ok := fr.nodes[n]; !ok {
+				fr.nodes[n] = frontierNode{} // placeholder: a corner shared by two cells is asked once
 				todo = append(todo, n)
 			}
 		}
 	}
-	nodes := make([]frontierNode, len(todo))
-	queries := make([]Query, len(todo))
-	lead := make([]int, len(todo)) // the leader whose verdict corner j copies, or -1
-	leaders := make(map[answerKey]int, len(todo))
-	var probes []int
-	dedup := fr.spec.backend() == BackendAnalytic
+	pts := make([]QueryPoint, len(todo))
 	for j, n := range todo {
-		lead[j] = -1
-		q, err := fr.probeQuery(n[0], n[1])
-		if err != nil {
-			nodes[j].err = err
-			continue
-		}
-		key, keyed := answerKey{}, false
-		if dedup {
-			key, keyed = answerCacheKey(BackendAnalytic, q)
-		}
-		if keyed {
-			if node, ok := fr.keys[key]; ok {
-				nodes[j] = node.copied()
-				continue
-			}
-			if i, ok := leaders[key]; ok {
-				lead[j] = i
-				continue
-			}
-			leaders[key] = j
-		}
-		queries[j] = q
-		probes = append(probes, j)
+		pts[j] = fr.point(j, n)
 	}
-	ForEach(ctx, len(probes), workers, func(i int) {
-		j := probes[i]
-		nodes[j] = fr.probe(ctx, queries[j])
-	})
+	results := fr.sweep.run(ctx, pts, nil)
 	fr.mu.Lock()
 	defer fr.mu.Unlock()
-	for key, j := range leaders {
-		if nodes[j].probed {
-			fr.keys[key] = nodes[j]
-		}
-	}
-	for j, node := range nodes {
-		if i := lead[j]; i >= 0 && nodes[i].probed {
-			node = nodes[i].copied()
-		}
-		if !node.probed && node.err == nil {
+	for j, r := range results {
+		if r.Point.Backend == "" {
 			continue // never claimed: ctx ended first
 		}
-		fr.nodes[todo[j]] = node
-		if node.probed {
+		node := frontierNode{err: r.Err}
+		if r.Point.Err == nil {
 			fr.stats.Evaluations++
+			if r.Err == nil {
+				node.feasible, node.err = frontierVerdict(r.Answer, fr.target)
+			}
+			if r.Cached && node.err == nil {
+				fr.stats.CacheHits++
+			}
 		}
-		if node.cached {
-			fr.stats.CacheHits++
-		}
+		fr.nodes[todo[j]] = node
 	}
 	return ctx.Err() == nil
 }

@@ -525,11 +525,11 @@ func TestFrontierDeterministicSeeds(t *testing.T) {
 		seeds := make(map[[2]int]uint64)
 		for ix := 0; ix <= res; ix++ {
 			for iy := 0; iy <= res; iy++ {
-				q, err := fr.nodeQuery(ix, iy)
-				if err != nil {
-					t.Fatal(err)
+				p := fr.point(0, [2]int{ix, iy})
+				if p.Err != nil {
+					t.Fatal(p.Err)
 				}
-				seeds[[2]int{ix, iy}] = q.(ReportQuery).Scenario.Seed
+				seeds[[2]int{ix, iy}] = p.Query.(ReportQuery).Scenario.Seed
 			}
 		}
 		return seeds

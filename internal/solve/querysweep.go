@@ -133,14 +133,7 @@ type cacheKey struct {
 func (q ReportQuery) withAxes(ax axisPoint) (Query, error) {
 	sc, err := applyScenarioAxes(q.Scenario, ax)
 	q.Scenario = sc
-	if err != nil {
-		var domain *PointDomainError
-		if errors.As(err, &domain) {
-			return q, err // per-point failure: the grid records it and moves on
-		}
-		return nil, err
-	}
-	return q, nil
+	return q, err
 }
 
 func (q ReportQuery) dedupKey() (cacheKey, bool) {
@@ -151,14 +144,7 @@ func (q ReportQuery) dedupKey() (cacheKey, bool) {
 func (q DistributionQuery) withAxes(ax axisPoint) (Query, error) {
 	sc, err := applyScenarioAxes(q.Scenario, ax)
 	q.Scenario = sc
-	if err != nil {
-		var domain *PointDomainError
-		if errors.As(err, &domain) {
-			return q, err
-		}
-		return nil, err
-	}
-	return q, nil
+	return q, err
 }
 
 func (q DistributionQuery) dedupKey() (cacheKey, bool) {
@@ -585,14 +571,14 @@ func (sp QuerySweepSpec) Points() ([]QueryPoint, error) {
 // individual points are reported in their QueryResult and do not stop the
 // sweep. The goroutine that closes the channel is one of the workers.
 func SweepQueries(ctx context.Context, spec QuerySweepSpec) (<-chan QueryResult, error) {
-	sr, err := newSweepRun(spec)
+	sr, pts, err := spec.expand()
 	if err != nil {
 		return nil, err
 	}
 	out := make(chan QueryResult, sr.workers)
 	go func() {
 		defer close(out)
-		sr.run(ctx, func(r QueryResult) {
+		sr.run(ctx, pts, func(r QueryResult) {
 			select {
 			case <-ctx.Done():
 			case out <- r:
@@ -635,43 +621,64 @@ func ForEach(ctx context.Context, n, workers int, fn func(i int)) {
 	wg.Wait()
 }
 
-// sweepRun is one expanded sweep; ForEach workers write point i's result to
-// results[i]. Dedup is planned at expansion: the analytic backend is
-// deterministic, so points sharing an answer key (e.g. one J/W/O/P crossed
-// with several OwnerCV2 values) are solved once, at the key's lowest index,
-// and later points copy that answer — which points read cached depends on
-// the grid alone. Distinct points share kernel tables through core.Tables.
+// sweepRun answers batches of query points on one solver set: a grid sweep
+// is one batch, a frontier run one batch per refinement level. The analytic
+// backend is deterministic, so within a batch the points sharing an answer
+// key are solved once, at the key's lowest index, and later points copy that
+// answer; which points read cached depends on the points alone. With kept
+// set, each batch's solved keys also answer the later batches' points.
+// Distinct points share kernel tables through core.Tables.
 type sweepRun struct {
-	pts     []QueryPoint
 	solvers map[string]Solver
 	workers int
-	lead    []int           // index whose answer point i copies; i when solved
-	ready   []chan struct{} // closed once results[j] holds leader j; nil if never copied
-	results []QueryResult
+	kept    map[answerKey]*QueryResult // a solved result per answer key; nil keeps none
 }
 
-func newSweepRun(spec QuerySweepSpec) (*sweepRun, error) {
-	pts, err := spec.Points()
-	if err != nil {
-		return nil, err
-	}
+// newSweepRun builds one solver per backend name from the registry at the
+// given protocol (nil: the default) and DES warmup. workers <= 0 means
+// GOMAXPROCS.
+func newSweepRun(backends []string, protocol *sim.Protocol, warmup, workers int) (*sweepRun, error) {
 	var pr sim.Protocol
-	if spec.Protocol != nil {
-		pr = *spec.Protocol
+	if protocol != nil {
+		pr = *protocol
 	}
-	sr := &sweepRun{pts: pts, solvers: make(map[string]Solver), workers: spec.Workers,
-		lead: make([]int, len(pts)), ready: make([]chan struct{}, len(pts)), results: make([]QueryResult, len(pts))}
+	sr := &sweepRun{solvers: make(map[string]Solver, len(backends)), workers: workers}
 	if sr.workers <= 0 {
 		sr.workers = runtime.GOMAXPROCS(0)
 	}
-	for _, b := range spec.backends() {
-		if sr.solvers[b], err = NewSolver(b, Options{Protocol: pr, Warmup: spec.Warmup}); err != nil {
+	for _, b := range backends {
+		s, err := NewSolver(b, Options{Protocol: pr, Warmup: warmup})
+		if err != nil {
 			return nil, err
 		}
+		sr.solvers[b] = s
 	}
-	first := make(map[answerKey]int)
+	return sr, nil
+}
+
+// expand builds the spec's grid points and the run that answers them.
+func (sp QuerySweepSpec) expand() (*sweepRun, []QueryPoint, error) {
+	pts, err := sp.Points()
+	if err != nil {
+		return nil, nil, err
+	}
+	sr, err := newSweepRun(sp.backends(), sp.Protocol, sp.Warmup, sp.Workers)
+	return sr, pts, err
+}
+
+// run answers one batch and returns its results in point order, handing
+// each to emit (when non-nil) from the worker that produced it. A point
+// whose key an earlier batch solved copies that result at once; a point
+// copying a leader in this batch waits for it, and the leader has a lower
+// index, so it was claimed earlier and never waits itself. A slot whose
+// point was never claimed (ctx ended first) stays zero.
+func (sr *sweepRun) run(ctx context.Context, pts []QueryPoint, emit func(QueryResult)) []QueryResult {
+	results := make([]QueryResult, len(pts))
+	lead := make([]int, len(pts))            // index whose answer point i copies; i when solved, -1 when kept
+	ready := make([]chan struct{}, len(pts)) // closed once results[j] holds leader j; nil if never copied
+	first := make(map[answerKey]int, len(pts))
 	for i, p := range pts {
-		sr.lead[i] = i
+		lead[i] = i
 		if p.Err != nil || p.Backend != BackendAnalytic {
 			continue
 		}
@@ -679,45 +686,53 @@ func newSweepRun(spec QuerySweepSpec) (*sweepRun, error) {
 		if !ok {
 			continue
 		}
+		if r, ok := sr.kept[key]; ok {
+			lead[i], results[i] = -1, copyResult(*r, p)
+			continue
+		}
 		j, seen := first[key]
 		if !seen {
 			first[key] = i
 			continue
 		}
-		sr.lead[i] = j
-		if sr.ready[j] == nil {
-			sr.ready[j] = make(chan struct{})
+		lead[i] = j
+		if ready[j] == nil {
+			ready[j] = make(chan struct{})
 		}
 	}
-	return sr, nil
-}
-
-// run answers every point, handing each result to emit (when non-nil) from
-// the worker that produced it. A copying point waits for its leader, which
-// has a lower index and so was claimed earlier; leaders never wait.
-func (sr *sweepRun) run(ctx context.Context, emit func(QueryResult)) {
-	ForEach(ctx, len(sr.pts), sr.workers, func(i int) {
-		p := sr.pts[i]
-		var res QueryResult
-		if j := sr.lead[i]; j == i {
-			res = solveQueryPoint(ctx, sr.solvers[p.Backend], p)
-		} else {
-			<-sr.ready[j]
-			lead := sr.results[j]
-			res = QueryResult{Point: p, Err: lead.Err, Error: lead.Error}
-			if lead.Err == nil {
-				// Rebind this point's scenario and scrub the leader's Elapsed.
-				res.Answer, res.Cached = cachedAnswer(lead.Answer, p.Query), true
-			}
+	ForEach(ctx, len(pts), sr.workers, func(i int) {
+		switch j := lead[i]; {
+		case j == i:
+			results[i] = solveQueryPoint(ctx, sr.solvers[pts[i].Backend], pts[i])
+		case j >= 0:
+			<-ready[j]
+			results[i] = copyResult(results[j], pts[i])
 		}
-		sr.results[i] = res
-		if sr.ready[i] != nil {
-			close(sr.ready[i])
+		if ready[i] != nil {
+			close(ready[i])
 		}
 		if emit != nil {
-			emit(res)
+			emit(results[i])
 		}
 	})
+	if sr.kept != nil {
+		for key, j := range first {
+			if results[j].Point.Query != nil {
+				sr.kept[key] = &results[j]
+			}
+		}
+	}
+	return results
+}
+
+// copyResult is point p's copy of a leader's result: the leader's error, or
+// its answer rebound to p's scenario with Elapsed scrubbed.
+func copyResult(lead QueryResult, p QueryPoint) QueryResult {
+	res := QueryResult{Point: p, Err: lead.Err, Error: lead.Error}
+	if lead.Err == nil {
+		res.Answer, res.Cached = cachedAnswer(lead.Answer, p.Query), true
+	}
+	return res
 }
 
 // solveQueryPoint answers one grid point. Points carrying an expansion-time
@@ -741,16 +756,16 @@ func solveQueryPoint(ctx context.Context, solver Solver, p QueryPoint) QueryResu
 // in grid order. When cancellation cuts the sweep short it returns the
 // points that completed, still in grid order, with ctx.Err().
 func CollectQueries(ctx context.Context, spec QuerySweepSpec) ([]QueryResult, error) {
-	sr, err := newSweepRun(spec)
+	sr, pts, err := spec.expand()
 	if err != nil {
 		return nil, err
 	}
-	sr.run(ctx, nil)
+	results := sr.run(ctx, pts, nil)
 	if ctx.Err() == nil {
-		return sr.results, nil
+		return results, nil
 	}
 	var done []QueryResult
-	for _, r := range sr.results {
+	for _, r := range results {
 		if r.Point.Query != nil { // every expanded point has a Query; a zero slot never ran
 			done = append(done, r)
 		}

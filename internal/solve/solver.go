@@ -136,12 +136,6 @@ func NewSolver(name string, opts Options) (Solver, error) {
 	}
 }
 
-// SolverFor builds the named backend. A zero protocol means
-// sim.DefaultProtocol() for the simulation backends.
-func SolverFor(name string, pr sim.Protocol) (Solver, error) {
-	return NewSolver(name, Options{Protocol: pr})
-}
-
 // protocolOrDefault resolves a zero protocol to the paper's.
 func protocolOrDefault(pr sim.Protocol) sim.Protocol {
 	if pr == (sim.Protocol{}) {

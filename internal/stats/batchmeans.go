@@ -67,59 +67,6 @@ func (b *BatchMeans) MeanCI(level float64) (CI, error) {
 	return CI{Mean: s.Mean(), HalfWidth: t * s.StdDev() / math.Sqrt(float64(k)), Level: level}, nil
 }
 
-// LagOneAutocorrelation estimates the lag-1 autocorrelation of the batch
-// means. Values near zero support the independence assumption that batch
-// means rest on; large positive values mean the batch size is too small.
-func (b *BatchMeans) LagOneAutocorrelation() float64 {
-	k := len(b.means)
-	if k < 3 {
-		return 0
-	}
-	var s Summary
-	s.AddAll(b.means)
-	m := s.Mean()
-	var num, den float64
-	for i := 0; i < k; i++ {
-		d := b.means[i] - m
-		den += d * d
-		if i+1 < k {
-			num += d * (b.means[i+1] - m)
-		}
-	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
-}
-
 func (b *BatchMeans) String() string {
 	return fmt.Sprintf("batches=%d size=%d grand-mean=%.6g", len(b.means), b.batchSize, b.GrandMean())
-}
-
-// RunToPrecision drives a sample generator until the batch-means CI at the
-// given level has relative half-width at most rel, with the given batch size
-// and a minimum number of batches (the paper's protocol is minBatches=20,
-// batchSize=1000, level=0.90, rel=0.01). maxSamples bounds the run; if the
-// bound is hit the best available CI is returned along with ok=false.
-func RunToPrecision(gen func() float64, batchSize, minBatches int, level, rel float64, maxSamples int64) (CI, *BatchMeans, bool) {
-	bm := NewBatchMeans(batchSize)
-	var n int64
-	for {
-		for i := 0; i < batchSize; i++ {
-			bm.Add(gen())
-		}
-		n += int64(batchSize)
-		if bm.Batches() >= minBatches {
-			ci, err := bm.MeanCI(level)
-			if err == nil && ci.Relative() <= rel {
-				return ci, bm, true
-			}
-			if n >= maxSamples {
-				return ci, bm, false
-			}
-		} else if n >= maxSamples {
-			ci, _ := bm.MeanCI(level)
-			return ci, bm, false
-		}
-	}
 }

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"math"
 	"math/rand/v2"
 	"testing"
 )
@@ -78,65 +77,6 @@ func TestBatchMeansCIWidthShrinks(t *testing.T) {
 	// for a 100x sample increase.
 	if big.HalfWidth*4 > small.HalfWidth {
 		t.Errorf("half-width did not shrink: %v -> %v", small.HalfWidth, big.HalfWidth)
-	}
-}
-
-func TestLagOneAutocorrelation(t *testing.T) {
-	// iid samples: batch means nearly uncorrelated.
-	r := rand.New(rand.NewPCG(3, 4))
-	bm := NewBatchMeans(50)
-	for i := 0; i < 50*100; i++ {
-		bm.Add(r.Float64())
-	}
-	if ac := bm.LagOneAutocorrelation(); math.Abs(ac) > 0.3 {
-		t.Errorf("iid lag-1 autocorrelation suspiciously large: %v", ac)
-	}
-	// A strongly trending sequence: batch means heavily correlated.
-	bt := NewBatchMeans(10)
-	for i := 0; i < 1000; i++ {
-		bt.Add(float64(i))
-	}
-	if ac := bt.LagOneAutocorrelation(); ac < 0.5 {
-		t.Errorf("trending sequence should show strong autocorrelation, got %v", ac)
-	}
-	// Degenerate: fewer than 3 batches.
-	b2 := NewBatchMeans(5)
-	for i := 0; i < 10; i++ {
-		b2.Add(1)
-	}
-	if b2.LagOneAutocorrelation() != 0 {
-		t.Error("autocorrelation with <3 batches should be 0")
-	}
-}
-
-func TestRunToPrecisionReachesTarget(t *testing.T) {
-	r := rand.New(rand.NewPCG(11, 13))
-	gen := func() float64 { return 10 + r.Float64() } // mean 10.5, tiny variance
-	ci, bm, ok := RunToPrecision(gen, 100, 5, 0.90, 0.01, 1_000_000)
-	if !ok {
-		t.Fatal("precision target should be reachable")
-	}
-	if !ci.Contains(10.5) {
-		t.Errorf("CI %v misses 10.5", ci)
-	}
-	if bm.Batches() < 5 {
-		t.Errorf("minBatches not honoured: %d", bm.Batches())
-	}
-	if ci.Relative() > 0.01 {
-		t.Errorf("relative width %v above target", ci.Relative())
-	}
-}
-
-func TestRunToPrecisionHitsSampleBound(t *testing.T) {
-	// Enormous variance relative to mean: cannot reach 0.0001% in 10k samples.
-	r := rand.New(rand.NewPCG(17, 19))
-	gen := func() float64 { return r.NormFloat64() * 1e6 }
-	_, bm, ok := RunToPrecision(gen, 100, 5, 0.90, 1e-6, 10_000)
-	if ok {
-		t.Error("should not reach precision")
-	}
-	if bm.N() < 10_000 {
-		t.Errorf("should have used the full budget, used %d", bm.N())
 	}
 }
 

@@ -1,8 +1,7 @@
 // Package stats provides the statistical machinery the paper's simulation
-// study relies on: running summary accumulators, histograms, Student-t
-// quantiles, and the batch-means confidence-interval method (Kobayashi,
-// "Modeling and Analysis", 1978 — the paper's reference [4]) with which the
-// paper reports "confidence intervals of 1 percent or less at a 90 percent
+// study relies on: running summary accumulators, Student-t quantiles, and
+// the batch-means confidence-interval method (Kobayashi, "Modeling and
+// Analysis", 1978 — the paper's reference [4]) with which the paper reports "confidence intervals of 1 percent or less at a 90 percent
 // confidence level ... 20 batches per simulation run and a batch size of
 // 1000 samples".
 package stats
@@ -43,29 +42,6 @@ func (s *Summary) AddAll(xs []float64) {
 	for _, x := range xs {
 		s.Add(x)
 	}
-}
-
-// Merge folds another summary into s (parallel reduction). Min/max, count,
-// mean and variance are all combined exactly (Chan et al. pairwise update).
-func (s *Summary) Merge(o Summary) {
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = o
-		return
-	}
-	n := s.n + o.n
-	d := o.mean - s.mean
-	s.m2 += o.m2 + d*d*float64(s.n)*float64(o.n)/float64(n)
-	s.mean += d * float64(o.n) / float64(n)
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
-	s.n = n
 }
 
 // N is the number of observations.

@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -40,48 +39,6 @@ func TestSummarySingleObservation(t *testing.T) {
 	}
 	if s.Min() != 3.5 || s.Max() != 3.5 {
 		t.Error("min/max of single observation")
-	}
-}
-
-func TestSummaryMergeMatchesSequential(t *testing.T) {
-	f := func(xs []float64, split uint8) bool {
-		for _, x := range xs {
-			if math.IsNaN(x) || math.IsInf(x, 0) || math.Abs(x) > 1e6 {
-				return true // skip pathological inputs
-			}
-		}
-		var whole Summary
-		whole.AddAll(xs)
-		k := 0
-		if len(xs) > 0 {
-			k = int(split) % (len(xs) + 1)
-		}
-		var a, b Summary
-		a.AddAll(xs[:k])
-		b.AddAll(xs[k:])
-		a.Merge(b)
-		return a.N() == whole.N() &&
-			almost(a.Mean(), whole.Mean(), 1e-8*(1+math.Abs(whole.Mean()))) &&
-			almost(a.Variance(), whole.Variance(), 1e-6*(1+whole.Variance())) &&
-			a.Min() == whole.Min() && a.Max() == whole.Max()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSummaryMergeEmpty(t *testing.T) {
-	var a, b Summary
-	a.Add(1)
-	a.Add(3)
-	before := a
-	a.Merge(b) // merging empty is a no-op
-	if a != before {
-		t.Error("merge with empty changed summary")
-	}
-	b.Merge(a) // merging into empty copies
-	if b.N() != 2 || b.Mean() != 2 {
-		t.Error("merge into empty failed")
 	}
 }
 
@@ -125,75 +82,4 @@ func TestCIHelpers(t *testing.T) {
 	if ci.String() == "" {
 		t.Error("String empty")
 	}
-}
-
-func TestHistogramCountsAndQuantiles(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 100; i++ {
-		h.Add(float64(i) / 10) // 0.0 .. 9.9 uniformly
-	}
-	if h.N() != 100 {
-		t.Fatalf("N = %d", h.N())
-	}
-	for i := 0; i < 10; i++ {
-		if h.Count(i) != 10 {
-			t.Errorf("bin %d count = %d, want 10", i, h.Count(i))
-		}
-	}
-	med := h.Quantile(0.5)
-	if med < 4 || med > 6 {
-		t.Errorf("median estimate %v not near 5", med)
-	}
-	if h.Render(40) == "" {
-		t.Error("Render empty")
-	}
-}
-
-func TestHistogramOutliers(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	h.Add(-1)
-	h.Add(10)
-	h.Add(15)
-	h.Add(5)
-	if h.Under() != 1 || h.Over() != 2 {
-		t.Errorf("under/over = %d/%d", h.Under(), h.Over())
-	}
-	if h.N() != 4 {
-		t.Errorf("N = %d", h.N())
-	}
-	if h.Bins() != 5 {
-		t.Errorf("Bins = %d", h.Bins())
-	}
-	if got := h.Summary().Max(); got != 15 {
-		t.Errorf("summary max = %v", got)
-	}
-}
-
-func TestHistogramQuantileEdges(t *testing.T) {
-	h := NewHistogram(0, 1, 4)
-	if !math.IsNaN(h.Quantile(0.5)) {
-		t.Error("quantile of empty histogram should be NaN")
-	}
-	h.Add(0.5)
-	if q := h.Quantile(0); q != 0 {
-		t.Errorf("q0 = %v", q)
-	}
-	if q := h.Quantile(1); q < 0.5 || q > 1 {
-		t.Errorf("q1 = %v", q)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("quantile outside [0,1] should panic")
-		}
-	}()
-	h.Quantile(1.5)
-}
-
-func TestHistogramPanicsOnBadConstruction(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewHistogram with hi <= lo should panic")
-		}
-	}()
-	NewHistogram(1, 1, 4)
 }

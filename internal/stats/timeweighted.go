@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // TimeWeighted accumulates the time average of a piecewise-constant signal
 // — queue lengths, populations, busy counts. Observe(t, v) declares that
@@ -75,33 +72,3 @@ func (tw *TimeWeighted) Started() bool { return tw.started }
 
 // Integral returns the accumulated ∫v dt up to the last observation.
 func (tw *TimeWeighted) Integral() float64 { return tw.integral }
-
-// Variance returns the time-weighted variance over [t0, t] using the
-// two-pass-free identity E[v²] − E[v]² on the stored integral of v only is
-// not possible; TimeWeightedVar tracks the squared signal as well.
-type TimeWeightedVar struct {
-	val TimeWeighted
-	sq  TimeWeighted
-}
-
-// Observe records a change to v at time t.
-func (tv *TimeWeightedVar) Observe(t, v float64) {
-	tv.val.Observe(t, v)
-	tv.sq.Observe(t, v*v)
-}
-
-// Mean returns the time-average value at horizon t.
-func (tv *TimeWeightedVar) Mean(t float64) float64 { return tv.val.Mean(t) }
-
-// Variance returns the time-weighted variance at horizon t.
-func (tv *TimeWeightedVar) Variance(t float64) float64 {
-	m := tv.val.Mean(t)
-	v := tv.sq.Mean(t) - m*m
-	if v < 0 {
-		v = 0
-	}
-	return v
-}
-
-// StdDev returns the time-weighted standard deviation at horizon t.
-func (tv *TimeWeightedVar) StdDev(t float64) float64 { return math.Sqrt(tv.Variance(t)) }

@@ -60,26 +60,3 @@ func TestTimeWeightedPanicsOnEarlyMean(t *testing.T) {
 	}()
 	tw.Mean(5)
 }
-
-func TestTimeWeightedVar(t *testing.T) {
-	var tv TimeWeightedVar
-	// Signal 0 half the time, 2 the other half: mean 1, variance 1.
-	tv.Observe(0, 0)
-	tv.Observe(10, 2)
-	if got := tv.Mean(20); math.Abs(got-1) > 1e-12 {
-		t.Errorf("mean = %v", got)
-	}
-	if got := tv.Variance(20); math.Abs(got-1) > 1e-12 {
-		t.Errorf("variance = %v", got)
-	}
-	if got := tv.StdDev(20); math.Abs(got-1) > 1e-12 {
-		t.Errorf("stddev = %v", got)
-	}
-	// Constant signal: zero variance even with float noise guarded.
-	var cv TimeWeightedVar
-	cv.Observe(0, 3)
-	cv.Observe(7, 3)
-	if got := cv.Variance(14); got != 0 {
-		t.Errorf("constant variance = %v", got)
-	}
-}
