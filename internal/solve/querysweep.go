@@ -581,7 +581,7 @@ func SweepQueries(ctx context.Context, spec QuerySweepSpec) (<-chan QueryResult,
 		sr.run(ctx, pts, func(r QueryResult) {
 			select {
 			case <-ctx.Done():
-			case out <- r:
+			case out <- r.bound():
 			}
 		})
 	}()
@@ -670,8 +670,8 @@ func (sp QuerySweepSpec) expand() (*sweepRun, []QueryPoint, error) {
 // each to emit (when non-nil) from the worker that produced it. A point
 // whose key an earlier batch solved copies that result at once; a point
 // copying a leader in this batch waits for it, and the leader has a lower
-// index, so it was claimed earlier and never waits itself. A slot whose
-// point was never claimed (ctx ended first) stays zero.
+// index, so it was claimed earlier and never waits itself. When ctx ends
+// first, the slots of unclaimed points that copy no earlier batch stay zero.
 func (sr *sweepRun) run(ctx context.Context, pts []QueryPoint, emit func(QueryResult)) []QueryResult {
 	results := make([]QueryResult, len(pts))
 	lead := make([]int, len(pts))            // index whose answer point i copies; i when solved, -1 when kept
@@ -726,13 +726,23 @@ func (sr *sweepRun) run(ctx context.Context, pts []QueryPoint, emit func(QueryRe
 }
 
 // copyResult is point p's copy of a leader's result: the leader's error, or
-// its answer rebound to p's scenario with Elapsed scrubbed.
+// its answer marked cached. The answer is the leader's as it stands; bound
+// rebinds it for output, and a frontier reads only its verdict.
 func copyResult(lead QueryResult, p QueryPoint) QueryResult {
 	res := QueryResult{Point: p, Err: lead.Err, Error: lead.Error}
 	if lead.Err == nil {
-		res.Answer, res.Cached = cachedAnswer(lead.Answer, p.Query), true
+		res.Answer, res.Cached = lead.Answer, true
 	}
 	return res
+}
+
+// bound is the result as a sweep reports it: a cached answer rebound to the
+// point's own scenario, with the leader's Elapsed scrubbed.
+func (r QueryResult) bound() QueryResult {
+	if r.Cached {
+		r.Answer = cachedAnswer(r.Answer, r.Point.Query)
+	}
+	return r
 }
 
 // solveQueryPoint answers one grid point. Points carrying an expansion-time
@@ -761,13 +771,10 @@ func CollectQueries(ctx context.Context, spec QuerySweepSpec) ([]QueryResult, er
 		return nil, err
 	}
 	results := sr.run(ctx, pts, nil)
-	if ctx.Err() == nil {
-		return results, nil
-	}
-	var done []QueryResult
+	done := results[:0]
 	for _, r := range results {
 		if r.Point.Query != nil { // every expanded point has a Query; a zero slot never ran
-			done = append(done, r)
+			done = append(done, r.bound())
 		}
 	}
 	return done, ctx.Err()
