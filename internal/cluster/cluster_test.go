@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"feasim/internal/core"
+	"feasim/internal/rng"
 	"feasim/internal/stats"
 )
 
@@ -83,6 +84,32 @@ func TestStationRecordsConsistent(t *testing.T) {
 		}
 		if rec.Bursts == 0 && rec.OwnerTime != 0 {
 			t.Fatalf("owner time without bursts: %+v", rec)
+		}
+	}
+}
+
+// TestTraceTilesTheTimeline: with deterministic think Z and burst B, the
+// owner/task walk is known exactly. Compute slices of Z alternate with
+// bursts of B, so [0, Elapsed] is tiled by ceil(D/Z)-1 bursts and the demand.
+func TestTraceTilesTheTimeline(t *testing.T) {
+	const think, burst = 4.0, 1.5
+	p := StationParams{OwnerThink: rng.Deterministic{V: think}, OwnerDemand: rng.Deterministic{V: burst}}
+	c, err := New(1, p, 13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, _ := c.Station(0)
+	for _, demand := range []float64{0.5, 4, 10, 12, 500} {
+		rec := st.RunTask(demand)
+		bursts := int(math.Ceil(demand/think)) - 1
+		if rec.Bursts != bursts {
+			t.Errorf("demand %v: %d bursts, want %d", demand, rec.Bursts, bursts)
+		}
+		if want := float64(bursts) * burst; math.Abs(rec.OwnerTime-want) > 1e-9 {
+			t.Errorf("demand %v: owner time %v, want %v", demand, rec.OwnerTime, want)
+		}
+		if want := demand + float64(bursts)*burst; math.Abs(rec.Elapsed-want) > 1e-9 {
+			t.Errorf("demand %v: elapsed %v, want %v", demand, rec.Elapsed, want)
 		}
 	}
 }

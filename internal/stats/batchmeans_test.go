@@ -88,3 +88,39 @@ func TestNewBatchMeansPanics(t *testing.T) {
 	}()
 	NewBatchMeans(0)
 }
+
+// TestRunToPrecisionReachesTarget: the paper's stopping rule (add batches
+// until the CI's relative half-width is at most rel, after a minimum number
+// of batches) reaches its target on a low-variance stream, and the CI it
+// stops at covers the true mean.
+func TestRunToPrecisionReachesTarget(t *testing.T) {
+	r := rand.New(rand.NewPCG(11, 13))
+	const batchSize, minBatches, level, rel = 100, 5, 0.90, 0.01
+	bm := NewBatchMeans(batchSize)
+	var ci CI
+	for met := false; !met; {
+		if bm.N() >= 1_000_000 {
+			t.Fatal("precision target should be reachable")
+		}
+		for i := 0; i < batchSize; i++ {
+			bm.Add(10 + r.Float64()) // mean 10.5, tiny variance
+		}
+		if bm.Batches() < minBatches {
+			continue
+		}
+		var err error
+		if ci, err = bm.MeanCI(level); err != nil {
+			t.Fatal(err)
+		}
+		met = ci.Relative() <= rel
+	}
+	if !ci.Contains(10.5) {
+		t.Errorf("CI %v misses 10.5", ci)
+	}
+	if bm.Batches() < minBatches {
+		t.Errorf("minBatches not honoured: %d", bm.Batches())
+	}
+	if ci.Relative() > rel {
+		t.Errorf("relative width %v above target", ci.Relative())
+	}
+}
