@@ -244,6 +244,8 @@ func TestCmdQueryGoldens(t *testing.T) {
 	// report and threshold kinds: per-station availability/speed instead of
 	// the aggregate util. "threshold_small_o" has O < 1, where ratio 1 is
 	// below one time unit of task demand and the search starts at r_min.
+	// "timeline_des_samples4" takes 4 samples per epoch, so its confidence
+	// intervals use the t quantile at df 3.
 	des := []string{"-backend", "des", "-json"}
 	all := []string{"-backend", "all"}
 	cases := []struct {
@@ -252,7 +254,7 @@ func TestCmdQueryGoldens(t *testing.T) {
 	}{
 		{"report", nil}, {"threshold", nil}, {"threshold_small_o", nil},
 		{"partition", nil}, {"distribution", nil}, {"scaled", nil},
-		{"timeline", nil}, {"timeline_des", des},
+		{"timeline", nil}, {"timeline_des", des}, {"timeline_des_samples4", des},
 		{"timeline_fractional", all}, {"timeline_fractional_epochs", all},
 		{"fleet", nil}, {"fleet_threshold", nil},
 	}

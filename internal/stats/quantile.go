@@ -113,7 +113,7 @@ func hill396(q, n float64) float64 {
 			y = 0.5*y*y + y
 		}
 	} else {
-		y = ((1/(((n+6)/(n*y)-0.089*d-0.822)*(n+2)*3)+0.5/(n+4))*y - 1) * (n + 1) / (n + 2) / y
+		y = ((1/(((n+6)/(n*y)-0.089*d-0.822)*(n+2)*3)+0.5/(n+4))*y-1)*(n+1)/(n+2) + 1/y
 	}
 	return math.Sqrt(n * y)
 }

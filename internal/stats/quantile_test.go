@@ -90,9 +90,37 @@ func TestTQuantileRoundTripsThroughCDF(t *testing.T) {
 		for _, p := range []float64{0.05, 0.2, 0.5, 0.8, 0.95, 0.999} {
 			x := TQuantile(p, df)
 			back := TCDF(x, df)
-			if math.Abs(back-p) > 1e-8 {
+			if !(math.Abs(back-p) <= 1e-8) { // NaN fails too
+
 				t.Errorf("df=%v: TCDF(TQuantile(%v)) = %v", df, p, back)
 			}
+		}
+	}
+}
+
+func TestTQuantileDF3(t *testing.T) {
+	// df 3 is a 4-batch protocol's; at these levels Hill's initial guess
+	// takes its small-tail branch, which once returned NaN.
+	for _, c := range []struct{ p, want float64 }{
+		{0.95, 2.353363434801823},
+		{0.975, 3.182446305284263},
+	} {
+		if got := TQuantile(c.p, 3); !(math.Abs(got-c.want) <= 1e-9) {
+			t.Errorf("TQuantile(%v, 3) = %v, want %v", c.p, got, c.want)
+		}
+	}
+}
+
+func TestTQuantileFiniteAndIncreasing(t *testing.T) {
+	for df := 1.0; df <= 60; df++ {
+		prev := math.Inf(-1)
+		for i := 1; i < 1000; i++ {
+			p := float64(i) / 1000
+			x := TQuantile(p, df)
+			if math.IsInf(x, 0) || !(x > prev) {
+				t.Fatalf("df=%v: TQuantile(%v) = %v after %v at p-0.001", df, p, x, prev)
+			}
+			prev = x
 		}
 	}
 }
