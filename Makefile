@@ -38,9 +38,9 @@ bench-ab:
 	bash scripts/bench-ab.sh '$(REF)' '$(WORKLOAD)' '$(PAIRS)'
 
 # fuzz gives each JSON-envelope fuzz target, the threshold-search contract
-# target, the timeline segment-walk target and the exact-sim gap step a
-# short budget; CI runs this non-blocking. Failures drop
-# reproducers under testdata/fuzz/.
+# target, the timeline segment-walk target, the exact-sim gap step and the
+# DES calendar order a short budget; CI runs this non-blocking. Failures
+# drop reproducers under testdata/fuzz/.
 fuzz:
 	go test ./internal/solve -run '^$$' -fuzz '^FuzzQueryUnmarshal$$' -fuzztime 30s
 	go test ./internal/solve -run '^$$' -fuzz '^FuzzScenarioUnmarshal$$' -fuzztime 30s
@@ -49,6 +49,7 @@ fuzz:
 	go test ./internal/core -run '^$$' -fuzz '^FuzzMinTaskRatio$$' -fuzztime 30s
 	go test ./internal/timeline -run '^$$' -fuzz '^FuzzProfileWalk$$' -fuzztime 30s
 	go test ./internal/sim -run '^$$' -fuzz '^FuzzExactGap$$' -fuzztime 30s
+	go test ./internal/des -run '^$$' -fuzz '^FuzzEngineOrder$$' -fuzztime 30s
 
 # serve-smoke starts the HTTP query service, fires one query per kind from
 # the checked-in goldens, and diffs the answers against the CLI `feasim

@@ -22,6 +22,7 @@ import (
 	"feasim/internal/experiment"
 	"feasim/internal/rng"
 	"feasim/internal/sim"
+	"feasim/internal/solve"
 	"feasim/internal/stats"
 )
 
@@ -195,6 +196,37 @@ func BenchmarkGeneralSimJob(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := g.Run(10); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDESPoint answers one DES report point per op through the sweep
+// engine, as the repo benchmark's study_des workload does: iteration i runs
+// cell i mod 8 of W ∈ {2, 4, 6, 8} × util ∈ {0.05, 0.15}, with J = 50·W,
+// O = 5, protocol 5×100 and seed i.
+func BenchmarkDESPoint(b *testing.B) {
+	ws, utils := []int{2, 4, 6, 8}, []float64{0.05, 0.15}
+	pr := sim.DefaultProtocol()
+	pr.Batches, pr.BatchSize = 5, 100
+	ctx := context.Background()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cell := i % (len(ws) * len(utils))
+		w, util := ws[cell/len(utils)], utils[cell%len(utils)]
+		res, err := solve.CollectQueries(ctx, solve.QuerySweepSpec{
+			Base: solve.ReportQuery{Scenario: solve.Scenario{
+				J: float64(50 * w), W: w, O: 5, Util: util, TargetEff: 0.8,
+			}},
+			Backends: []string{solve.BackendDES},
+			Workers:  1,
+			Protocol: &pr,
+			Seed:     uint64(i),
+		})
+		if err == nil {
+			err = res[0].Err
+		}
+		if err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -65,7 +65,7 @@ func SunELCParams(o, util float64) (StationParams, error) {
 	if prob > 1 {
 		return StationParams{}, fmt.Errorf("cluster: utilization %v unreachable with burst %v at unit granularity", util, o)
 	}
-	p.OwnerThink = rng.Geometric{P: prob}
+	p.OwnerThink = rng.NewGeometric(prob)
 	return p, nil
 }
 

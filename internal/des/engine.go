@@ -9,6 +9,12 @@
 // The event order (time, then schedule sequence) is the same, so a model
 // behaves exactly as its process form would.
 //
+// The calendar has two parts. Events later than Now wait in a binary heap
+// whose slots carry each event's time and sequence number inline, so
+// ordering the heap reads no event record. Events scheduled for Now itself
+// (a completion's done callback, a fork's task starts, a wake-up) go to a
+// FIFO queue, which pops them in schedule order without touching the heap.
+//
 // Engine.Schedule runs a func() at a simulated time; PreemptiveServer
 // models a CPU serving prioritized customers with preemptive resume and
 // runs each customer's done callback when its service completes. Event and
@@ -22,13 +28,42 @@ import "fmt"
 // schedules at integral Times.
 type Time = float64
 
-// Engine owns the event calendar and the simulated clock.
+// Engine owns the event calendar and the simulated clock. Every event in
+// fifo[head:] is due at Now and was scheduled after every heap event due at
+// Now, so popping the lesser (t, seq) of the heap top and the FIFO head
+// runs events in exactly (t, seq) order.
 type Engine struct {
 	now       Time
 	seq       uint64
 	processed uint64
-	events    []*event // binary min-heap on (t, seq)
+	heap      []slot   // binary min-heap on (t, seq): events scheduled for a later time
+	fifo      []*event // events scheduled for Now, in schedule order, from head on
+	head      int
+	queued    int      // uncancelled events in fifo[head:]
 	free      []*event // executed or cancelled records, reused by Schedule
+}
+
+// slot is a heap entry. It copies its event's time and sequence number so
+// that a comparison loads no pointer.
+type slot struct {
+	t   Time
+	seq uint64
+	ev  *event
+}
+
+func (a slot) before(b slot) bool { return a.t < b.t || (a.t == b.t && a.seq < b.seq) }
+
+// Values of event.index besides a heap position.
+const (
+	gone   = -1 // executed, cancelled or free
+	inFIFO = -2 // waiting in the FIFO
+)
+
+// event is a calendar record; index is its heap position, gone or inFIFO.
+type event struct {
+	seq   uint64
+	fn    func()
+	index int
 }
 
 // NewEngine creates an empty simulation.
@@ -41,16 +76,7 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Processed() uint64 { return e.processed }
 
 // Pending returns the number of scheduled, uncancelled events.
-func (e *Engine) Pending() int { return len(e.events) }
-
-// event is a calendar entry; index is its heap position, -1 once it has
-// left the calendar.
-type event struct {
-	t     Time
-	seq   uint64
-	fn    func()
-	index int
-}
+func (e *Engine) Pending() int { return len(e.heap) + e.queued }
 
 // Handle names a scheduled event for Cancel. Event records are recycled;
 // the handle's sequence number tells a pending event from a later reuse of
@@ -81,49 +107,90 @@ func (e *Engine) Schedule(t Time, fn func()) Handle {
 	} else {
 		ev = new(event)
 	}
-	ev.t, ev.seq, ev.fn = t, e.nextSeq(), fn
-	ev.index = len(e.events)
-	e.events = append(e.events, ev)
-	e.up(ev.index)
+	ev.seq, ev.fn = e.nextSeq(), fn
+	if t == e.now {
+		ev.index = inFIFO
+		e.fifo = append(e.fifo, ev)
+		e.queued++
+	} else {
+		e.heap = append(e.heap, slot{})
+		e.up(len(e.heap)-1, slot{t, ev.seq, ev})
+	}
 	return Handle{ev: ev, seq: ev.seq}
 }
 
 // Cancel removes a pending event from the calendar. Cancelling an event that
-// already ran or was already cancelled is a no-op.
+// already ran or was already cancelled is a no-op. A cancelled heap event
+// leaves the heap at once; a cancelled FIFO event stays in the queue,
+// marked, and is dropped when the queue reaches it.
 func (e *Engine) Cancel(h Handle) {
 	ev := h.ev
-	if ev == nil || ev.seq != h.seq || ev.index < 0 {
+	if ev == nil || ev.seq != h.seq {
 		return
 	}
-	i, last := ev.index, len(e.events)-1
-	e.swap(i, last)
-	e.events = e.events[:last]
-	if i != last {
-		e.down(i)
-		e.up(i)
+	switch i := ev.index; {
+	case i == inFIFO:
+		ev.index, ev.fn = gone, nil
+		e.queued--
+	case i >= 0:
+		last := len(e.heap) - 1
+		s := e.heap[last]
+		e.heap = e.heap[:last]
+		if i < last { // refill the hole at i with the last slot
+			e.up(i, s)
+			e.down(s.ev.index, s)
+		}
+		e.release(ev)
 	}
-	e.release(ev)
 }
 
 // release returns a record that has left the calendar to the free list.
 func (e *Engine) release(ev *event) {
-	ev.index = -1
+	ev.index = gone
 	ev.fn = nil
 	e.free = append(e.free, ev)
+}
+
+// pop removes the next event in (t, seq) order from the calendar and
+// advances the clock to it; it returns nil when no event is pending.
+func (e *Engine) pop() *event {
+	for e.head < len(e.fifo) {
+		ev := e.fifo[e.head]
+		if ev.index == gone { // cancelled while queued
+			e.head++
+			e.release(ev)
+			continue
+		}
+		if len(e.heap) > 0 && e.heap[0].t == e.now && e.heap[0].seq < ev.seq {
+			break
+		}
+		e.head++
+		e.queued--
+		return ev
+	}
+	if e.head == len(e.fifo) {
+		e.fifo, e.head = e.fifo[:0], 0
+	}
+	n := len(e.heap) - 1
+	if n < 0 {
+		return nil
+	}
+	top, last := e.heap[0], e.heap[n]
+	e.heap = e.heap[:n]
+	if n > 0 {
+		e.down(0, last)
+	}
+	e.now = top.t
+	return top.ev
 }
 
 // Step executes exactly one event; it reports false when the calendar is
 // empty.
 func (e *Engine) Step() bool {
-	if len(e.events) == 0 {
+	ev := e.pop()
+	if ev == nil {
 		return false
 	}
-	ev := e.events[0]
-	last := len(e.events) - 1
-	e.swap(0, last)
-	e.events = e.events[:last]
-	e.down(0)
-	e.now = ev.t
 	e.processed++
 	fn := ev.fn
 	e.release(ev)
@@ -138,7 +205,7 @@ func (e *Engine) Run() { e.RunUntil(-1) }
 // to exhaustion"). The clock is left at the last executed event's time, or
 // at the horizon if it is later.
 func (e *Engine) RunUntil(horizon Time) {
-	for len(e.events) > 0 && (horizon < 0 || e.events[0].t <= horizon) {
+	for e.Pending() > 0 && (horizon < 0 || e.nextTime() <= horizon) {
 		e.Step()
 	}
 	if horizon >= 0 && e.now < horizon {
@@ -146,47 +213,51 @@ func (e *Engine) RunUntil(horizon Time) {
 	}
 }
 
-// less orders the calendar by time, breaking ties by schedule order.
-func (e *Engine) less(i, j int) bool {
-	a, b := e.events[i], e.events[j]
-	if a.t != b.t {
-		return a.t < b.t
+// nextTime is the time of the next pending event; there must be one.
+func (e *Engine) nextTime() Time {
+	if e.queued > 0 {
+		return e.now
 	}
-	return a.seq < b.seq
+	return e.heap[0].t
 }
 
-func (e *Engine) swap(i, j int) {
-	h := e.events
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-
-func (e *Engine) up(i int) {
+// up moves s from position i toward the root to its place, shifting the
+// slots it passes down one level.
+func (e *Engine) up(i int, s slot) {
+	h := e.heap
 	for i > 0 {
 		p := (i - 1) / 2
-		if !e.less(i, p) {
-			return
+		if !s.before(h[p]) {
+			break
 		}
-		e.swap(i, p)
+		h[i] = h[p]
+		h[i].ev.index = i
 		i = p
 	}
+	h[i] = s
+	s.ev.index = i
 }
 
-func (e *Engine) down(i int) {
-	n := len(e.events)
+// down places s at position i or below, shifting the lesser child up while
+// it precedes s.
+func (e *Engine) down(i int, s slot) {
+	h := e.heap
+	n := len(h)
 	for {
 		c := 2*i + 1
 		if c >= n {
-			return
+			break
 		}
-		if r := c + 1; r < n && e.less(r, c) {
+		if r := c + 1; r < n && h[r].before(h[c]) {
 			c = r
 		}
-		if !e.less(c, i) {
-			return
+		if !h[c].before(s) {
+			break
 		}
-		e.swap(i, c)
+		h[i] = h[c]
+		h[i].ev.index = i
 		i = c
 	}
+	h[i] = s
+	s.ev.index = i
 }

@@ -23,14 +23,20 @@ type PreemptiveServer struct {
 	free       []*request // finished requests, reused by Use
 	completeFn func()     // s.complete, bound once
 
-	// busyBy accumulates service time delivered to each priority class.
-	busyBy     map[int]Time
+	// busy accumulates service time delivered to each priority class, in
+	// the order the classes were first served.
+	busy       []classBusy
 	preemptCnt uint64
 	servedCnt  uint64
 	createdAt  Time
 	// qlen tracks the time-weighted number of waiting (not in service)
 	// requests.
 	qlen stats.TimeWeighted
+}
+
+type classBusy struct {
+	prio int
+	t    Time
 }
 
 type request struct {
@@ -46,7 +52,6 @@ func (e *Engine) NewPreemptiveServer(name string) *PreemptiveServer {
 	srv := &PreemptiveServer{
 		eng:       e,
 		name:      name,
-		busyBy:    make(map[int]Time),
 		createdAt: e.now,
 	}
 	srv.completeFn = srv.complete
@@ -104,12 +109,24 @@ func (s *PreemptiveServer) suspendOccupant() {
 	s.eng.Cancel(s.completion)
 	served := s.eng.now - occ.startedAt
 	occ.remaining -= served
-	s.busyBy[occ.prio] += served
+	s.credit(occ.prio, served)
 	s.preemptCnt++
 	if occ.remaining < 0 {
 		occ.remaining = 0 // float guard; cannot go negative in exact arithmetic
 	}
 	s.enqueue(occ)
+}
+
+// credit adds served time to prio's busy total. A model has a class or
+// two, so a scan beats a map.
+func (s *PreemptiveServer) credit(prio int, served Time) {
+	for i := range s.busy {
+		if s.busy[i].prio == prio {
+			s.busy[i].t += served
+			return
+		}
+	}
+	s.busy = append(s.busy, classBusy{prio, served})
 }
 
 func (s *PreemptiveServer) enqueue(req *request) {
@@ -130,7 +147,7 @@ func (s *PreemptiveServer) enqueue(req *request) {
 func (s *PreemptiveServer) complete() {
 	req := s.occupant
 	s.occupant = nil
-	s.busyBy[req.prio] += s.eng.now - req.startedAt
+	s.credit(req.prio, s.eng.now-req.startedAt)
 	s.servedCnt++
 	s.eng.Schedule(s.eng.now, req.done)
 	req.done = nil
@@ -175,7 +192,13 @@ func (s *PreemptiveServer) Served() uint64 { return s.servedCnt }
 // BusyTime returns the cumulative service delivered to the given priority
 // class, including the in-progress slice of the current occupant.
 func (s *PreemptiveServer) BusyTime(prio int) Time {
-	t := s.busyBy[prio]
+	var t Time
+	for _, b := range s.busy {
+		if b.prio == prio {
+			t = b.t
+			break
+		}
+	}
 	if s.occupant != nil && s.occupant.prio == prio {
 		t += s.eng.now - s.occupant.startedAt
 	}
@@ -185,8 +208,8 @@ func (s *PreemptiveServer) BusyTime(prio int) Time {
 // TotalBusyTime returns cumulative service over all priorities.
 func (s *PreemptiveServer) TotalBusyTime() Time {
 	var t Time
-	for prio := range s.busyBy {
-		t += s.busyBy[prio]
+	for _, b := range s.busy {
+		t += b.t
 	}
 	if s.occupant != nil {
 		t += s.eng.now - s.occupant.startedAt

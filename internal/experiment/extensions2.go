@@ -49,7 +49,7 @@ func extension03() Definition {
 					mean += u / float64(len(c.utils))
 					p := u / (10 * (1 - u)) // invert equation (8) with O=10
 					gcfg.Stations = append(gcfg.Stations, sim.StationConfig{
-						OwnerThink:  rng.Geometric{P: p},
+						OwnerThink:  rng.NewGeometric(p),
 						OwnerDemand: rng.Deterministic{V: 10},
 					})
 				}

@@ -140,8 +140,23 @@ func (d Pareto) String() string { return fmt.Sprintf("pareto:%g,%g", d.Xm, d.A) 
 // Geometric counts the number of unit steps up to and including the first
 // success, with success probability P per step (support {1, 2, ...}, mean
 // 1/P). This is the paper's owner think time: "at each time unit the owner
-// requests the processor with probability P".
-type Geometric struct{ P float64 }
+// requests the processor with probability P". NewGeometric takes ln(1-P)
+// once for every draw; a literal Geometric{P: p} draws the same values but
+// takes it on each draw.
+type Geometric struct {
+	P   float64
+	lnQ float64 // math.Log1p(-P), or 0 if not yet taken
+}
+
+// NewGeometric returns the geometric distribution with success probability
+// p, ready to sample.
+func NewGeometric(p float64) Geometric {
+	d := Geometric{P: p}
+	if p > 0 && p < 1 {
+		d.lnQ = math.Log1p(-p)
+	}
+	return d
+}
 
 func (d Geometric) Sample(s *Stream) float64 {
 	if d.P >= 1 {
@@ -152,7 +167,11 @@ func (d Geometric) Sample(s *Stream) float64 {
 	}
 	// Inversion: ceil(ln(1-U)/ln(1-P)) is geometric on {1,2,...}.
 	u := s.Float64()
-	k := math.Ceil(math.Log1p(-u) / math.Log1p(-d.P))
+	lnQ := d.lnQ
+	if lnQ == 0 {
+		lnQ = math.Log1p(-d.P)
+	}
+	k := math.Ceil(math.Log1p(-u) / lnQ)
 	if k < 1 {
 		k = 1
 	}
@@ -227,7 +246,7 @@ func Parse(spec string) (Dist, error) {
 		if err := need(1); err != nil {
 			return nil, err
 		}
-		return Geometric{P: args[0]}, nil
+		return NewGeometric(args[0]), nil
 	case "unif":
 		if err := need(2); err != nil {
 			return nil, err

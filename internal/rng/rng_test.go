@@ -151,6 +151,23 @@ func TestGeometricEdges(t *testing.T) {
 	}
 }
 
+func TestNewGeometricDrawsLikeTheLiteral(t *testing.T) {
+	// NewGeometric's ln(1-P), taken once, must give every draw the bits a
+	// literal Geometric gives it.
+	for _, p := range []float64{0, 1e-9, 0.001, 1.0 / 90, 0.25, 0.999, 1} {
+		d, lit := NewGeometric(p), Geometric{P: p}
+		a, b := NewStream(5), NewStream(5)
+		for i := 0; i < 10000; i++ {
+			if x, y := d.Sample(a), lit.Sample(b); x != y {
+				t.Fatalf("P=%v draw %d: %v, literal %v", p, i, x, y)
+			}
+		}
+		if d.String() != lit.String() || d.Mean() != lit.Mean() {
+			t.Errorf("P=%v: %v (mean %v), literal %v (mean %v)", p, d, d.Mean(), lit, lit.Mean())
+		}
+	}
+}
+
 func TestGeometricMeanMatchesThinkTime(t *testing.T) {
 	// The paper's owner think time has mean 1/P.
 	for _, p := range []float64{0.001, 0.01, 0.1, 0.5} {

@@ -65,7 +65,7 @@ type GeneralConfig struct {
 // demand t.
 func HomogeneousGeometric(w int, t, o, p float64) GeneralConfig {
 	st := StationConfig{
-		OwnerThink:  rng.Geometric{P: p},
+		OwnerThink:  rng.NewGeometric(p),
 		OwnerDemand: rng.Deterministic{V: o},
 	}
 	cfg := GeneralConfig{TaskDemand: rng.Deterministic{V: t}}

@@ -543,7 +543,7 @@ func (s Scenario) GeneralConfig() (sim.GeneralConfig, error) {
 			if err != nil {
 				return sim.GeneralConfig{}, fmt.Errorf("solve: station %d: %w", i, err)
 			}
-			st := sim.StationConfig{OwnerThink: rng.Geometric{P: p}, OwnerDemand: demand, Speed: ss.Speed}
+			st := sim.StationConfig{OwnerThink: rng.NewGeometric(p), OwnerDemand: demand, Speed: ss.Speed}
 			for k := 0; k < ss.count(); k++ {
 				cfg.Stations = append(cfg.Stations, st)
 			}
@@ -565,7 +565,7 @@ func (s Scenario) GeneralConfig() (sim.GeneralConfig, error) {
 		if s.OwnerCV2 > 1 {
 			demand = rng.BalancedHyperExp(s.O, s.OwnerCV2)
 		}
-		st := sim.StationConfig{OwnerThink: rng.Geometric{P: p.P}, OwnerDemand: demand}
+		st := sim.StationConfig{OwnerThink: rng.NewGeometric(p.P), OwnerDemand: demand}
 		for i := 0; i < s.W; i++ {
 			cfg.Stations = append(cfg.Stations, st)
 		}
