@@ -12,6 +12,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -615,9 +616,9 @@ func benchCacheHits(b *testing.B, shards, parallelism int) {
 // BenchmarkAnswerCacheHit measures the answer cache's hot path over a
 // resident 256-key working set: the single-mutex layout (shards=1, the
 // pre-sharding baseline) against the deployed layout (shards sized to
-// GOMAXPROCS — exactly one shard on a 1-CPU host, so the default never pays
-// the shard hash where it cannot shed contention) and a pinned 16-shard
-// layout that records the hash tax and the contention relief explicitly.
+// GOMAXPROCS — exactly one shard on a 1-CPU host, where there is no
+// contention to shed) and a pinned 16-shard layout that records the
+// contention relief explicitly.
 func BenchmarkAnswerCacheHit(b *testing.B) {
 	for _, cfg := range []struct {
 		name        string
@@ -632,6 +633,40 @@ func BenchmarkAnswerCacheHit(b *testing.B) {
 	} {
 		b.Run(cfg.name, func(b *testing.B) { benchCacheHits(b, cfg.shards, cfg.par) })
 	}
+}
+
+// BenchmarkAnswerCacheFill fills a 4096-entry answer cache with distinct
+// report answers, as cold traffic does, and reports the live heap each
+// stored entry costs after a GC. Each query is built, answered and dropped
+// in turn, so whatever of a request's scenario survives is held by the
+// cache alone; the name string stands in for what a decoded envelope
+// allocates. One shard keeps every entry resident (a sharded cache bounds
+// each shard, so an uneven hash evicts before the total is reached).
+func BenchmarkAnswerCacheFill(b *testing.B) {
+	const entries = 4096
+	ctx := context.Background()
+	var perEntry float64
+	for i := 0; i < b.N; i++ {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		cs := feasim.NewCachedSolver(cannedSolver{}, feasim.NewAnswerCacheShards(entries, 1))
+		for k := 0; k < entries; k++ {
+			q := feasim.ReportQuery{Scenario: feasim.Scenario{
+				Name: fmt.Sprintf("point-%d", k), J: float64(1000 + 10*k), W: 10, O: 10, Util: 0.1,
+			}}
+			if _, err := cs.Answer(ctx, q); err != nil {
+				b.Fatal(err)
+			}
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		if st := cs.Cache().Stats(); st.Entries != entries {
+			b.Fatalf("%d entries resident, want %d", st.Entries, entries)
+		}
+		perEntry = (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / entries
+	}
+	b.ReportMetric(perEntry, "live_B/entry")
 }
 
 // BenchmarkQueryThresholdSweep measures the typed query path: 40 analytic

@@ -134,7 +134,7 @@ func JobTimeDistribution(f Fleet) (TimeDistribution, error) {
 	}
 	tb := borrowTables(n, p.P)
 	defer tb.release()
-	return burstCountToTimes(t, p.O, tb.Lo, tb.MaxPMFWindow(p.W)), nil
+	return burstCountToTimes(t, p.O, tb.Lo, tb.maxPMFPrefix(p.W)), nil
 }
 
 // burstCountToTimes maps a burst-count pmf window (pmf[i] is the probability

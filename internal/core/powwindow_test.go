@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
@@ -70,4 +72,57 @@ func TestExpectedMaxMemo(t *testing.T) {
 	if tb.ExpectedMax(64) <= first {
 		t.Fatal("ExpectedMax must grow with W")
 	}
+}
+
+// TestMaxPMFPrefixMatchesWindow: the prefix the distribution reads is the
+// full window's head bit for bit, every entry past it is exactly 0, and the
+// distribution built from the prefix equals the one built from the window
+// bit for bit, over seeded (N, P, W) on both full-support and truncated
+// tables.
+func TestMaxPMFPrefixMatchesWindow(t *testing.T) {
+	r := rand.New(rand.NewPCG(25, 1))
+	cut := 0
+	for c := 0; c < 300; c++ {
+		n := 1 + r.IntN(5000)
+		if c%10 == 0 {
+			n = tablesFullSupportMax + 1 + r.IntN(200000)
+		}
+		p := 0.001 + 0.9*r.Float64()
+		w := 1 + r.IntN(2000)
+		tb := Tables(n, p)
+		win := tb.MaxPMFWindow(w)
+		pre := tb.maxPMFPrefix(w)
+		if len(pre) > len(win) {
+			t.Fatalf("Bin(%d,%v) w=%d: prefix %d longer than window %d", n, p, w, len(pre), len(win))
+		}
+		if len(pre) < len(win) {
+			cut++
+		}
+		for i, v := range win {
+			want := 0.0
+			if i < len(pre) {
+				want = pre[i]
+			}
+			if math.Float64bits(v) != math.Float64bits(want) {
+				t.Fatalf("Bin(%d,%v) w=%d index %d: window %v, prefix %v", n, p, w, i, v, want)
+			}
+		}
+		o := 1 + 20*r.Float64()
+		got := burstCountToTimes(float64(n), o, tb.Lo, pre)
+		ref := burstCountToTimes(float64(n), o, tb.Lo, win)
+		if !slices.Equal(bitsOf(got.Times), bitsOf(ref.Times)) || !slices.Equal(bitsOf(got.Probs), bitsOf(ref.Probs)) {
+			t.Fatalf("Bin(%d,%v) w=%d: distribution from the prefix differs from the window's", n, p, w)
+		}
+	}
+	if cut == 0 {
+		t.Error("no case cut the window short; the comparison above checked nothing")
+	}
+}
+
+func bitsOf(xs []float64) []uint64 {
+	out := make([]uint64, len(xs))
+	for i, x := range xs {
+		out[i] = math.Float64bits(x)
+	}
+	return out
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"container/list"
 	"math"
+	"sort"
 	"sync"
 )
 
@@ -531,11 +532,30 @@ const expectedMaxMemoCap = 128
 // busiest of w tasks suffers exactly n interruptions — over the window,
 // aligned so slice index i holds Max[w, Lo+i]. The result is newly
 // allocated and owned by the caller.
-func (t *BinomialTables) MaxPMFWindow(w int) []float64 {
+func (t *BinomialTables) MaxPMFWindow(w int) []float64 { return maxPMF(t.cdf, w) }
+
+// maxPMFPrefix is MaxPMFWindow cut after the first cdf entry equal to
+// exactly 1. Every later Max[w, n] is 1^w − 1^w = 0 exactly, so the prefix
+// agrees with the window bit for bit wherever both are defined, and
+// burstCountToTimes trims those zeros anyway. The cut only helps when the
+// cdf's running sum rounds to 1 before the window ends; where it stalls a
+// rounding step below 1, only the forced last entry is 1 and the prefix is
+// the whole window. The cdf is nondecreasing, so a binary search finds the
+// cut.
+func (t *BinomialTables) maxPMFPrefix(w int) []float64 {
+	cut := len(t.cdf)
+	if i := sort.SearchFloat64s(t.cdf, 1); i < cut {
+		cut = i + 1
+	}
+	return maxPMF(t.cdf[:cut], w)
+}
+
+// maxPMF differences the w-th powers of a cdf window into Max[w, ·].
+func maxPMF(cdf []float64, w int) []float64 {
 	if w < 1 {
 		panic("core: MaxPMFWindow requires w >= 1")
 	}
-	out := powWindow(t.cdf, w)
+	out := powWindow(cdf, w)
 	prev := 0.0
 	for i, c := range out {
 		out[i] = c - prev

@@ -3,8 +3,6 @@ package des
 import (
 	"fmt"
 	"slices"
-
-	"feasim/internal/stats"
 )
 
 // PreemptiveServer is a single CPU serving prioritized customers under
@@ -29,9 +27,6 @@ type PreemptiveServer struct {
 	preemptCnt uint64
 	servedCnt  uint64
 	createdAt  Time
-	// qlen tracks the time-weighted number of waiting (not in service)
-	// requests.
-	qlen stats.TimeWeighted
 }
 
 type classBusy struct {
@@ -55,7 +50,6 @@ func (e *Engine) NewPreemptiveServer(name string) *PreemptiveServer {
 		createdAt: e.now,
 	}
 	srv.completeFn = srv.complete
-	srv.qlen.Observe(e.now, 0)
 	return srv
 }
 
@@ -139,7 +133,6 @@ func (s *PreemptiveServer) enqueue(req *request) {
 		i--
 	}
 	s.queue = slices.Insert(s.queue, i, req)
-	s.observeQueue()
 }
 
 // complete finishes the occupant's service, schedules its done callback,
@@ -155,27 +148,9 @@ func (s *PreemptiveServer) complete() {
 	if len(s.queue) > 0 {
 		next := s.queue[0]
 		s.queue = slices.Delete(s.queue, 0, 1)
-		s.observeQueue()
 		s.begin(next)
 	}
 }
-
-// observeQueue records the current queue length for time-weighted stats.
-func (s *PreemptiveServer) observeQueue() {
-	s.qlen.Observe(s.eng.now, float64(len(s.queue)))
-}
-
-// MeanQueueLen returns the time-average number of waiting requests since
-// the server was created.
-func (s *PreemptiveServer) MeanQueueLen() float64 {
-	if !s.qlen.Started() {
-		return 0
-	}
-	return s.qlen.Mean(s.eng.now)
-}
-
-// MaxQueueLen returns the largest observed queue length.
-func (s *PreemptiveServer) MaxQueueLen() int { return int(s.qlen.Max()) }
 
 // Busy reports whether a customer is in service.
 func (s *PreemptiveServer) Busy() bool { return s.occupant != nil }

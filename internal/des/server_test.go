@@ -271,13 +271,17 @@ func TestServerQueueLengthStats(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		useAt(e, s, 0, 10, 0, &done)
 	}
-	e.Run()
-	// Mean over [0,40): (3+2+1+0)*10/40 = 1.5.
-	if got := s.MeanQueueLen(); got < 1.45 || got > 1.55 {
-		t.Errorf("mean queue length %v, want 1.5", got)
+	for i, want := range []int{3, 2, 1, 0} {
+		at := Time(5 + 10*i)
+		e.Schedule(at, func() {
+			if got := s.QueueLen(); got != want {
+				t.Errorf("queue length %d at t=%v, want %d", got, at, want)
+			}
+		})
 	}
-	if s.MaxQueueLen() != 3 {
-		t.Errorf("max queue length %d, want 3", s.MaxQueueLen())
+	e.Run()
+	if done != 40 {
+		t.Errorf("last request done at %v, want 40", done)
 	}
 }
 

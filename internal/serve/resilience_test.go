@@ -7,7 +7,10 @@ package serve_test
 // transport faults answers every query correctly and never deadlocks).
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -59,6 +62,69 @@ func TestClusterCorruptForwardFallsBack(t *testing.T) {
 	}
 	if st.Fallbacks < 1 {
 		t.Errorf("fallbacks %d, want >= 1", st.Fallbacks)
+	}
+}
+
+// nullAnswerTransport passes peer traffic through unchanged, except that a
+// forwarded /v1/query's 200 comes back with its answer replaced by a JSON
+// null: a body that parses, names a kind and carries no answer.
+type nullAnswerTransport struct{}
+
+func (nullAnswerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err != nil || req.URL.Path != "/v1/query" || resp.StatusCode != http.StatusOK {
+		return resp, err
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	var payload map[string]any
+	if err := json.Unmarshal(body, &payload); err != nil {
+		return nil, err
+	}
+	payload["answer"] = nil
+	if body, err = json.Marshal(payload); err != nil {
+		return nil, err
+	}
+	resp.Body = io.NopCloser(bytes.NewReader(body))
+	resp.ContentLength = int64(len(body))
+	resp.Header.Del("Content-Length")
+	return resp, nil
+}
+
+// TestClusterNullAnswerForwardFallsBack: a forwarded 200 whose answer is
+// null is as corrupt as one that does not parse. It must be neither echoed
+// nor adopted as a replica (the next request would replay a zero answer as
+// a hit): the node counts forward_corrupt and answers with a local solve.
+func TestClusterNullAnswerForwardFallsBack(t *testing.T) {
+	nodes := newTestCluster(t, 2, func(i int, pc *peer.Config, sc *serve.Config) {
+		pc.Client = &http.Client{Transport: nullAnswerTransport{}}
+	})
+	home, other := homeOf(t, nodes, thresholdEnvelope)
+
+	for i := 0; i < 2; i++ {
+		status, payload := nodes[other].post(t, "/v1/query", thresholdEnvelope)
+		if status != http.StatusOK {
+			t.Fatalf("request %d: status %d (%v)", i, status, payload)
+		}
+		ans, _ := payload["answer"].(map[string]any)
+		if ans["min_ratio"] != float64(7) {
+			t.Fatalf("request %d: answer %v, want the local solve's", i, payload["answer"])
+		}
+	}
+	if nodes[other].solves() != 1 || nodes[home].solves() != 1 {
+		t.Errorf("solves: entry node %d, home %d; want 1 each", nodes[other].solves(), nodes[home].solves())
+	}
+	st := nodes[other].cluster.Status()
+	if st.ForwardCorrupt != 1 || st.Fallbacks != 1 {
+		t.Errorf("forward_corrupt %d, fallbacks %d; want 1 each", st.ForwardCorrupt, st.Fallbacks)
+	}
+	// The one resident entry is the local solve's (one miss); the repeat
+	// read it back.
+	if cs := nodes[other].srv.Stats().Cache; cs.Entries != 1 || cs.Misses != 1 || cs.Hits != 1 {
+		t.Errorf("entry node cache %+v, want 1 entry, 1 miss, 1 hit", cs)
 	}
 }
 

@@ -1,13 +1,11 @@
 package solve
 
 import (
-	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/maphash"
-	"math"
 	"runtime"
 	"sync"
 )
@@ -37,14 +35,27 @@ var ErrPanicked = errors.New("solve: answer execution panicked")
 // only literally identical queries — the hot case under heavy traffic —
 // share an answer.
 //
-// Sharding. The hot state — LRU + single-flight table — is split across a
-// power-of-two number of shards selected by a seeded hash of the key, so
-// concurrent lookups of distinct keys contend only within their shard. Each
-// shard carries its own LRU bound (capacity/shards) and its own in-flight
-// table; the capacity bound and single-flight guarantee are therefore
-// per-shard, which preserves the global invariants that matter — total
-// residency never exceeds the configured capacity, and concurrent identical
-// queries (same key → same shard) still execute exactly once.
+// Sharding and identity. Each key is hashed once, with a seeded
+// maphash.Comparable over the whole answerKey. The hash's low bits pick one
+// of a power-of-two number of shards, so concurrent lookups of distinct keys
+// contend only within their shard, and the whole hash indexes the shard's
+// entries. Keys whose hashes are equal chain through their entries, and
+// every lookup compares the full answerKey, so an answer never depends on
+// the hash: a collision costs one more comparison, never a wrong answer.
+// Each shard carries its own LRU bound (capacity/shards), its own recency
+// list and its own in-flight table. The capacity bound and single-flight
+// guarantee are therefore per-shard, which preserves the global invariants
+// that matter: total residency never exceeds the configured capacity, and
+// concurrent identical queries (same key → same shard) still execute
+// exactly once.
+//
+// Residency. An entry holds the key, the answer and, for bytes-safe keys,
+// its canonical encoding; the recency list runs through the entries
+// themselves. Report, distribution and timeline answers are stored with a
+// zero Scenario (storedAnswer): every hit rebinds the caller's own scenario
+// (rebindAnswer), so a stored copy would only keep the first requester's
+// name, stations and schedule alive. Partition answers keep theirs, which
+// the solve derives rather than echoes.
 
 // DefaultAnswerCacheCapacity bounds an AnswerCache built with capacity <= 0.
 const DefaultAnswerCacheCapacity = 4096
@@ -54,9 +65,8 @@ const maxAnswerCacheShards = 16
 
 // defaultAnswerCacheShards sizes NewAnswerCache's layout to the available
 // parallelism: shards exist to shed inter-core contention, and a
-// GOMAXPROCS=1 process cannot contend on one mutex, so it should not pay
-// the per-lookup shard hash either. Multi-core hosts get up to
-// maxAnswerCacheShards.
+// GOMAXPROCS=1 process cannot contend on one mutex, so it gets one shard.
+// Multi-core hosts get up to maxAnswerCacheShards.
 func defaultAnswerCacheShards() int {
 	n := runtime.GOMAXPROCS(0)
 	if n > maxAnswerCacheShards {
@@ -139,6 +149,24 @@ func cachedAnswer(a Answer, q Query) Answer {
 	return zeroElapsed(rebindAnswer(a, q))
 }
 
+// storedAnswer is the form an answer is kept in: the scenario that
+// rebindAnswer overwrites on every hit is dropped, so a resident entry does
+// not hold the first requester's Scenario alive.
+func storedAnswer(a Answer) Answer {
+	switch t := a.(type) {
+	case ReportAnswer:
+		t.Report.Scenario = Scenario{}
+		return t
+	case DistributionAnswer:
+		t.Scenario = Scenario{}
+		return t
+	case TimelineAnswer:
+		t.Scenario = Scenario{}
+		return t
+	}
+	return a
+}
+
 // bytesSafe reports whether a stored answer's JSON encoding can be echoed
 // verbatim to any future hit of this key. True exactly for non-analytic
 // keys: they are keyed on the full canonical envelope, so every hit *is* the
@@ -205,14 +233,17 @@ type flight struct {
 	retry bool
 }
 
-// cacheShard is one slice of the key space: its own mutex, LRU and
-// single-flight table. Keys never move between shards, so every per-key
-// guarantee of the old single-mutex design holds within a shard.
+// cacheShard is one slice of the key space: its own mutex, hash index,
+// recency list and single-flight table. Keys never move between shards, so
+// every per-key guarantee of a single-mutex design holds within a shard.
 type cacheShard struct {
 	mu       sync.Mutex
 	capacity int
-	entries  map[answerKey]*list.Element
-	order    *list.List // front = most recently used
+	n        int                  // resident entries
+	index    map[uint64]*lruEntry // key hash → head of its collision chain
+	// lru is the recency list's sentinel: lru.next is the most recently
+	// used entry and lru.prev the least.
+	lru      lruEntry
 	inflight map[answerKey]*flight
 
 	hits, misses, coalesced, evictions int64
@@ -224,16 +255,22 @@ type cacheShard struct {
 type AnswerCache struct {
 	seed   maphash.Seed
 	shards []*cacheShard // len is a power of two
+	// hashKey, when non-nil, replaces the seeded hash; tests use it to
+	// force collisions.
+	hashKey func(answerKey) uint64
 }
 
-// lruEntry is the list payload, carrying the key back for eviction. enc,
-// when non-nil, is the canonical hit encoding (Elapsed-scrubbed JSON) of
-// ans, kept only for bytes-safe keys so the serve layer can echo hits
-// without re-encoding the answer.
+// lruEntry is one resident answer. enc, when non-nil, is the canonical hit
+// encoding (Elapsed-scrubbed JSON) of the answer, kept only for bytes-safe
+// keys so the serve layer can echo hits without re-encoding the answer.
+// chain links the entries whose key hashes are equal; prev and next link
+// the shard's recency list.
 type lruEntry struct {
-	key answerKey
-	ans Answer
-	enc []byte
+	key        answerKey
+	ans        Answer
+	enc        []byte
+	chain      *lruEntry
+	prev, next *lruEntry
 }
 
 // NewAnswerCache builds a cache bounded to capacity answers; capacity <= 0
@@ -276,47 +313,56 @@ func NewAnswerCacheShards(capacity, shards int) *AnswerCache {
 		if i < capacity%n {
 			cap++
 		}
-		c.shards[i] = &cacheShard{
+		s := &cacheShard{
 			capacity: cap,
-			entries:  make(map[answerKey]*list.Element),
-			order:    list.New(),
+			index:    make(map[uint64]*lruEntry),
 			inflight: make(map[answerKey]*flight),
 		}
+		s.lru.prev, s.lru.next = &s.lru, &s.lru
+		c.shards[i] = s
 	}
 	return c
 }
 
-// shardFor hashes the key onto one shard. Identical keys always land on the
-// same shard — the choice is a pure function of the key's content — which is
-// what keeps the per-shard single-flight exact; distinct keys may share a
-// shard, which only costs contention. The hottest key shape (an analytic
-// report/distribution point: non-zero scenario core, empty extra) is hashed
-// as a handful of integer mixes over the fixed-size core, skipping string
-// hashing entirely so the uncontended sharded lookup costs the same as the
-// single-mutex layout's; every other shape goes through one
-// maphash.Comparable call over the whole key.
-func (c *AnswerCache) shardFor(key answerKey) *cacheShard {
-	if len(c.shards) == 1 {
-		return c.shards[0]
+// hash is the key's 64-bit hash. Identical keys always hash alike — the
+// value is a pure function of the key's content — which is what keeps the
+// per-shard single-flight exact.
+func (c *AnswerCache) hash(key answerKey) uint64 {
+	if c.hashKey != nil {
+		return c.hashKey(key)
 	}
-	if key.key.extra == "" && key.key.scen != (analyticKey{}) {
-		// Shard spread only needs the high-entropy axes (J, P, W); keys
-		// differing solely in deadline/target/O sharing a shard is harmless.
-		s := key.key.scen
-		h := math.Float64bits(s.j) ^ math.Float64bits(s.p)*0x9e3779b97f4a7c15 ^ uint64(s.w)*0xff51afd7ed558ccd
-		h ^= h >> 29
-		h *= 0x9e3779b97f4a7c15
-		h ^= h >> 32
-		return c.shards[h&uint64(len(c.shards)-1)]
-	}
-	return c.shardForString(key)
+	return maphash.Comparable(c.seed, key)
 }
 
-// shardForString is the string-bearing key shapes' path, kept out of
-// shardFor so the fixed-size fast path stays inlinable.
-func (c *AnswerCache) shardForString(key answerKey) *cacheShard {
-	h := maphash.Comparable(c.seed, key)
-	return c.shards[h&uint64(len(c.shards)-1)]
+// shardFor returns the key's hash and the shard its low bits pick.
+func (c *AnswerCache) shardFor(key answerKey) (uint64, *cacheShard) {
+	h := c.hash(key)
+	return h, c.shards[h&uint64(len(c.shards)-1)]
+}
+
+// find returns the resident entry of key, whose hash is h, or nil.
+func (s *cacheShard) find(h uint64, key answerKey) *lruEntry {
+	for e := s.index[h]; e != nil; e = e.chain {
+		if e.key == key {
+			return e
+		}
+	}
+	return nil
+}
+
+// touch moves e to the front of the recency list.
+func (s *cacheShard) touch(e *lruEntry) {
+	if s.lru.next == e {
+		return
+	}
+	e.prev.next, e.next.prev = e.next, e.prev
+	s.pushFront(e)
+}
+
+func (s *cacheShard) pushFront(e *lruEntry) {
+	e.prev, e.next = &s.lru, s.lru.next
+	e.next.prev = e
+	s.lru.next = e
 }
 
 // Stats snapshots the counters, summed across shards, plus the per-shard
@@ -330,7 +376,7 @@ func (c *AnswerCache) Stats() CacheStats {
 			Misses:    s.misses,
 			Coalesced: s.coalesced,
 			Evictions: s.evictions,
-			Entries:   len(s.entries),
+			Entries:   s.n,
 			Capacity:  s.capacity,
 		}
 		s.mu.Unlock()
@@ -351,42 +397,64 @@ func (c *AnswerCache) Stats() CacheStats {
 // must not skew the miss counter that tracks local backend executions. A
 // find still counts as a hit (it served traffic) and refreshes recency.
 func (c *AnswerCache) peek(key answerKey) (Answer, []byte, bool) {
-	s := c.shardFor(key)
+	h, s := c.shardFor(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	el, ok := s.entries[key]
-	if !ok {
+	e := s.find(h, key)
+	if e == nil {
 		return nil, nil, false
 	}
-	s.order.MoveToFront(el)
+	s.touch(e)
 	s.hits++
-	e := el.Value.(*lruEntry)
 	return e.ans, e.enc, true
 }
 
 // store inserts an answer, evicting the least recently used entry of the
 // key's shard past that shard's capacity bound.
 func (c *AnswerCache) store(key answerKey, a Answer, enc []byte) {
-	s := c.shardFor(key)
+	h, s := c.shardFor(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.storeLocked(key, a, enc)
+	c.storeLocked(s, h, key, a, enc)
 }
 
-func (s *cacheShard) storeLocked(key answerKey, a Answer, enc []byte) {
-	if el, ok := s.entries[key]; ok {
-		e := el.Value.(*lruEntry)
+// storeLocked stores a's storedAnswer form under key, whose hash is h, in
+// its shard s; the caller holds s.mu.
+func (c *AnswerCache) storeLocked(s *cacheShard, h uint64, key answerKey, a Answer, enc []byte) {
+	a = storedAnswer(a)
+	if e := s.find(h, key); e != nil {
 		e.ans, e.enc = a, enc
-		s.order.MoveToFront(el)
+		s.touch(e)
 		return
 	}
-	s.entries[key] = s.order.PushFront(&lruEntry{key: key, ans: a, enc: enc})
-	if len(s.entries) > s.capacity {
-		back := s.order.Back()
-		s.order.Remove(back)
-		delete(s.entries, back.Value.(*lruEntry).key)
-		s.evictions++
+	e := &lruEntry{key: key, ans: a, enc: enc, chain: s.index[h]}
+	s.index[h] = e
+	s.pushFront(e)
+	s.n++
+	if s.n > s.capacity {
+		c.evictLocked(s, s.lru.prev)
 	}
+}
+
+// evictLocked drops e from its shard s; the caller holds s.mu. The entry
+// does not keep its hash, so eviction hashes the key again.
+func (c *AnswerCache) evictLocked(s *cacheShard, e *lruEntry) {
+	e.prev.next, e.next.prev = e.next, e.prev
+	h := c.hash(e.key)
+	if head := s.index[h]; head == e {
+		if e.chain == nil {
+			delete(s.index, h)
+		} else {
+			s.index[h] = e.chain
+		}
+	} else {
+		for head.chain != e {
+			head = head.chain
+		}
+		head.chain = e.chain
+	}
+	s.n--
+	s.evictions++
 }
 
 // do returns the cached answer for key, or executes fn — at most once across
@@ -402,13 +470,12 @@ func (s *cacheShard) storeLocked(key answerKey, a Answer, enc []byte) {
 // ending is shared as-is: re-executing a guaranteed failure in a loop would
 // never converge.
 func (c *AnswerCache) do(ctx context.Context, key answerKey, fn func() (Answer, error)) (a Answer, enc []byte, cached bool, err error) {
-	s := c.shardFor(key)
+	h, s := c.shardFor(key)
 	for {
 		s.mu.Lock()
-		if el, ok := s.entries[key]; ok {
-			s.order.MoveToFront(el)
+		if e := s.find(h, key); e != nil {
+			s.touch(e)
 			s.hits++
-			e := el.Value.(*lruEntry)
 			a, enc = e.ans, e.enc
 			s.mu.Unlock()
 			return a, enc, true, nil
@@ -458,7 +525,7 @@ func (c *AnswerCache) do(ctx context.Context, key answerKey, fn func() (Answer, 
 		s.mu.Lock()
 		delete(s.inflight, key)
 		if f.err == nil {
-			s.storeLocked(key, f.ans, stored)
+			c.storeLocked(s, h, key, f.ans, stored)
 		} else if cerr := ctx.Err(); cerr != nil && errors.Is(f.err, cerr) {
 			// Only the leader's own context error is worth retrying; any
 			// other failure under an expired context is deterministic for

@@ -1,6 +1,7 @@
 package solve
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -56,8 +57,14 @@ func RouteHash(backend string, q Query) (uint64, bool) {
 // of marshaling an Answer, used to adopt a peer's wire answer as a typed
 // cache entry. Decoding is deliberately lenient (no unknown-field rejection):
 // a cluster mid-upgrade may receive answers carrying fields this node does
-// not know yet, and dropping them beats refusing the answer.
+// not know yet, and dropping them beats refusing the answer. Anything but a
+// JSON object is refused: json.Unmarshal takes a null as a no-op, and a
+// zero answer adopted from a peer's "answer": null would be echoed and
+// replayed as if solved.
 func ParseAnswer(kind string, data []byte) (Answer, error) {
+	if trimmed := bytes.TrimLeft(data, " \t\r\n"); len(trimmed) == 0 || trimmed[0] != '{' {
+		return nil, fmt.Errorf("solve: bad %q answer: not a JSON object", kind)
+	}
 	var (
 		a   Answer
 		err error

@@ -109,6 +109,15 @@ func TestParseAnswerRoundtrip(t *testing.T) {
 	if _, err := ParseAnswer(KindReport, []byte(`{`)); err == nil {
 		t.Error("malformed body must fail")
 	}
+	// Only an object is an answer: a null would decode into a zero answer
+	// without error.
+	for _, kind := range QueryKinds() {
+		for _, body := range []string{`null`, ` null`, `[]`, `"report"`, `7`, ``} {
+			if a, err := ParseAnswer(kind, []byte(body)); err == nil {
+				t.Errorf("%s %q: accepted as %+v", kind, body, a)
+			}
+		}
+	}
 }
 
 // TestPeekDoesNotCountMisses: Peek is the cluster's routing probe — a miss
